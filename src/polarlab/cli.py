@@ -2,16 +2,18 @@
 verification, dual-weight scans, and alist/JSON export.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refused
-scan, 4 I/O error.
+(a scan too large, a resource cap, or out of memory), 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict, dataclass, field
 
+from .gf import FieldError
 from .projspace import GeometryError, ResourceError
 from .polarspace import (
     bound_min_weight_dual,
@@ -37,10 +39,6 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 EXIT_IO = 4
 
-# --q is always the GQ-style parameter: hermitian spaces live over q^2
-_HERMITIAN = ("H", "hermitian")
-
-
 @dataclass
 class RunConfig:
     """Everything needed to reproduce a run byte-for-byte."""
@@ -54,14 +52,13 @@ class RunConfig:
     out: str | None = None
     window: tuple | None = None
     partial: bool = False
-    seed: int = 0
-    threads: int = 1
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
 
 def _space(family: str, n: int, q: int):
+    # --q is always the GQ-style parameter: hermitian spaces live over q^2
     order = q * q if canonical_family(family) == "hermitian" else q
     return get_space(family, n, order)
 
@@ -100,7 +97,7 @@ def cmd_construct(cfg: RunConfig) -> int:
     print(f"configuration: {result.witness}")
     print(f"weight: {result.codeword.weight} (predicted {result.predicted_weight})")
     print(f"lower bound for this code: {bound}")
-    verdict = ok_dual and ok_weight
+    verdict = ok_dual and ok_weight and result.codeword.weight >= bound
     print(f"verdict: {'PASS' if verdict else 'FAIL'}")
     if not ok_dual:
         print(f"failing incidence row: {witness}")
@@ -152,8 +149,6 @@ def cmd_export(cfg: RunConfig) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--out", default=None, help="machine-readable output path")
 
 
@@ -214,49 +209,26 @@ _VARIANT_ALIASES = {
     "ovoid-plus-pair": "ovoid_plus_pair",
 }
 
-# which keyword arguments each construction accepts
-_CONSTRUCT_PARAMS = {
-    "two-reguli": ("q", "alpha"),
-    "two-pencils": ("q", "beta"),
-    "regulus-combination": ("q", "common_lines", "orientation", "alpha"),
-    "regulus-switch": ("q", "i"),
-    "complement-ovoid": ("family", "q"),
-    "wq-example": ("q", "variant"),
-    "hermitian-pair": ("q", "variant", "alpha"),
-    "disjoint-cones": ("family", "q", "alpha"),
-    "polar-pair": ("family", "n", "q", "alpha"),
-    "complement-cone": ("family", "n", "q", "k", "flavor"),
-}
-
-_REQUIRED = {
-    "regulus-switch": ("i",),
-    "regulus-combination": ("common_lines",),
-    "complement-ovoid": ("family",),
-    "wq-example": ("variant",),
-    "hermitian-pair": ("variant",),
-    "disjoint-cones": ("family",),
-    "polar-pair": ("family", "n"),
-    "complement-cone": ("family", "n", "k"),
-}
-
-
 def _construct_config(ns) -> RunConfig:
+    """The keyword arguments of the construction's signature that the
+    parser defines; one without a default must be given (--q always is)."""
     name = ns.name
-    for req in _REQUIRED.get(name, ()):
-        if getattr(ns, req) is None:
-            flag = "--" + req.replace("_", "-")
-            raise SystemExit(f"polarlab construct {name}: {flag} is required")
     params = {}
-    for key in _CONSTRUCT_PARAMS[name]:
+    for key, par in inspect.signature(CONSTRUCTIONS[name]).parameters.items():
+        if key not in vars(ns):
+            continue
         val = getattr(ns, key)
         if val is None:
+            if par.default is par.empty:
+                flag = "--" + key.replace("_", "-")
+                raise SystemExit(f"polarlab construct {name}: {flag} is required")
             continue
         if key == "variant":
             val = _VARIANT_ALIASES.get(val, val)
         params[key] = val
     return RunConfig(subcommand="construct", family=ns.family, n=ns.n,
                      q=ns.q, k=ns.k, construction=name, params=params,
-                     out=ns.out, seed=ns.seed, threads=ns.threads)
+                     out=ns.out)
 
 
 def parse_config(argv) -> RunConfig:
@@ -264,7 +236,7 @@ def parse_config(argv) -> RunConfig:
     if ns.subcommand == "construct":
         return _construct_config(ns)
     cfg = RunConfig(subcommand=ns.subcommand, family=ns.family, n=ns.n,
-                    q=ns.q, out=ns.out, seed=ns.seed, threads=ns.threads)
+                    q=ns.q, out=ns.out)
     cfg.k = getattr(ns, "k", None)
     if ns.subcommand == "scan":
         cfg.window = tuple(ns.window) if ns.window else None
@@ -296,11 +268,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _DISPATCH[cfg.subcommand](cfg)
-    except ScanRefused as e:
-        print(f"refused: {e}", file=sys.stderr)
+    except (ScanRefused, ResourceError, MemoryError) as e:
+        print(f"refused: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_REFUSED
-    except (GeometryError, ResourceError, CodeError, KeyError,
-            TypeError, ValueError) as e:
+    except (GeometryError, FieldError, CodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

@@ -11,12 +11,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from .gf import FieldSpec, field_of_order
 from .projspace import (
     GeometryError,
     Subspace,
     enumerate_lines,
-    enumerate_points,
+    incidence_with_hyperplanes,
     intersect,
     span,
     subspace_points,
@@ -190,14 +192,7 @@ def cw_regulus_switch(q: int, i: int) -> ConstructionResult:
         raise GeometryError(f"i={i} out of range [0, {q // 2}]")
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
-    T = regular_spread(q)
-    L = T[0]
-    regs = reguli_partition_through(T, L, q)
-    switched = set(T)
-    for reg in regs[:2 * i]:
-        switched.difference_update(reg)
-        switched.update(opposite_regulus(reg, F))
-    switched.add(L)
+    switched = switched_line_set(q, i)
     assert len(switched) == q * q + 1 + 2 * i
     images = {P.index[klein_point(M, F)] for M in switched}
     support = {j: 1 for j in range(len(P.points)) if j not in images}
@@ -225,19 +220,22 @@ def switched_line_set(q: int, i: int) -> dict:
 # --- complements of ovoids and W(q) examples --------------------------
 
 
+def _first_hyperplane_section(P: PolarSpace, size: int, kind: str) -> list:
+    """Point indices of P on the first hyperplane, in the canonical dual
+    order, that meets P in exactly `size` points."""
+    on = incidence_with_hyperplanes(P.points, P.n, P.F)
+    hit = np.flatnonzero(on.sum(axis=0) == size)
+    if not len(hit):
+        raise GeometryError(f"no {kind} hyperplane section found")
+    return np.flatnonzero(on[:, hit[0]]).tolist()
+
+
 def elliptic_hyperplane_section(P: PolarSpace) -> list:
     """Point indices of the first hyperplane section of size q^2+1 of a
     parabolic quadric Q(4,q): an elliptic quadric, hence an ovoid."""
     if P.family != "parabolic" or P.n != 4:
         raise GeometryError("expected Q(4,q)")
-    F = P.F
-    q = F.order
-    for hp in enumerate_points(4, F):
-        sec = [i for i, pt in enumerate(P.points)
-               if _dot(hp, pt, F) == 0]
-        if len(sec) == q * q + 1:
-            return sec
-    raise GeometryError("no elliptic hyperplane section found")
+    return _first_hyperplane_section(P, P.q ** 2 + 1, "elliptic")
 
 
 def klein_spread_ovoid(P: PolarSpace) -> list:
@@ -272,14 +270,6 @@ def cw_complement_ovoid(family: str, q: int, ovoid=None) -> ConstructionResult:
     return ConstructionResult(
         CodewordVec(support, len(P.points), 2), weight, P, k,
         "complement of an ovoid")
-
-
-def _dot(u, v, F: FieldSpec) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = F.add(acc, F.mul(a, b))
-    return acc
 
 
 def _wq_plane(F: FieldSpec) -> Subspace:
@@ -450,23 +440,11 @@ def cw_disjoint_perp_cones(family: str, q: int, alpha: int = 1) -> ConstructionR
 # --- polar pairs and complements of cones -----------------------------
 
 
-def _external_line_4(F: FieldSpec):
-    """A line of PG(3,q) with no zero of x0x1 + x2x3; basis pair."""
-    singular = {pt for pt in enumerate_points(3, F)
-                if F.add(F.mul(pt[0], pt[1]), F.mul(pt[2], pt[3])) == 0}
-    for L in enumerate_lines(3, F):
-        if all(x not in singular for x in subspace_points(L, F)):
-            return L.basis
-    raise GeometryError("no external line found")
-
-
-def _external_line_3(F: FieldSpec):
-    """A line of PG(2,q) with no zero of x0^2 + x1x2; basis pair."""
-    from .projspace import enumerate_lines as elines
-    singular = {pt for pt in enumerate_points(2, F)
-                if F.add(F.mul(pt[0], pt[0]), F.mul(pt[1], pt[2])) == 0}
-    for L in elines(2, F):
-        if all(x not in singular for x in subspace_points(L, F)):
+def _external_line(P: PolarSpace):
+    """Basis pair of the first line of the ambient space of P that carries
+    no point of P."""
+    for L in enumerate_lines(P.n, P.F):
+        if not any(x in P.index for x in subspace_points(L, P.F)):
             return L.basis
     raise GeometryError("no external line found")
 
@@ -482,7 +460,7 @@ def cw_polar_pair(family: str, n: int, q: int, alpha: int = 1) -> ConstructionRe
     """Symbols +a/-a on the polar-space sections of a non-singular
     subspace and its polar image, their intersection excluded.
 
-    Hyperbolic Q+(2n+1,q) with generator dimension n: a parabolic
+    Hyperbolic Q+(2n+1,q), n >= 2 its generator dimension: a parabolic
     section for even n (weight 2 theta_{n-1}) and an elliptic section for
     odd n (weight 2 theta_{n-1} - 2 q^{(n-1)/2}).  Hermitian H(5,q^2):
     the Hermitian-curve pair of weight 2(q^3+1)."""
@@ -495,6 +473,9 @@ def cw_polar_pair(family: str, n: int, q: int, alpha: int = 1) -> ConstructionRe
         return cw_hermitian_pair(q, "curve_pair", alpha)
     if family not in ("Qplus", "hyperbolic"):
         raise GeometryError(f"no polar pair for family {family!r}")
+    if n < 2:
+        # n = 0, 1 leave an empty section pair: the zero word
+        raise GeometryError(f"polar pairs of Q+(2n+1,q) need n >= 2, got n={n}")
     P = get_space("Qplus", 2 * n + 1, q)
     F = P.F
     width = 2 * n + 2
@@ -504,7 +485,7 @@ def cw_polar_pair(family: str, n: int, q: int, alpha: int = 1) -> ConstructionRe
                  for i in range(2, n + 2)]
         weight = 2 * theta(n - 1, q)
     else:
-        u0, u1 = _external_line_4(F)
+        u0, u1 = _external_line(get_space("Qplus", 3, q))
         rows = [_embed(u0, (0, 1, 2, 3), width), _embed(u1, (0, 1, 2, 3), width)]
         rows += [tuple(1 if j == i else 0 for j in range(width))
                  for i in range(4, n + 3)]
@@ -525,10 +506,6 @@ def cw_polar_pair(family: str, n: int, q: int, alpha: int = 1) -> ConstructionRe
     return ConstructionResult(
         _points_to_codeword(P, symbols), weight, P, n,
         "non-singular subspace and its polar image, intersection dropped")
-
-
-def _pair_slots(first: int, count: int):
-    return [(first + 2 * i, first + 2 * i + 1) for i in range(count)]
 
 
 def _removed_set_complement(P: PolarSpace, removed, k: int,
@@ -562,14 +539,11 @@ def cw_complement_cone(family: str, n: int, q: int, k: int,
         width = 2 * n + 2
         if k == 1:
             if flavor == "parabolic":
-                want = theta(2 * n - 1, q)
-                for hp in enumerate_points(2 * n + 1, F):
-                    sec = [x for x in P.points if _dot(hp, x, F) == 0]
-                    if len(sec) == want:
-                        return _removed_set_complement(
-                            P, sec, 1, (q ** n + 1) * q ** n,
-                            "complement of a parabolic hyperplane section")
-                raise GeometryError("no parabolic hyperplane section found")
+                sec = [P.points[i] for i in _first_hyperplane_section(
+                    P, theta(2 * n - 1, q), "parabolic")]
+                return _removed_set_complement(
+                    P, sec, 1, (q ** n + 1) * q ** n,
+                    "complement of a parabolic hyperplane section")
             if flavor == "tangent":
                 pt = P.points[0]
                 perp = polar_image(P, span([pt], F))
@@ -581,7 +555,7 @@ def cw_complement_cone(family: str, n: int, q: int, k: int,
         if not 2 <= k <= n - 1 and not (n == 2 and k == 2):
             raise GeometryError(f"k={k} out of range for this family")
         vertex_rows = [_embed((1,), (2 * i,), width) for i in range(k - 2)]
-        u0, u1 = _external_line_4(F)
+        u0, u1 = _external_line(get_space("Qplus", 3, q))
         pos = (2 * (k - 2), 2 * (k - 2) + 1, 2 * (k - 2) + 2, 2 * (k - 2) + 3)
         base_rows = [_embed(u0, pos, width), _embed(u1, pos, width)]
         base_rows += [tuple(1 if j == i else 0 for j in range(width))
@@ -595,7 +569,7 @@ def cw_complement_cone(family: str, n: int, q: int, k: int,
         if not 1 <= k < (n + 1) / 2:
             raise GeometryError(f"k={k} out of range for this family")
         vertex_rows = [_embed((1,), (2 * i + 1,), width) for i in range(k - 1)]
-        u0, u1 = _external_line_3(F)
+        u0, u1 = _external_line(get_space("Q", 2, q))
         pos = (0, 2 * k - 1, 2 * k)
         base_rows = [_embed(u0, pos, width), _embed(u1, pos, width)]
         base_rows += [tuple(1 if j == i else 0 for j in range(width))

@@ -18,8 +18,10 @@ from .gf import FieldSpec, field_of_order, embed_subfield
 from .projspace import (
     GeometryError,
     Subspace,
+    contains_point,
     enumerate_lines,
     enumerate_points,
+    incidence_with_hyperplanes,
     intersect,
     normalize_point,
     span,
@@ -223,20 +225,20 @@ def check_line_conditions(symbols: dict, F: FieldSpec, parity_mode: str) -> dict
         raise GeometryError(f"unknown parity mode {parity_mode!r}")
     p = F.p
     lines = list(symbols)
-    points = enumerate_points(3, F)
-    planes = enumerate_points(3, F)  # dual coordinates
+    points = enumerate_points(3, F)  # also the planes, in dual coordinates
+    # a line lies in a plane when both of its basis rows do
+    on = incidence_with_hyperplanes([r for L in lines for r in L.basis], 3, F)
+    on = on.reshape(len(lines), 2, len(points)).all(axis=1)
 
-    def through_point(pt):
-        return [L for L in lines if _on_line(pt, L, F)]
+    def through_point(j):
+        return [L for L in lines if contains_point(L, points[j], F)]
 
-    def in_plane(hp):
-        return [L for L in lines
-                if all(_dot(hp, row, F) == 0 for row in L.basis)]
+    def in_plane(j):
+        return [L for L, hit in zip(lines, on[:, j].tolist()) if hit]
 
-    for kind, items, picker in (("point", points, through_point),
-                                ("plane", planes, in_plane)):
-        for obj in items:
-            hit = picker(obj)
+    for kind, picker in (("point", through_point), ("plane", in_plane)):
+        for j, obj in enumerate(points):
+            hit = picker(j)
             if parity_mode == "odd_blocking":
                 if len(hit) % 2 == 0:
                     return {"ok": False, "condition": f"odd count at {kind}",
@@ -249,19 +251,6 @@ def check_line_conditions(symbols: dict, F: FieldSpec, parity_mode: str) -> dict
                     return {"ok": False, "condition": f"symbol sum at {kind}",
                             "witness": obj}
     return {"ok": True, "condition": None, "witness": None}
-
-
-def _on_line(pt, L: Subspace, F: FieldSpec) -> bool:
-    from .projspace import contains_point
-    return contains_point(L, pt, F)
-
-
-def _dot(u, v, F: FieldSpec) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = F.add(acc, F.mul(a, b))
-    return acc
 
 
 def lineset_to_codeword(symbols: dict, P: PolarSpace) -> CodewordVec:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil
 
 import numpy as np
@@ -27,6 +27,7 @@ from .projspace import (
     GeometryError,
     Subspace,
     enumerate_points,
+    form_values,
     normalize_point,
     nullspace,
     span,
@@ -69,26 +70,13 @@ class FormSpec:
     field: FieldSpec
     matrix: tuple[tuple[int, ...], ...]
 
-    def evaluate(self, x) -> int:
-        """Value of the form at a vector: Q(x), h(x,x), or b(x,x)=0."""
-        F = self.field
-        if self.family == "symplectic":
-            return 0
-        acc = 0
-        if self.family == "hermitian":
-            for c in x:
-                if c:
-                    acc = F.add(acc, F.mul(c, F.conj(c)))
-            return acc
-        A = self.matrix
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j in range(i, len(x)):
-                if A[i][j] and x[j]:
-                    acc = F.add(acc, F.mul(A[i][j], F.mul(xi, x[j])))
-        return acc
+    def evaluate(self, X):
+        """Value of the form at each vector along the last axis of X:
+        Q(x), h(x,x), or b(x,x)=0."""
+        return form_values(X, X, self.matrix, self.field,
+                           conj=self.family == "hermitian")
 
+    @cached_property
     def bilinear_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Matrix of the associated reflexive form: the polarized form
         A + A^T for quadrics, the form matrix itself otherwise."""
@@ -101,21 +89,11 @@ class FormSpec:
             tuple(F.add(A[i][j], A[j][i]) for j in range(n)) for i in range(n)
         )
 
-    def pair(self, x, y) -> int:
-        """b(x,y), or h(x,y) for the hermitian family."""
-        F = self.field
-        B = self.bilinear_matrix()
-        conj = self.family == "hermitian"
-        acc = 0
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = B[i]
-            for j, yj in enumerate(y):
-                if row[j] and yj:
-                    t = F.conj(yj) if conj else yj
-                    acc = F.add(acc, F.mul(row[j], F.mul(xi, t)))
-        return acc
+    def pair(self, X, Y):
+        """b(x,y), or h(x,y) for the hermitian family, for the vectors
+        along the last axes of X and Y, broadcast against each other."""
+        return form_values(X, Y, self.bilinear_matrix, self.field,
+                           conj=self.family == "hermitian")
 
 
 def _standard_matrix(family: str, n: int, F: FieldSpec):
@@ -190,20 +168,6 @@ def generator_dimension(family: str, n: int) -> int:
     raise GeometryError(f"unknown family {family!r}")
 
 
-@lru_cache(maxsize=None)
-def _np_tables(F: FieldSpec):
-    q = F.order
-    dt = np.uint8 if q <= 256 else np.uint16
-    mul = np.zeros((q, q), dtype=dt)
-    add = np.zeros((q, q), dtype=dt)
-    for a in range(q):
-        for b in range(q):
-            mul[a, b] = F.mul(a, b)
-            add[a, b] = F.add(a, b)
-    conj = np.array([F.conj(a) for a in range(q)], dtype=dt) if F.has_conjugation else None
-    return mul, add, conj
-
-
 class PolarSpace:
     """A polar space with its singular points indexed in the PG order.
 
@@ -218,10 +182,8 @@ class PolarSpace:
         self.q = self.F.sqrt_order if self.family == "hermitian" else self.F.order
         self.gen_dim = generator_dimension(self.family, self.n)
         ambient = enumerate_points(self.n, self.F)
-        if self.family == "symplectic":
-            self.points = ambient
-        else:
-            self.points = tuple(p for p in ambient if form.evaluate(p) == 0)
+        on = np.flatnonzero(form.evaluate(np.array(ambient)) == 0)
+        self.points = tuple(ambient[i] for i in on.tolist())
         expected = polar_space_order(self.family, self.n, self.F.order)
         if len(self.points) != expected:
             raise GeometryError(
@@ -236,8 +198,7 @@ class PolarSpace:
         return f"{names[self.family]}({self.n},{self.F.order})"
 
     def _check_nondegenerate(self):
-        B = self.form.bilinear_matrix()
-        rad = nullspace(B, self.n + 1, self.F)
+        rad = nullspace(self.form.bilinear_matrix, self.n + 1, self.F)
         if self.family in ("hermitian", "symplectic"):
             if rad:
                 raise GeometryError("degenerate form")
@@ -261,31 +222,15 @@ class PolarSpace:
             return 2
         return (self.n - 1) // 2
 
-    def is_singular(self, pt) -> bool:
-        return pt in self.index
-
-    def pair(self, x, y) -> int:
-        return self.form.pair(x, y)
-
     def collinear(self, x, y) -> bool:
-        return self.form.pair(x, y) == 0
+        return bool(self.form.pair(x, y) == 0)
 
     def adjacency(self):
         """Per-point bitmask of other points joined by a singular line."""
         if self._adj is not None:
             return self._adj
-        mul, add, conj = _np_tables(self.F)
-        X = np.array(self.points, dtype=mul.dtype)
-        Y = X if conj is None or self.family != "hermitian" else conj[X]
-        B = self.form.bilinear_matrix()
-        N = len(self.points)
-        acc = np.zeros((N, N), dtype=mul.dtype)
-        for i in range(self.n + 1):
-            for j in range(self.n + 1):
-                if B[i][j]:
-                    term = mul[mul[B[i][j], X[:, i]][:, None], Y[None, :, j]]
-                    acc = add[acc, term]
-        zero = acc == 0
+        X = np.array(self.points)
+        zero = self.form.pair(X[:, None], X[None]) == 0
         np.fill_diagonal(zero, False)
         packed = np.packbits(zero, axis=1, bitorder="little")
         self._adj = [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -390,6 +335,8 @@ def standard_polar_space(family: str, n: int, F: FieldSpec) -> PolarSpace:
     fam = canonical_family(family)
     if fam == "hermitian" and not F.has_conjugation:
         raise GeometryError("hermitian family needs a field of square order")
+    if generator_dimension(fam, n) < 0:
+        raise GeometryError(f"{family} with n={n} has no singular points")
     return PolarSpace(FormSpec(fam, n, F, _standard_matrix(fam, n, F)))
 
 
@@ -400,10 +347,6 @@ def get_space(family: str, n: int, order: int) -> PolarSpace:
     return standard_polar_space(family, n, field_of_order(order))
 
 
-def enumerate_singular_kspaces(P: PolarSpace, k: int) -> list[Subspace]:
-    return [S for S, _sup in P.singular_kspaces_with_supports(k)]
-
-
 def polar_image(P: PolarSpace, S: Subspace) -> Subspace:
     """The perp of S under the polarity of P."""
     F = P.F
@@ -411,20 +354,11 @@ def polar_image(P: PolarSpace, S: Subspace) -> Subspace:
         raise GeometryError(
             "parabolic quadric in even characteristic has no polarity; "
             "use nucleus()")
-    B = P.form.bilinear_matrix()
-    conj = P.family == "hermitian"
-    rows = []
-    for x in S.basis:
-        row = []
-        for j in range(P.n + 1):
-            acc = 0
-            for i, xi in enumerate(x):
-                if xi and B[i][j]:
-                    c = F.conj(xi) if conj else xi
-                    acc = F.add(acc, F.mul(c, B[i][j]))
-            row.append(acc)
-        rows.append(tuple(row))
-    basis = nullspace(rows, P.n + 1, F)
+    # row r holds y -> b(y, x_r) for the basis vector x_r: a linear form
+    # with the same zeros as b(x_r, .), whose kernel is the perp
+    unit = np.eye(P.n + 1, dtype=np.int64)
+    rows = P.form.pair(unit[None], np.array(S.basis)[:, None])
+    basis = nullspace(rows.tolist(), P.n + 1, F)
     return Subspace(P.n, basis)
 
 
@@ -433,7 +367,7 @@ def nucleus(P: PolarSpace):
     quadric; lies on every tangent hyperplane."""
     if P.family != "parabolic" or P.F.p != 2:
         raise GeometryError("nucleus is defined for parabolic quadrics, q even")
-    rad = nullspace(P.form.bilinear_matrix(), P.n + 1, P.F)
+    rad = nullspace(P.form.bilinear_matrix, P.n + 1, P.F)
     assert len(rad) == 1
     return normalize_point(rad[0], P.F)
 
@@ -569,10 +503,6 @@ def prop_counts(family: str, n: int, k: int, q: int) -> tuple[Fraction, Fraction
             N /= q ** (2 * j) - 1
     assert M.denominator == 1 and N.denominator == 1
     return M, N
-
-
-TANNER_ELLIPTIC_5 = "q^3+q+2"
-TANNER_HERMITIAN_4 = "q^5-q^4+q^3+q^2+2"
 
 
 def tanner_bound_elliptic_5(q: int) -> int:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .gf import FieldSpec
 
 POINT_CAP = 10 ** 7
@@ -188,34 +190,50 @@ def hyperplanes(n: int, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return enumerate_points(n, F)
 
 
-def dot(u, v, F: FieldSpec) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = F.add(acc, F.mul(a, b))
+@lru_cache(maxsize=None)
+def _tables(F: FieldSpec):
+    """numpy mul, add and conjugation tables of F (conj None when F has
+    no square order); uint8 entries for q <= 256.  A table has q^2
+    entries, as PG(2,q) has about q^2 points, and is refused beyond the
+    same cap before it is allocated."""
+    q = F.order
+    if theta(2, q) > POINT_CAP:
+        raise ResourceError(f"GF({q}) tables exceed point cap {POINT_CAP}")
+    dt = np.uint8 if q <= 256 else np.uint16
+    mul = np.zeros((q, q), dtype=dt)
+    add = np.zeros((q, q), dtype=dt)
+    for a in range(q):
+        for b in range(q):
+            mul[a, b] = F.mul(a, b)
+            add[a, b] = F.add(a, b)
+    conj = np.array([F.conj(a) for a in range(q)], dtype=dt) if F.has_conjugation else None
+    return mul, add, conj
+
+
+def form_values(X, Y, M, F: FieldSpec, conj: bool = False) -> np.ndarray:
+    """Sum over i, j of M[i][j] x_i y_j^s in GF(q), s the involution
+    y -> y^sqrt(q) when conj is set and the identity otherwise.
+
+    The vectors run along the last axis of X and Y; their leading axes
+    broadcast against each other, and the result has the broadcast shape.
+    One nonzero entry of M is added at a time, so no temporary is larger
+    than the result: none keeps the coordinate axis."""
+    mul, add, cj = _tables(F)
+    X = np.asarray(X, dtype=mul.dtype)
+    Y = np.asarray(Y, dtype=mul.dtype)
+    if conj:
+        Y = cj[Y]
+    acc = np.zeros(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]), dtype=mul.dtype)
+    for i, row in enumerate(M):
+        for j, m in enumerate(row):
+            if m:
+                acc = add[acc, mul[mul[m, X[..., i]], Y[..., j]]]
     return acc
 
 
-def incidence_with_hyperplanes(points, n: int, F: FieldSpec):
-    """Boolean matrix [i,j] = point i lies on hyperplane j.
-
-    numpy fast path for characteristic 2, where vector addition is XOR."""
-    import numpy as np
-
-    duals = hyperplanes(n, F)
-    if F.p == 2:
-        mt = np.zeros((F.order, F.order), dtype=np.uint8)
-        for a in range(F.order):
-            for b in range(F.order):
-                mt[a, b] = F.mul(a, b)
-        P = np.array(points, dtype=np.uint8)
-        D = np.array(duals, dtype=np.uint8)
-        acc = np.zeros((len(points), len(duals)), dtype=np.uint8)
-        for c in range(n + 1):
-            acc ^= mt[np.ix_(P[:, c], D[:, c])]
-        return acc == 0
-    out = np.zeros((len(points), len(duals)), dtype=bool)
-    for i, pt in enumerate(points):
-        for j, hp in enumerate(duals):
-            out[i, j] = dot(pt, hp, F) == 0
-    return out
+def incidence_with_hyperplanes(points, n: int, F: FieldSpec) -> np.ndarray:
+    """Boolean matrix [i,j] = point i lies on hyperplane j, the hyperplanes
+    in the canonical dual order of hyperplanes(n, F)."""
+    X = np.array(points, dtype=np.int64).reshape(-1, n + 1)
+    D = np.array(hyperplanes(n, F), dtype=np.int64)
+    return form_values(X[:, None], D[None], np.eye(n + 1, dtype=np.int64), F) == 0

@@ -8,11 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldSpec
-from .projspace import (
-    GeometryError,
-    enumerate_points,
-)
-from .polarspace import PolarSpace, _np_tables
+from .projspace import GeometryError, incidence_with_hyperplanes
+from .polarspace import PolarSpace
 
 
 def _as_index_set(P: PolarSpace, pts):
@@ -166,19 +163,11 @@ class WeightedPointSet:
 
 def hyperplane_weights(W: WeightedPointSet) -> np.ndarray:
     """Total weight of W in each hyperplane of PG(n,q), in the canonical
-    dual order.  Table-based evaluation keeps q=8 scans fast."""
-    F = W.field
-    n = W.ambient
-    duals = enumerate_points(n, F)
+    dual order."""
     pts = list(W.weights)
     wts = np.array([W.weights[p] for p in pts], dtype=np.int64)
-    mul, add, _conj = _np_tables(F)
-    X = np.array(pts, dtype=mul.dtype)
-    D = np.array(duals, dtype=mul.dtype)
-    acc = np.zeros((len(pts), len(duals)), dtype=mul.dtype)
-    for c in range(n + 1):
-        acc = add[acc, mul[X[:, c][:, None], D[None, :, c]]]
-    return ((acc == 0) * wts[:, None]).sum(axis=0)
+    on = incidence_with_hyperplanes(pts, W.ambient, W.field)
+    return (on * wts[:, None]).sum(axis=0)
 
 
 def is_minihyper(W: WeightedPointSet, f: int, m: int) -> bool:

@@ -1,13 +1,18 @@
 import json
 
+import pytest
+
+from polarlab import cli
 from polarlab.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_USAGE,
+    EXIT_VERIFY,
     main,
     parse_config,
 )
+from polarlab.projspace import ResourceError
 
 
 def run(capsys, *argv):
@@ -119,12 +124,11 @@ def test_export_requires_out(capsys):
 
 def test_run_config_is_serializable():
     cfg = parse_config(["construct", "regulus-switch", "--q", "4", "--i",
-                        "1", "--seed", "7"])
+                        "1"])
     blob = cfg.to_json()
     data = json.loads(blob)
     assert data["construction"] == "regulus-switch"
     assert data["params"] == {"q": 4, "i": 1}
-    assert data["seed"] == 7
 
 
 def test_same_config_same_bytes(capsys, tmp_path):
@@ -133,3 +137,48 @@ def test_same_config_same_bytes(capsys, tmp_path):
         run(capsys, "construct", "two-reguli", "--q", "2",
             "--out", str(path))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("geometry", "--family", "Qminus", "--n", "-1", "--q", "2"),
+    ("geometry", "--family", "Qplus", "--n", "-1", "--q", "2"),
+    ("construct", "polar-pair", "--family", "Qplus", "--n", "-1", "--q", "2"),
+])
+def test_bad_parameters_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_polar_pair_zero_word_is_not_verified(capsys, n):
+    code, out, _ = run(capsys, "construct", "polar-pair", "--family", "Qplus",
+                       "--n", n, "--q", "2")
+    assert code == EXIT_USAGE
+    assert "PASS" not in out
+
+
+def test_verdict_needs_weight_at_least_bound(capsys, monkeypatch):
+    # the two-reguli word has weight 6; a bound above it must fail it
+    monkeypatch.setattr(cli, "bound_min_weight_dual", lambda *args: 7)
+    code, out, _ = run(capsys, "construct", "two-reguli", "--q", "2")
+    assert code == EXIT_VERIFY
+    assert "weight: 6 (predicted 6)" in out and "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 470. MiB for an array"),
+    MemoryError(),
+    ResourceError("theta(9,8) exceeds point cap"),
+])
+def test_resource_failures_are_refusals(capsys, monkeypatch, error):
+    def refuse(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "get_space", refuse)
+    code, out, err = run(capsys, "geometry", "--family", "H", "--n", "5",
+                         "--q", "3")
+    assert code == EXIT_REFUSED
+    assert out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1

@@ -1,0 +1,67 @@
+"""Every name that src/polarlab defines has a caller.
+
+A module-level function, class or constant, or a method, must occur
+somewhere in src/, scripts/, tests/ or perfbench/ besides its own
+definition.  Occurrences are identifier tokens in code and identifiers
+inside string literals (perfbench/tracing.py looks functions up by name);
+comments do not count.  Dunder names are exempt.
+"""
+
+import ast
+import re
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEARCHED = ("src", "scripts", "tests", "perfbench")
+# Python 3.12 splits f-strings into parts; older versions have no such token
+STRING_TOKENS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+
+
+def definitions(path: Path) -> list[tuple[str, str]]:
+    """(qualified name, name) of each module-level function, class and
+    assigned name of a module, and of each method of its classes."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef):
+            out.append((node.name, node.name))
+            out += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, ast.Assign):
+            out += [(t.id, t.id) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append((node.target.id, node.target.id))
+    return [(q, name) for q, name in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def occurrences(path: Path) -> Counter:
+    words = Counter()
+    with open(path, "rb") as f:
+        for tok in tokenize.tokenize(f.readline):
+            if tok.type == tokenize.NAME:
+                words[tok.string] += 1
+            elif tok.type in STRING_TOKENS:
+                words.update(re.findall(r"[A-Za-z_]\w*", tok.string))
+    return words
+
+
+def unreferenced(root: Path = ROOT) -> list[str]:
+    """Qualified names, as module:name, whose name occurs no more often
+    than it is defined in the package."""
+    package = root / "src" / "polarlab"
+    defs = {path: definitions(path) for path in sorted(package.glob("*.py"))}
+    times_defined = Counter(name for found in defs.values() for _q, name in found)
+    words = Counter()
+    for top in SEARCHED:
+        for path in (root / top).rglob("*.py"):
+            words += occurrences(path)
+    return [f"{path.stem}:{q}" for path, found in defs.items()
+            for q, name in found if words[name] <= times_defined[name]]
+
+
+def test_every_definition_has_a_caller():
+    assert unreferenced() == []

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from polarlab.projspace import GeometryError, span, subspace_points
+from polarlab.projspace import (
+    GeometryError,
+    ResourceError,
+    span,
+    subspace_points,
+)
 from polarlab.polarspace import (
     bound_min_weight_dual,
     canonical_family,
@@ -158,3 +163,10 @@ def test_bounds():
     assert bound_min_weight_dual("elliptic", 2, 1, 2) == tanner_bound_elliptic_5(2) == 12
     assert bound_min_weight_dual("hermitian", 4, 1, 2) == tanner_bound_hermitian_4(2) == 30
     assert tanner_bound_elliptic_5(3) == 32
+
+
+def test_field_tables_refused_before_allocation():
+    # Q+(1,q) has two points, but evaluating its form over GF(3163) needs
+    # 3163^2 table entries, more than the points of PG(2,3163)
+    with pytest.raises(ResourceError):
+        get_space("Qplus", 1, 3163)

@@ -1,12 +1,17 @@
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarlab.gf import field_of_order
+from polarlab.polarspace import get_space
 from polarlab.projspace import (
     GeometryError,
     annihilator,
     enumerate_lines,
     enumerate_points,
+    form_values,
     hyperplanes,
     incidence_with_hyperplanes,
     intersect,
@@ -115,3 +120,33 @@ def test_bad_dimension_errors():
     F = field_of_order(2)
     with pytest.raises(GeometryError):
         span([], F)
+
+
+def _form_reference(x, y, M, F, conj):
+    """Sum of M[i][j] x_i y_j^s with FieldSpec scalar operations."""
+    acc = 0
+    for i, row in enumerate(M):
+        for j, m in enumerate(row):
+            t = F.conj(y[j]) if conj else y[j]
+            acc = F.add(acc, F.mul(m, F.mul(x[i], t)))
+    return acc
+
+
+@pytest.mark.parametrize("family,n,order", [
+    (fam, n, q) for q in (2, 3, 4)
+    for fam, n in (("Qplus", 3), ("Q", 4), ("Qminus", 3), ("W", 3))
+] + [("H", 3, 4), ("H", 2, 9)])
+def test_form_values_match_scalar_reference(family, n, order):
+    form = get_space(family, n, order).form
+    F = form.field
+    conj = form.family == "hermitian"
+    # every vector of a small sample, zero and non-normalized ones included
+    vecs = [v for v in product(F.elements(), repeat=n + 1)][::7]
+    X = np.array(vecs)
+    for M in (form.matrix, form.bilinear_matrix):
+        got = form_values(X[:, None], X[None], M, F, conj)
+        assert got.shape == (len(vecs), len(vecs))
+        want = [[_form_reference(x, y, M, F, conj) for y in vecs] for x in vecs]
+        assert got.tolist() == want
+    assert form.evaluate(X).tolist() == [
+        _form_reference(x, x, form.matrix, F, conj) for x in vecs]

@@ -41,6 +41,8 @@ def test_blocking_set(q42):
 
 def test_ovoid_predicates(q42):
     O = elliptic_hyperplane_section(q42)
+    # plain ints: index sets and P.index lookups reject numpy integers
+    assert all(type(i) is int for i in O)
     assert is_ovoid(q42, O)
     assert is_blocking_set(q42, O, 1)[0]
     assert not is_ovoid(q42, O[:-1])
