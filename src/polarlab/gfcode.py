@@ -13,6 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class IncidenceMatrix:
         return len(self.supports)
 
     def dense(self) -> np.ndarray:
-        A = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
+        A = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
         for i, sup in enumerate(self.supports):
             A[i, list(sup)] = 1
         return A
@@ -122,55 +123,143 @@ def is_dual_codeword(c: CodewordVec, A: IncidenceMatrix):
     return True, None
 
 
-def _rref_mod_p(A: np.ndarray, p: int):
-    """Row reduction over GF(p); returns (reduced matrix, pivot columns)."""
-    M = A.copy() % p
-    rows, cols = M.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if M[i, c]:
-                piv = i
+def _rref_gf2(A: np.ndarray):
+    """Row reduction over GF(2): (reduced nonzero rows, pivot columns).
+    Rows are Python ints, bit c = column c, XOR-reduced into an echelon
+    basis keyed by lowest set bit, which is then back-substituted."""
+    n = A.shape[1]
+    basis = {}
+    for packed in np.packbits(A % 2, axis=1, bitorder="little"):
+        r = int.from_bytes(packed.tobytes(), "little")
+        while r:
+            low = (r & -r).bit_length() - 1
+            b = basis.get(low)
+            if b is None:
+                basis[low] = r
                 break
-        if piv is None:
-            continue
-        M[[r, piv]] = M[[piv, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
-        hit = np.nonzero(M[:, c])[0]
-        for i in hit:
-            if i != r:
-                M[i] = (M[i] - M[i, c] * M[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+            r ^= b
+    pivots = sorted(basis)
+    pivot_bits = sum(1 << c for c in pivots)
+    for c in reversed(pivots):
+        above = basis[c] & pivot_bits & ~(1 << c)  # rows already reduced
+        while above:
+            low = above & -above
+            basis[c] ^= basis[low.bit_length() - 1]
+            above ^= low
+    nb = (n + 7) // 8
+    rows = b"".join(basis[c].to_bytes(nb, "little") for c in pivots)
+    M = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(len(pivots), nb),
+                      axis=1, count=n, bitorder="little")
     return M, pivots
 
 
+def _rref_mod_p(A: np.ndarray, p: int):
+    """Row reduction over odd GF(p); returns (reduced nonzero rows, pivot
+    columns).  Each pivot updates all rows it hits in one numpy step, on
+    the narrowest dtype that holds -(p-1)^2."""
+    M = (A % p).astype(np.min_scalar_type(-(p - 1) ** 2))
+    pivots = []
+    for c in range(M.shape[1]):
+        r = len(pivots)
+        nz = np.flatnonzero(M[r:, c])
+        if not nz.size:
+            continue
+        M[[r, r + nz[0]]] = M[[r + nz[0], r]]
+        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
+        hit = np.flatnonzero(M[:, c])
+        hit = hit[hit != r]
+        M[hit] = (M[hit] - np.outer(M[hit, c], M[r])) % p
+        pivots.append(c)
+    return M[:len(pivots)], pivots
+
+
 def rank_and_nullspace(A: IncidenceMatrix):
-    """Rank of A over GF(p) and a basis of the dual code."""
-    M, pivots = _rref_mod_p(A.dense(), A.p)
+    """Rank of A over GF(p) and a basis of the dual code: for each free
+    column, 1 there and minus that column of the RREF at the pivots."""
     p = A.p
-    rank = len(pivots)
-    free = [c for c in range(A.n_cols) if c not in pivots]
+    M, pivots = _rref_gf2(A.dense()) if p == 2 else _rref_mod_p(A.dense(), p)
+    free = np.setdiff1d(np.arange(A.n_cols), pivots)
+    N = -M[:, free].astype(np.int64) % p
     basis = []
-    for fc in free:
+    for fc, col in zip(free.tolist(), N.T):
         sup = {fc: 1}
-        for r, pc in enumerate(pivots):
-            v = (-int(M[r, fc])) % p
-            if v:
-                sup[pc] = v
+        sup.update((pivots[i], int(col[i])) for i in np.flatnonzero(col))
         basis.append(CodewordVec(sup, A.n_cols, p))
-    return rank, basis
+    return len(pivots), basis
 
 
-def _pack(c: CodewordVec) -> int:
-    m = 0
-    for col in c.support:
-        m |= 1 << col
-    return m
+def _words(bits: np.ndarray) -> np.ndarray:
+    """A boolean array packed along its last axis into uint64 words."""
+    n = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
+    out[..., :(n + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view("<u8")
+
+
+def _popcounts(words: np.ndarray, n: int) -> np.ndarray:
+    """How many rows of uint64 words have each popcount 0..n."""
+    w = np.bitwise_count(words).sum(axis=-1, dtype=np.intp)
+    return np.bincount(w, minlength=n + 1)
+
+
+def _tail_size(p: int, nullity: int, n_cols: int, word_bytes: int) -> int:
+    """The t for a scan block of p^t words of word_bytes each: the largest
+    whose block takes no more bytes than p^t0 words of n_cols int16
+    symbols, t0 <= nullity the largest with p^t0 <= 2^16."""
+    t0 = max(t for t in range(nullity + 1) if p ** t <= 1 << 16)
+    return max(t for t in range(t0 + 1)
+               if t == 0 or p ** t * word_bytes <= p ** t0 * 2 * n_cols)
+
+
+def _scan_gf2(D: np.ndarray) -> np.ndarray:
+    """Weight counts of the GF(2) span of the rows of D: the span of the
+    first t rows is a block of uint64 words built by XOR doubling, and
+    the other rows are walked in Gray order as a head added to it."""
+    nullity, n = D.shape
+    words = _words(D != 0)
+    t = _tail_size(2, nullity, n, words.shape[1] * 8)
+    block = np.zeros((1, words.shape[1]), dtype=np.uint64)
+    for b in words[:t]:
+        block = np.concatenate([block, block ^ b])
+    head = np.zeros_like(block[0])
+    counts = _popcounts(block, n)
+    for x in range(1, 1 << (nullity - t)):
+        head ^= words[t + (x & -x).bit_length() - 1]  # Gray code step x
+        counts += _popcounts(block ^ head, n)
+    return counts
+
+
+def _sum_mask(R: np.ndarray, B: np.ndarray, c: int, s: int, p: int):
+    """Mask of the columns where u + c*b = s, for words u and b with residue
+    masks R and B (R[v] = the columns where u = v)."""
+    out = R[s] & B[0]
+    for v in range(1, p):
+        out |= R[(s - c * v) % p] & B[v]
+    return out
+
+
+def _scan_mod_p(D: np.ndarray, p: int) -> np.ndarray:
+    """Weight counts of the GF(p) span of the rows of D, p odd: the span of
+    the first t rows is a block of residue masks, and a head h of the other
+    rows is zero with u at OR_v (u = -v) & (h = v).  Only heads with last
+    nonzero coefficient 1 are visited, counted p-1 times, as a*(block + h)
+    = block + a*h and weight(a*w) = weight(w)."""
+    nullity, n = D.shape
+    values = np.arange(p)[:, None]
+    masks = _words(D[:, None, :] == values)
+    t = _tail_size(p, nullity, n, p * masks.shape[-1] * 8)
+    block = _words(np.zeros(n) == values)[:, None]
+    for B in masks[:t]:
+        block = np.concatenate([np.stack([_sum_mask(block, B, c, s, p)
+                                          for s in range(p)])
+                                for c in range(p)], axis=1)
+    zeros = _popcounts(block[0], n)
+    for j in range(t, nullity):
+        for coeffs in product(range(p), repeat=j - t):
+            h = (np.array(coeffs, dtype=np.int64) @ D[t:j] + D[j]) % p
+            zeros += (p - 1) * _popcounts(
+                _sum_mask(block, _words(h == values), 1, 0, p), n)
+    return zeros[::-1]  # a word with z zero columns has weight n - z
 
 
 def scan_dual_weights(A: IncidenceMatrix,
@@ -191,47 +280,16 @@ def scan_dual_weights(A: IncidenceMatrix,
         raise ScanRefused(
             f"dual has nullity {nullity} over GF({p}); full scan needs "
             f"p^nullity <= 2^{max_nullity_for_full_scan}")
+    D = np.array([b.dense() for b in basis]).reshape(nullity, A.n_cols)
     weights: Counter[int] = Counter()
     if full:
-        if p == 2:
-            packed = [_pack(b) for b in basis]
-            cur = 0
-            weights[0] += 1
-            gray_prev = 0
-            for x in range(1, 1 << nullity):
-                gray = x ^ (x >> 1)
-                bit = (gray ^ gray_prev).bit_length() - 1
-                gray_prev = gray
-                cur ^= packed[bit]
-                weights[cur.bit_count()] += 1
-        else:
-            dense = np.array([b.dense() for b in basis], dtype=np.int16)
-            # tail vectors are enumerated in one numpy block, head
-            # coefficients drive an outer python loop: bounded memory
-            tail = 0
-            while tail < nullity and p ** (tail + 1) <= 1 << 16:
-                tail += 1
-            T = np.zeros((1, A.n_cols), dtype=np.int16)
-            for b in dense[:tail]:
-                T = np.concatenate([(T + c * b) % p for c in range(p)])
-            for x in range(p ** (nullity - tail)):
-                head = np.zeros(A.n_cols, dtype=np.int16)
-                for b in dense[tail:]:
-                    x, c = divmod(x, p)
-                    if c:
-                        head = (head + c * b) % p
-                block = (T + head) % p
-                counts = np.bincount((block != 0).sum(axis=1),
-                                     minlength=A.n_cols + 1)
-                for w, m in enumerate(counts):
-                    if m:
-                        weights[w] += int(m)
+        counts = _scan_gf2(D) if p == 2 else _scan_mod_p(D, p)
+        weights.update({w: int(m) for w, m in enumerate(counts) if m})
         mode = "FULL"
     else:
-        from itertools import combinations, product
         weights[0] += 1
         if p == 2:
-            packed = [_pack(b) for b in basis]
+            packed = [sum(1 << c for c in b.support) for b in basis]
             for size in range(1, partial_support_bound + 1):
                 for idxs in combinations(range(nullity), size):
                     acc = 0
@@ -239,11 +297,10 @@ def scan_dual_weights(A: IncidenceMatrix,
                         acc ^= packed[i]
                     weights[acc.bit_count()] += 1
         else:
-            dense = [b.dense().astype(np.int64) for b in basis]
             for size in range(1, partial_support_bound + 1):
                 for idxs in combinations(range(nullity), size):
                     for coeffs in product(range(1, p), repeat=size):
-                        v = sum(c * dense[i] for i, c in zip(idxs, coeffs)) % p
+                        v = sum(c * D[i] for i, c in zip(idxs, coeffs)) % p
                         weights[int(np.count_nonzero(v))] += 1
         mode = "PARTIAL"
     if weight_window is not None:

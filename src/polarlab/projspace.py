@@ -200,12 +200,17 @@ def _tables(F: FieldSpec):
     if theta(2, q) > POINT_CAP:
         raise ResourceError(f"GF({q}) tables exceed point cap {POINT_CAP}")
     dt = np.uint8 if q <= 256 else np.uint16
-    mul = np.zeros((q, q), dtype=dt)
+    exp = np.array([F.pow(F.generator, e) for e in range(q - 1)], dtype=dt)
+    log = np.zeros(q, dtype=np.int32)
+    log[exp] = np.arange(q - 1)
+    mul = exp[np.add.outer(log, log) % (q - 1)]
+    mul[0] = mul[:, 0] = 0
+    # elements are base-p digit strings added digit by digit mod p
+    elements = np.arange(q, dtype=np.int32)
     add = np.zeros((q, q), dtype=dt)
-    for a in range(q):
-        for b in range(q):
-            mul[a, b] = F.mul(a, b)
-            add[a, b] = F.add(a, b)
+    for i in range(F.h):
+        d = elements // F.p ** i % F.p
+        add += (np.add.outer(d, d) % F.p * F.p ** i).astype(dt)
     conj = np.array([F.conj(a) for a in range(q)], dtype=dt) if F.has_conjugation else None
     return mul, add, conj
 

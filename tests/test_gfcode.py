@@ -1,12 +1,18 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polarlab.polarspace import get_space
 from polarlab.gfcode import (
     CodewordVec,
+    IncidenceMatrix,
     ScanRefused,
+    _rref_gf2,
+    _rref_mod_p,
+    _tail_size,
     build_incidence,
     codeword_from_payload,
     codeword_payload,
@@ -149,3 +155,150 @@ def test_codeword_payload_roundtrip(tmp_path):
     back = codeword_from_payload(import_json(str(path)))
     assert back.support == c.support
     assert back.n_cols == c.n_cols and back.p == c.p
+
+
+def _reference_rref(rows, p):
+    """Reduced row echelon form over GF(p) with Python ints, one entry at
+    a time: (nonzero rows, pivot columns)."""
+    mat = [[x % p for x in r] for r in rows]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        mat[r] = [x * inv % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
+def _rref(A, p):
+    return _rref_gf2(A) if p == 2 else _rref_mod_p(A, p)
+
+
+def _incidence(A, p):
+    supports = tuple(tuple(int(c) for c in np.flatnonzero(row)) for row in A)
+    return IncidenceMatrix(supports, A.shape[1], p, 1, p)
+
+
+@st.composite
+def _matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    rows = draw(st.integers(0, 9))
+    cols = draw(st.integers(1, 70))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                            max_size=rows * cols))
+    return p, np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+@given(_matrices())
+def test_rref_matches_scalar_reference(pA):
+    p, A = pA
+    M, pivots = _rref(A, p)
+    want_rows, want_pivots = _reference_rref(A.tolist(), p)
+    assert pivots == want_pivots
+    assert M.tolist() == want_rows
+    assert len(_rref(A.T, p)[1]) == len(pivots)  # rank(A) = rank(A^T)
+    # the 0/1 pattern of A as an incidence code: a basis of its dual
+    I = _incidence(A, p)
+    rank, basis = rank_and_nullspace(I)
+    assert rank == len(_reference_rref((A != 0).tolist(), p)[1])
+    assert rank + len(basis) == A.shape[1]
+    for c in basis:
+        assert is_dual_codeword(c, I) == (True, None)
+
+
+def _brute_force_weights(basis, n_cols, p):
+    """Weights of all p^nullity combinations of the basis, by digits."""
+    k = len(basis)
+    D = np.array([b.dense() for b in basis], dtype=np.int32).reshape(k, n_cols)
+    digits = np.arange(p ** k, dtype=np.int32)[:, None] // p ** np.arange(k) % p
+    words = digits @ D % p
+    return Counter(np.count_nonzero(words, axis=1).tolist())
+
+
+@settings(max_examples=40)
+@given(_matrices())
+def test_small_scans_match_brute_force(pA):
+    p, A = pA
+    A = A[:, :7]
+    I = _incidence(A, p)
+    rep = scan_dual_weights(I)
+    _rank, basis = rank_and_nullspace(I)
+    assert rep["mode"] == "FULL"
+    assert rep["weights"] == _brute_force_weights(basis, I.n_cols, p)
+
+
+@pytest.mark.parametrize("p,rows,cols,seed", [
+    (2, 2, 20, 1),   # nullity 18: the Gray walk takes three steps
+    (3, 1, 13, 2),   # nullity 12, two head vectors and a scalar factor 2
+    (5, 1, 9, 3),    # nullity 8, a smaller tail, scalar factor 4
+])
+def test_scans_with_a_head_match_brute_force(p, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    A = np.ones((rows, cols), dtype=np.int64)
+    A[1:] = rng.integers(0, 2, size=(rows - 1, cols))
+    I = _incidence(A, p)
+    rep = scan_dual_weights(I)
+    _rank, basis = rank_and_nullspace(I)
+    # a scan block holds at most 2^16 words, so the head loop runs
+    assert p ** rep["nullity"] > 1 << 16
+    assert rep["weights"] == _brute_force_weights(basis, I.n_cols, p)
+    if p > 2:
+        assert all(m % (p - 1) == 0 for w, m in rep["weights"].items() if w)
+
+
+@pytest.mark.parametrize("p,n_cols,word_bytes", [
+    (2, 35, 8), (2, 3, 8), (3, 40, 24), (5, 9, 40), (7, 5, 56)])
+def test_scan_blocks_are_no_larger_than_int16_blocks(p, n_cols, word_bytes):
+    for nullity in range(12):
+        t0 = max(t for t in range(nullity + 1) if p ** t <= 1 << 16)
+        t = _tail_size(p, nullity, n_cols, word_bytes)
+        assert t <= t0
+        assert t == 0 or p ** t * word_bytes <= p ** t0 * 2 * n_cols
+        assert t == t0 or p ** (t + 1) * word_bytes > p ** t0 * 2 * n_cols
+
+
+# rank, nullity and distribution of the codes of scripts/scan_small_codes.py
+# as that script prints them; None where the full scan is refused
+SCAN_LADDER = [
+    ("Q", 4, 2, 1, 10, 5, "0:1, 6:10, 8:15, 10:6"),
+    ("W", 3, 2, 1, 10, 5, "0:1, 6:10, 8:15, 10:6"),
+    ("Qplus", 5, 2, 1, 29, 6, "0:1, 16:35, 20:28"),
+    ("Qplus", 5, 2, 2, 15, 20,
+     "0:1, 6:280, 8:735, 10:11648, 12:52290, 14:140360, 16:244895, "
+     "18:282240, 20:195916, 22:89320, 24:26145, 26:4480, 28:210, 30:56"),
+    ("Qminus", 5, 2, 1, 21, 6, "0:1, 12:36, 16:27"),
+    ("Qplus", 7, 2, 1, 127, 8, "0:1, 64:135, 72:120"),
+    ("Qplus", 7, 2, 2, 100, 35, None),
+    ("Qplus", 7, 2, 3, 51, 84, None),
+    ("H", 4, 4, 1, 120, 45, None),
+    ("H", 5, 4, 1, 615, 78, None),
+    ("H", 5, 4, 2, 251, 442, None),
+    ("Q", 4, 3, 1, 25, 15,
+     "0:1, 10:432, 12:540, 15:3600, 16:21870, 18:39360, 19:155520, "
+     "21:305280, 22:1062720, 24:1228320, 25:3242592, 27:1982240, "
+     "28:3602880, 30:1017648, 31:1296000, 33:193680, 34:174960, "
+     "36:11580, 37:8640, 39:720, 40:324"),
+]
+
+
+@pytest.mark.parametrize("family,n,order,k,rank,nullity,dist", SCAN_LADDER)
+def test_scan_ladder_pinned(family, n, order, k, rank, nullity, dist):
+    A = build_incidence(get_space(family, n, order), k)
+    if dist is None:
+        with pytest.raises(ScanRefused, match=f"nullity {nullity} over"):
+            scan_dual_weights(A)
+        got_rank, basis = rank_and_nullspace(A)
+        assert (got_rank, len(basis)) == (rank, nullity)
+        return
+    rep = scan_dual_weights(A)
+    w = rep["weights"]
+    assert (rep["mode"], rep["rank"], rep["nullity"]) == ("FULL", rank, nullity)
+    assert ", ".join(f"{x}:{w[x]}" for x in sorted(w)) == dist

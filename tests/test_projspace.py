@@ -8,6 +8,7 @@ from polarlab.gf import field_of_order
 from polarlab.polarspace import get_space
 from polarlab.projspace import (
     GeometryError,
+    _tables,
     annihilator,
     enumerate_lines,
     enumerate_points,
@@ -150,3 +151,16 @@ def test_form_values_match_scalar_reference(family, n, order):
         assert got.tolist() == want
     assert form.evaluate(X).tolist() == [
         _form_reference(x, x, form.matrix, F, conj) for x in vecs]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27])
+def test_field_tables_match_scalar_operations(q):
+    F = field_of_order(q)
+    mul, add, conj = _tables(F)
+    assert mul.dtype == add.dtype == np.uint8
+    assert mul.tolist() == [[F.mul(a, b) for b in range(q)] for a in range(q)]
+    assert add.tolist() == [[F.add(a, b) for b in range(q)] for a in range(q)]
+    if F.has_conjugation:
+        assert conj.tolist() == [F.conj(a) for a in range(q)]
+    else:
+        assert conj is None
