@@ -97,9 +97,10 @@ class CodewordVec:
 
 @lru_cache(maxsize=None)
 def build_incidence(P: PolarSpace, k: int) -> IncidenceMatrix:
+    count = P.kspace_count(k)
+    if count > ROW_CAP:
+        raise CodeError(f"{count} rows exceeds cap {ROW_CAP}")
     spaces = P.singular_kspaces_with_supports(k)
-    if len(spaces) > ROW_CAP:
-        raise CodeError(f"{len(spaces)} rows exceeds cap {ROW_CAP}")
     return IncidenceMatrix(
         supports=tuple(sup for _S, sup in spaces),
         n_cols=len(P.points),

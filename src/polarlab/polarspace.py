@@ -9,23 +9,36 @@ Standard coordinate forms (fixed for reproducibility):
   hermitian   H(n,q^2):    x0^{q+1} + ... + x_n^{q+1}
   symplectic  W(q) in PG(3,q): x0 y1 - x1 y0 + x2 y3 - x3 y2
 
-Singular k-spaces are enumerated by depth-first extension inside perps
-with canonical-form deduplication.
+Singular k-spaces are generated level by level from the singular lines,
+each exactly once (canonical augmentation, McKay 1998).  A (k-1)-space S
+with greedy basis b_0 < ... < b_{k-1} (each b_i the lowest point outside
+the span of the earlier ones) is extended by each point p above b_{k-1}
+in the common perp of S, and the child C = <S, p> is kept only when p is
+the lowest point of C \\ S: then S is spanned by the first k points of the
+greedy basis of C, so C has exactly one parent.  The lines themselves
+come from one table-arithmetic pass over the collinear pairs.  The count
+is predicted from the closed forms first: a space whose bitmasks would not
+fit the budget is refused before anything is allocated, and a count that
+misses the prediction is an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import ceil
+from operator import and_
 
 import numpy as np
 
 from .gf import FieldSpec, field_of_order
 from .projspace import (
+    POINT_CAP,
     GeometryError,
+    ResourceError,
     Subspace,
+    _tables,
     enumerate_points,
     form_values,
     normalize_point,
@@ -34,6 +47,9 @@ from .projspace import (
     subspace_points,
     theta,
 )
+
+# entries of one row block of a point-by-point array
+_BLOCK = 1 << 18
 
 FAMILIES = ("hyperbolic", "parabolic", "elliptic", "hermitian", "symplectic")
 
@@ -226,109 +242,159 @@ class PolarSpace:
         return bool(self.form.pair(x, y) == 0)
 
     def adjacency(self):
-        """Per-point bitmask of other points joined by a singular line."""
+        """Per-point bitmask of other points joined by a singular line.
+        The form is evaluated on a block of rows at a time, so no N x N
+        array exists."""
         if self._adj is not None:
             return self._adj
         X = np.array(self.points)
-        zero = self.form.pair(X[:, None], X[None]) == 0
-        np.fill_diagonal(zero, False)
-        packed = np.packbits(zero, axis=1, bitorder="little")
-        self._adj = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        return self._adj
+        rows = max(1, _BLOCK // len(X))
+        adj = []
+        for lo in range(0, len(X), rows):
+            zero = self.form.pair(X[lo:lo + rows, None], X[None]) == 0
+            r = np.arange(len(zero))
+            zero[r, lo + r] = False
+            packed = np.packbits(zero, axis=1, bitorder="little")
+            adj += [int.from_bytes(row.tobytes(), "little") for row in packed]
+        self._adj = adj
+        return adj
 
-    def line_points(self, i: int, j: int) -> list[int]:
-        """Indices of the q+1 points on the singular line through two
-        collinear singular points."""
-        F = self.F
-        x, y = self.points[i], self.points[j]
-        out = [i, j]
-        for t in F.elements():
-            if t:
-                v = normalize_point(
-                    tuple(F.add(a, F.mul(t, b)) for a, b in zip(y, x)), F)
-                out.append(self.index[v])
-        out.sort()
-        return out
+    def _lines(self) -> list[list[int]]:
+        """Ascending point indices of every singular line, ordered by the
+        two lowest points.  For each collinear pair i < j the other points
+        t x_i + x_j (t != 0) are found by table arithmetic, normalised and
+        looked up by base-q code; the pair is kept only when i and j are
+        the two lowest points of its line."""
+        mul, add, _conj = _tables(self.F)
+        q, N = self.F.order, len(self.points)
+        inv = np.argmax(mul == 1, axis=1).astype(mul.dtype)
+        X = np.array(self.points, dtype=mul.dtype)
+        weights = q ** np.arange(self.n, -1, -1, dtype=np.int64)
+        codes = X @ weights  # ascending: the points are in lexicographic order
+        t = np.arange(1, q, dtype=mul.dtype)[:, None]
+        adj = self.adjacency()
+        nbytes = -(-N // 8)
+        # a row has at most `most` pairs, each over (q - 1) x (n + 1) entries
+        most = max(a.bit_count() for a in adj)
+        rows = max(1, _BLOCK // (most * (q - 1) * (self.n + 1)))
+        lines = []
+        for lo in range(0, N, rows):
+            packed = np.frombuffer(b"".join(
+                a.to_bytes(nbytes, "little") for a in adj[lo:lo + rows]),
+                dtype=np.uint8).reshape(-1, nbytes)
+            bits = np.unpackbits(packed, axis=1, count=N, bitorder="little")
+            I, J = np.nonzero(bits)
+            I += lo
+            up = J > I
+            I, J = I[up], J[up]
+            V = add[mul[t, X[I, None]], X[J, None]]
+            lead = np.argmax(V != 0, axis=2)[..., None]
+            V = mul[inv[np.take_along_axis(V, lead, axis=2)], V]
+            others = np.searchsorted(codes, V @ weights)
+            low = (others > J[:, None]).all(axis=1)
+            lines += np.concatenate(
+                [I[low, None], J[low, None], np.sort(others[low], axis=1)],
+                axis=1).tolist()
+        return lines
+
+    def kspace_count(self, k: int) -> int:
+        """Closed-form number of singular k-spaces, |P| M / theta(k) with
+        M the number through a point."""
+        if not 0 <= k <= self.gen_dim:
+            raise GeometryError(f"k={k} out of range [0, {self.gen_dim}]")
+        M, _N = prop_counts(self.family, self.rank_param, k, self.q)
+        return int(len(self.points) * M / theta(k, self.F.order))
+
+    def _check_budget(self, k: int, count: int):
+        """Refuse before allocating when the k-space bitmasks, the
+        adjacency, or (for k >= 2) the pair-to-line lookup would exceed a
+        budget of one 64-bit word per point the point cap admits.  The
+        lookup is counted at one word per collinear pair, a lower bound."""
+        N = len(self.points)
+        need = {"k-space masks": count * -(-N // 8), "adjacency": N * N // 8}
+        if k >= 2:
+            per_line = theta(1, self.F.order)
+            need["pair lookup"] = (self.kspace_count(1)
+                                   * per_line * (per_line - 1) // 2 * 8)
+        budget = 8 * POINT_CAP
+        for what, size in need.items():
+            if size > budget:
+                raise ResourceError(
+                    f"{count} singular {k}-spaces of {self!r}: {what} needs "
+                    f"{size} bytes, over the budget of {budget}")
 
     def singular_kspaces_with_supports(self, k: int):
         """All totally singular k-spaces with their point-index supports,
         ordered by support tuple."""
-        if not 0 <= k <= self.gen_dim:
-            raise GeometryError(f"k={k} out of range [0, {self.gen_dim}]")
         if k in self._kspace_cache:
             return self._kspace_cache[k]
+        count = self.kspace_count(k)
         if k == 0:
-            subs = [(span([p], self.F), (i,)) for i, p in enumerate(self.points)]
-            self._kspace_cache[0] = subs
-            return subs
-        adj = self.adjacency()
-        N = len(self.points)
-        # level 1: singular lines, each computed once; remember the point
-        # mask of the line through every collinear pair for reuse below
-        pair_line: dict[tuple[int, int], int] = {}
-        nodes: dict[int, tuple[tuple[int, ...], int]] = {}
-        for i in range(N):
-            m = adj[i] >> (i + 1)
-            j = i + 1
-            while m:
-                step = (m & -m).bit_length()
-                j += step - 1
-                m >>= step
-                if (i, j) not in pair_line:
-                    lp = self.line_points(i, j)
-                    lm = 0
-                    for a in lp:
-                        lm |= 1 << a
-                    for a_pos, a in enumerate(lp):
-                        for b in lp[a_pos + 1:]:
-                            pair_line[(a, b)] = lm
-                    common = adj[lp[0]]
-                    for a in lp[1:]:
-                        common &= adj[a]
-                    nodes[lm] = ((i, j), common)
-                j += 1
-        # extend level by level: add a point from the common perp with
-        # index above the last spanning point, dedupe by point mask
-        for _level in range(2, k + 1):
-            nxt: dict[int, tuple[tuple[int, ...], int]] = {}
-            for mask, (spans, common) in nodes.items():
-                cand = common & ~mask
-                cand >>= spans[-1] + 1
-                p = spans[-1] + 1
-                while cand:
-                    step = (cand & -cand).bit_length()
-                    p += step - 1
-                    cand >>= step
-                    newmask = mask | (1 << p)
-                    m = mask
-                    a = 0
-                    while m:
-                        s = (m & -m).bit_length()
-                        a += s - 1
-                        m >>= s
-                        lo, hi = (a, p) if a < p else (p, a)
-                        newmask |= pair_line[(lo, hi)]
-                        a += 1
-                    if newmask not in nxt:
-                        nxt[newmask] = (spans + (p,), common & adj[p])
-                    p += 1
-            nodes = nxt
-        out = []
-        for mask, (spans, _common) in nodes.items():
-            support = []
-            p = 0
-            m = mask
-            while m:
-                s = (m & -m).bit_length()
-                p += s - 1
-                m >>= s
-                support.append(p)
-                p += 1
-            out.append((span([self.points[s] for s in spans], self.F),
-                        tuple(support)))
+            out = [(span([p], self.F), (i,)) for i, p in enumerate(self.points)]
+        else:
+            self._check_budget(k, count)
+            out = self._kspaces(k)
+        if len(out) != count:
+            raise GeometryError(
+                f"{len(out)} singular {k}-spaces of {self!r}, closed form {count}")
         out.sort(key=lambda t: t[1])
         self._kspace_cache[k] = out
         return out
+
+    def _kspaces(self, k: int):
+        """Singular k-spaces, k >= 1, as (span of the greedy basis,
+        support), grown from the lines one point at a time.  A child
+        C = <S, p> is kept only from its canonical parent: p above the
+        greedy basis of S and the lowest point of C \\ S."""
+        lines = self._lines()
+        if k == 1:
+            return [(span([self.points[a] for a in row[:2]], self.F), tuple(row))
+                    for row in lines]
+        adj = self.adjacency()
+        N = len(self.points)
+        line_of = {}  # a * N + b, a < b collinear -> point mask of their line
+        for row in lines:
+            mask = 0
+            for a in row:
+                mask |= 1 << a
+            for x, a in enumerate(row):
+                for b in row[x + 1:]:
+                    line_of[a * N + b] = mask
+        # (point mask, points, greedy basis, common perp mask), lazily
+        nodes = ((line_of[row[0] * N + row[1]], row, (row[0], row[1]),
+                  reduce(and_, [adj[a] for a in row])) for row in lines)
+        for _level in range(2, k + 1):
+            nxt = []
+            for mask, pts, basis, common in nodes:
+                cand = common & ~mask & -(2 << basis[-1])
+                while cand:
+                    bit = cand & -cand
+                    p = bit.bit_length() - 1
+                    new = bit
+                    for a in pts:
+                        new |= line_of[a * N + p] if a < p else line_of[p * N + a]
+                    new &= ~mask
+                    if (new & -new) == bit:  # p is the lowest point of C \ S
+                        child = mask | new
+                        nxt.append((child, tuple(bit_indices(child)), basis + (p,),
+                                    common & adj[p]))
+                    cand &= ~new
+            nodes = nxt
+        return [(span([self.points[b] for b in basis], self.F), pts)
+                for _mask, pts, basis, _common in nodes]
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    i = 0
+    while mask:
+        s = (mask & -mask).bit_length()
+        i += s - 1
+        mask >>= s
+        out.append(i)
+        i += 1
+    return out
 
 
 def standard_polar_space(family: str, n: int, F: FieldSpec) -> PolarSpace:

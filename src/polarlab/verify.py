@@ -9,7 +9,7 @@ import numpy as np
 
 from .gf import FieldSpec
 from .projspace import GeometryError, incidence_with_hyperplanes
-from .polarspace import PolarSpace
+from .polarspace import PolarSpace, bit_indices
 
 
 def _as_index_set(P: PolarSpace, pts):
@@ -239,7 +239,6 @@ def find_ovoid(P: PolarSpace):
     gens = [set(sup) for _S, sup in
             P.singular_kspaces_with_supports(P.gen_dim)]
     adj = P.adjacency()
-    n_pts = len(P.points)
     want = P.q ** 2 + 1
 
     def rec(chosen, blocked, hit):
@@ -253,21 +252,9 @@ def find_ovoid(P: PolarSpace):
             if any(not gens[i].isdisjoint(chosen) for i in newly):
                 continue
             got = rec(chosen | {x},
-                      blocked | {x} | _bits(adj[x], n_pts), hit | newly)
+                      blocked | {x, *bit_indices(adj[x])}, hit | newly)
             if got is not None:
                 return got
         return None
 
     return rec(set(), set(), set())
-
-
-def _bits(mask: int, n: int) -> set[int]:
-    out = set()
-    i = 0
-    while mask:
-        s = (mask & -mask).bit_length()
-        i += s - 1
-        mask >>= s
-        out.add(i)
-        i += 1
-    return out

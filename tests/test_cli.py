@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polarlab import cli
+from polarlab import cli, polarspace
 from polarlab.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -12,6 +12,7 @@ from polarlab.cli import (
     main,
     parse_config,
 )
+from polarlab.gf import field_of_order
 from polarlab.projspace import ResourceError
 
 
@@ -179,6 +180,17 @@ def test_resource_failures_are_refusals(capsys, monkeypatch, error):
     monkeypatch.setattr(cli, "get_space", refuse)
     code, out, err = run(capsys, "geometry", "--family", "H", "--n", "5",
                          "--q", "3")
+    assert code == EXIT_REFUSED
+    assert out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+def test_geometry_over_budget_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "get_space", lambda family, n, order:
+                        polarspace.standard_polar_space(family, n, field_of_order(order)))
+    monkeypatch.setattr(polarspace, "POINT_CAP", 1)
+    code, out, err = run(capsys, "geometry", "--family", "Q", "--n", "4",
+                         "--q", "2")
     assert code == EXIT_REFUSED
     assert out == ""
     assert err.startswith("refused: ") and err.count("\n") == 1

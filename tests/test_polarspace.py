@@ -1,14 +1,22 @@
+import hashlib
+import json
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from polarlab import gfcode, polarspace
+from polarlab.gf import field_of_order
 from polarlab.projspace import (
     GeometryError,
     ResourceError,
     span,
     subspace_points,
+    theta,
 )
 from polarlab.polarspace import (
+    bit_indices,
     bound_min_weight_dual,
     canonical_family,
     classify_plane_section,
@@ -17,7 +25,9 @@ from polarlab.polarspace import (
     make_cone,
     nucleus,
     polar_image,
+    polar_space_order,
     prop_counts,
+    standard_polar_space,
     tanner_bound_elliptic_5,
     tanner_bound_hermitian_4,
 )
@@ -170,3 +180,108 @@ def test_field_tables_refused_before_allocation():
     # 3163^2 table entries, more than the points of PG(2,3163)
     with pytest.raises(ResourceError):
         get_space("Qplus", 1, 3163)
+
+
+@pytest.mark.parametrize("family,n,order", [("Q", 4, 3), ("W", 3, 4), ("H", 3, 4)])
+def test_adjacency_matches_pairwise_collinear(family, n, order):
+    P = get_space(family, n, order)
+    adj = P.adjacency()
+    for i, x in enumerate(P.points):
+        want = [j for j, y in enumerate(P.points) if j != i and P.collinear(x, y)]
+        assert bit_indices(adj[i]) == want
+
+
+def test_adjacency_has_no_square_temporary():
+    # the whole 1365 x 1365 collinearity array peaked at 5.7 MB
+    P = standard_polar_space("Q", 6, field_of_order(4))
+    tracemalloc.start()
+    try:
+        P.adjacency()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.7e6 / 2
+
+
+def brute_force_kspaces(P, k):
+    """{subspace: support} of every span of k+1 points of P that has
+    dimension k and is totally singular: all its points lie on P and are
+    pairwise collinear.  Only tuples of pairwise collinear points are
+    spanned, as no other tuple lies in a totally singular space."""
+    pts = P.points
+    coll = {(i, j) for i, j in combinations(range(len(pts)), 2)
+            if P.collinear(pts[i], pts[j])}
+    found = {}
+    for tup in combinations(range(len(pts)), k + 1):
+        if not all(pair in coll for pair in combinations(tup, 2)):
+            continue
+        S = span([pts[i] for i in tup], P.F)
+        if S.dim != k or S in found:
+            continue
+        on = subspace_points(S, P.F)
+        if all(x in P.index for x in on) and all(
+                P.collinear(x, y) for x, y in combinations(on, 2)):
+            found[S] = tuple(sorted(P.index[x] for x in on))
+    return found
+
+
+@pytest.mark.parametrize("family,n,order,k", [
+    ("Q", 4, 2, 1), ("W", 3, 2, 1), ("Qminus", 5, 2, 1), ("H", 3, 4, 1),
+    ("Qplus", 5, 2, 1), ("Qplus", 5, 2, 2), ("Q", 6, 2, 2),
+])
+def test_kspaces_match_brute_force(family, n, order, k):
+    P = get_space(family, n, order)
+    spaces = P.singular_kspaces_with_supports(k)
+    assert dict(spaces) == brute_force_kspaces(P, k)
+    assert [sup for _S, sup in spaces] == sorted(sup for _S, sup in spaces)
+
+
+GRID = ([("Q", 4, q) for q in (2, 3, 4)] + [("Qplus", 5, q) for q in (2, 3)]
+        + [("Qminus", 5, q) for q in (2, 3)] + [("Q", 6, q) for q in (2, 3)]
+        + [("Qplus", 7, 2), ("H", 4, 4), ("H", 5, 4)]
+        + [("W", 3, q) for q in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("family,n,order", GRID)
+def test_kspace_counts_match_closed_form(family, n, order):
+    P = get_space(family, n, order)
+    for k in range(P.gen_dim + 1):
+        M, _N = prop_counts(P.family, P.rank_param, k, P.q)
+        closed = polar_space_order(P.family, P.n, order) * M / theta(k, order)
+        supports = [sup for _S, sup in P.singular_kspaces_with_supports(k)]
+        assert len(supports) == closed == P.kspace_count(k)
+        assert len(set(supports)) == len(supports)
+
+
+# supports sha256 of the kspace-enum benchmark instances (perfbench/reference.json)
+@pytest.mark.parametrize("family,n,order,k,sha", [
+    ("Q", 6, 4, 2, "23074a271d4c56165d2cb7a2250208a0c4aef58d748d0883160b03001c72f6c7"),
+    ("H", 5, 4, 2, "cf52a1721c787b13e328e314b9abb76350cb154e25fe298524589644701d3b36"),
+    ("Q", 8, 2, 3, "478a037b47d1fc749a41a76fef7b4c93b703165dd32227ef61f5bbdab459c7b5"),
+    ("Qplus", 7, 3, 1, "b1ba5a8f3b917010b9ea9a58969799ba769e91b2ebcdb7081cecb58003f558c5"),
+])
+def test_kspace_enum_supports_pinned(family, n, order, k, sha):
+    P = get_space(family, n, order)
+    supports = [list(sup) for _S, sup in P.singular_kspaces_with_supports(k)]
+    assert hashlib.sha256(json.dumps(supports).encode()).hexdigest() == sha
+
+
+def test_refused_before_allocating(monkeypatch):
+    P = standard_polar_space("Q", 4, field_of_order(2))
+    monkeypatch.setattr(polarspace, "POINT_CAP", 1)
+    with pytest.raises(ResourceError):
+        P.singular_kspaces_with_supports(1)
+    monkeypatch.undo()
+    monkeypatch.setattr(gfcode, "ROW_CAP", P.kspace_count(1) - 1)
+    with pytest.raises(gfcode.CodeError):
+        gfcode.build_incidence(P, 1)
+    assert P._adj is None and P._kspace_cache == {}
+
+
+def test_count_off_the_closed_form_is_an_error(monkeypatch):
+    P = standard_polar_space("Q", 4, field_of_order(2))
+    monkeypatch.setattr(polarspace, "prop_counts",
+                        lambda *args: (Fraction(4), Fraction(1)))
+    with pytest.raises(GeometryError):
+        P.singular_kspaces_with_supports(1)
+    assert P._kspace_cache == {}
