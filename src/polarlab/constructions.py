@@ -26,12 +26,15 @@ from .projspace import (
 )
 from .polarspace import (
     PolarSpace,
+    canonical_family,
+    classify_plane_section,
     get_space,
     make_cone,
     polar_image,
 )
 from .gfcode import CodewordVec, IncidenceMatrix, build_incidence, is_dual_codeword
 from .kleinmap import (
+    common_transversals,
     klein_point,
     lineset_to_codeword,
     opposite_regulus,
@@ -60,11 +63,48 @@ class ConstructionResult:
         return self.codeword.weight == self.predicted_weight, ok, row
 
 
+# --- codeword shapes shared by the constructions -----------------------
+
+
+def _symbol(alpha: int, p: int) -> int:
+    """alpha as a symbol of GF(p), which must be nonzero."""
+    if alpha % p == 0:
+        raise GeometryError("symbol must be nonzero")
+    return alpha % p
+
+
 def _points_to_codeword(P: PolarSpace, symbol_map) -> CodewordVec:
-    support = {}
-    for pt, s in symbol_map.items():
-        support[P.index[pt]] = s
+    support = {P.index[pt]: s for pt, s in symbol_map.items()}
     return CodewordVec(support, len(P.points), P.F.p)
+
+
+def _on(P: PolarSpace, S: Subspace) -> list:
+    """The points of P in S."""
+    return [x for x in subspace_points(S, P.F) if x in P.index]
+
+
+def _complement(P: PolarSpace, removed) -> CodewordVec:
+    """All-ones over GF(2) on the points of P outside the removed points."""
+    removed = {P.index[x] for x in removed}
+    support = {j: 1 for j in range(len(P.points)) if j not in removed}
+    return CodewordVec(support, len(P.points), 2)
+
+
+def _regulus_pair(R, O, a: int, P: PolarSpace) -> CodewordVec:
+    """+a on the Klein images of the lines of R and -a on those of O."""
+    symbols = {L: a for L in R}
+    symbols.update({L: -a for L in O})
+    return lineset_to_codeword(symbols, P)
+
+
+def _section_pair(P: PolarSpace, pi: Subspace, a: int) -> CodewordVec:
+    """+a on the points of P in pi and -a on those in its polar image,
+    the points on both dropped."""
+    plus = set(_on(P, pi))
+    minus = set(_on(P, polar_image(P, pi)))
+    symbols = {x: a for x in plus - minus}
+    symbols.update({x: -a for x in minus - plus})
+    return _points_to_codeword(P, symbols)
 
 
 # --- line sets on the Klein quadric -----------------------------------
@@ -82,15 +122,10 @@ def cw_two_reguli(q: int, alpha: int = 1) -> ConstructionResult:
     -a on the opposite regulus; weight 2q+2 on the Klein quadric."""
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
-    p = F.p
-    if alpha % p == 0:
-        raise GeometryError("symbol must be nonzero")
+    a = _symbol(alpha, F.p)
     R = regulus_through(*_canonical_skew_triple(F), F)
-    O = opposite_regulus(R, F)
-    symbols = {L: alpha % p for L in R}
-    symbols.update({L: (-alpha) % p for L in O})
     return ConstructionResult(
-        lineset_to_codeword(symbols, P), 2 * q + 2, P, 2,
+        _regulus_pair(R, opposite_regulus(R, F), a, P), 2 * q + 2, P, 2,
         "regulus/opposite-regulus pair of a hyperbolic quadric in PG(3,q)")
 
 
@@ -99,9 +134,7 @@ def cw_two_pencils(q: int, beta: int = 1) -> ConstructionResult:
     the join excluded; weight 4q."""
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
-    p = F.p
-    if beta % p == 0:
-        raise GeometryError("symbol must be nonzero")
+    b = _symbol(beta, F.p)
     A = (1, 0, 0, 0)
     B = (0, 1, 0, 0)
     join = span([A, B], F)
@@ -116,15 +149,8 @@ def cw_two_pencils(q: int, beta: int = 1) -> ConstructionResult:
                 out.append(L)
         return out
 
-    symbols = {}
-    for L in pencil(A, pi1):
-        symbols[L] = beta % p
-    for L in pencil(B, pi2):
-        symbols[L] = beta % p
-    for L in pencil(A, pi2):
-        symbols[L] = (-beta) % p
-    for L in pencil(B, pi1):
-        symbols[L] = (-beta) % p
+    symbols = {L: b for L in pencil(A, pi1) + pencil(B, pi2)}
+    symbols.update({L: -b for L in pencil(A, pi2) + pencil(B, pi1)})
     assert len(symbols) == 4 * q and join not in symbols
     return ConstructionResult(
         lineset_to_codeword(symbols, P), 4 * q, P, 2,
@@ -133,27 +159,22 @@ def cw_two_pencils(q: int, beta: int = 1) -> ConstructionResult:
 
 @lru_cache(maxsize=None)
 def _all_hyperbolic_quadrics(q: int):
-    """Hyperbolic quadrics of PG(3,q) as regulus pairs, found from skew
-    line triples in canonical order."""
+    """Hyperbolic quadrics of PG(3,q) as (regulus, opposite regulus)
+    pairs, each found from its first skew line triple in canonical order;
+    the regulus is the one through that triple."""
     F = field_of_order(q)
     lines = enumerate_lines(3, F)
-    seen = {}
-    skew = {}
-    for i, Li in enumerate(lines):
-        for j in range(i + 1, len(lines)):
-            skew[(i, j)] = intersect(Li, lines[j], F) is None
+    skew = {(i, j): intersect(lines[i], lines[j], F) is None
+            for i, j in combinations(range(len(lines)), 2)}
+    out, seen = [], set()
     for i, j, k in combinations(range(len(lines)), 3):
         if skew[(i, j)] and skew[(i, k)] and skew[(j, k)]:
-            R = regulus_through(lines[i], lines[j], lines[k], F)
-            key = frozenset(R)
-            if key not in seen:
-                O = opposite_regulus(R, F)
-                seen[frozenset(O)] = (O, R)
-                seen[key] = (R, O)
-    out = {}
-    for R, O in seen.values():
-        out[frozenset(R) | frozenset(O)] = (R, O)
-    return list(out.values())
+            O = common_transversals(lines[i], lines[j], lines[k], F)
+            if frozenset(O) not in seen:
+                R = common_transversals(*O[:3], F)
+                seen.update((frozenset(R), frozenset(O)))
+                out.append((R, O))
+    return out
 
 
 def cw_regulus_combination(q: int, common_lines: int, orientation: int = 1,
@@ -162,20 +183,13 @@ def cw_regulus_combination(q: int, common_lines: int, orientation: int = 1,
     number of lines; None when no such pair of quadrics is found."""
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
-    p = F.p
-    quads = _all_hyperbolic_quadrics(q)
-    for a, b in combinations(range(len(quads)), 2):
-        (R1, O1), (R2, O2) = quads[a], quads[b]
-        shared = (frozenset(R1) | frozenset(O1)) & (frozenset(R2) | frozenset(O2))
-        if len(shared) != common_lines:
+    a = _symbol(alpha, F.p)
+    for (R1, O1), (R2, O2) in combinations(_all_hyperbolic_quadrics(q), 2):
+        if len(set(R1 + O1) & set(R2 + O2)) != common_lines:
             continue
-        s1 = {L: alpha % p for L in R1}
-        s1.update({L: (-alpha) % p for L in O1})
         if orientation < 0:
             R2, O2 = O2, R2
-        s2 = {L: alpha % p for L in R2}
-        s2.update({L: (-alpha) % p for L in O2})
-        c = lineset_to_codeword(s1, P) + lineset_to_codeword(s2, P)
+        c = _regulus_pair(R1, O1, a, P) + _regulus_pair(R2, O2, a, P)
         return ConstructionResult(
             c, c.weight, P, 2,
             f"sum of two regulus-pair codewords sharing {common_lines} lines")
@@ -194,10 +208,8 @@ def cw_regulus_switch(q: int, i: int) -> ConstructionResult:
     P = get_space("Qplus", 5, q)
     switched = switched_line_set(q, i)
     assert len(switched) == q * q + 1 + 2 * i
-    images = {P.index[klein_point(M, F)] for M in switched}
-    support = {j: 1 for j in range(len(P.points)) if j not in images}
     return ConstructionResult(
-        CodewordVec(support, len(P.points), 2),
+        _complement(P, [klein_point(M, F) for M in switched]),
         (1 + q * q) * (q * q + q) - 2 * i, P, 2,
         f"complement of a regular spread image with {2 * i} reguli switched")
 
@@ -248,13 +260,14 @@ def cw_complement_ovoid(family: str, q: int, ovoid=None) -> ConstructionResult:
     """All-ones on the complement of an ovoid; q even."""
     if q % 2:
         raise GeometryError("complement-of-ovoid codewords need even q")
-    if family in ("Q", "parabolic"):
+    fam = canonical_family(family)
+    if fam == "parabolic":
         P = get_space("Q", 4, q)
         k = 1
         weight = q ** 3 + q
         if ovoid is None:
             ovoid = elliptic_hyperplane_section(P)
-    elif family in ("Qplus", "hyperbolic"):
+    elif fam == "hyperbolic":
         P = get_space("Qplus", 5, q)
         k = 2
         weight = (1 + q * q) * (q * q + q)
@@ -264,16 +277,10 @@ def cw_complement_ovoid(family: str, q: int, ovoid=None) -> ConstructionResult:
         raise GeometryError(f"no ovoid complement for family {family!r}")
     if not verify.is_ovoid(P, ovoid):
         raise GeometryError("candidate point set is not an ovoid")
-    idx = set(ovoid if isinstance(next(iter(ovoid)), int)
-              else (P.index[x] for x in ovoid))
-    support = {j: 1 for j in range(len(P.points)) if j not in idx}
-    return ConstructionResult(
-        CodewordVec(support, len(P.points), 2), weight, P, k,
-        "complement of an ovoid")
-
-
-def _wq_plane(F: FieldSpec) -> Subspace:
-    return span([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], F)
+    if isinstance(next(iter(ovoid)), int):
+        ovoid = [P.points[i] for i in ovoid]
+    return ConstructionResult(_complement(P, ovoid), weight, P, k,
+                              "complement of an ovoid")
 
 
 def cw_wq_examples(q: int, variant: str) -> ConstructionResult:
@@ -285,59 +292,44 @@ def cw_wq_examples(q: int, variant: str) -> ConstructionResult:
         raise GeometryError("these symplectic examples need even q")
     P = get_space("W", 3, q)
     F = P.F
-    n_pts = len(P.points)
     singular_lines = {S for S, _sup in P.singular_kspaces_with_supports(1)}
 
-    def indicator(idxs):
-        return CodewordVec({j: 1 for j in idxs}, n_pts, 2)
+    def ones(S):
+        return _points_to_codeword(P, dict.fromkeys(subspace_points(S, F), 1))
 
-    if variant == "affine":
-        pi = _wq_plane(F)
-        on_pi = {P.index[x] for x in subspace_points(pi, F)}
-        c = indicator(set(range(n_pts)) - on_pi)
-        return ConstructionResult(c, q ** 3, P, 1,
-                                  "affine points: complement of a plane")
-
-    if variant == "affine_plus_pair":
-        pi = _wq_plane(F)
-        on_pi = {P.index[x] for x in subspace_points(pi, F)}
-        c = indicator(set(range(n_pts)) - on_pi)
-        pi_pts = subspace_points(pi, F)
+    if variant in ("affine", "affine_plus_pair"):
+        pi_pts = subspace_points(span([_unit(i, 4) for i in range(3)], F), F)
+        c = _complement(P, pi_pts)
+        if variant == "affine":
+            return ConstructionResult(c, q ** 3, P, 1,
+                                      "affine points: complement of a plane")
+        on_pi = set(pi_pts)
         for a, b in combinations(pi_pts, 2):
             L = span([a, b], F)
             if L in singular_lines:
                 continue
             Ls = polar_image(P, L)
-            on = sum(1 for x in subspace_points(Ls, F) if x in set(pi_pts))
-            if on == 1:
-                pair = indicator([P.index[x] for x in subspace_points(L, F)])
-                pair += indicator([P.index[x] for x in subspace_points(Ls, F)])
+            if sum(x in on_pi for x in subspace_points(Ls, F)) == 1:
                 return ConstructionResult(
-                    c + pair, q ** 3 + 2, P, 1,
+                    c + ones(L) + ones(Ls), q ** 3 + 2, P, 1,
                     "affine set plus a non-isotropic line and its polar")
         raise GeometryError("no suitable line pair found")
 
     if variant == "ovoid_plus_pair":
         E = get_space("Qminus", 3, q)
-        ovoid = sorted(P.index[x] for x in E.points)
-        if not verify.is_ovoid(P, ovoid):
+        if not verify.is_ovoid(P, E.points):
             raise GeometryError("elliptic point set is not an ovoid here")
-        c = indicator(set(range(n_pts)) - set(ovoid))
-        opts = set(ovoid)
+        c = _complement(P, E.points)
         for L in enumerate_lines(3, F):
             if L in singular_lines:
                 continue
-            hits = [x for x in subspace_points(L, F)
-                    if P.index[x] in opts]
-            if len(hits) != 2:
+            if sum(x in E.index for x in subspace_points(L, F)) != 2:
                 continue
             Ls = polar_image(P, L)
-            if any(P.index[x] in opts for x in subspace_points(Ls, F)):
+            if any(x in E.index for x in subspace_points(Ls, F)):
                 raise GeometryError("polar of a 2-secant meets the ovoid")
-            pair = indicator([P.index[x] for x in subspace_points(L, F)])
-            pair += indicator([P.index[x] for x in subspace_points(Ls, F)])
             return ConstructionResult(
-                c + pair, q ** 3 - q + 2, P, 1,
+                c + ones(L) + ones(Ls), q ** 3 - q + 2, P, 1,
                 "ovoid complement plus a 2-secant and its polar")
         raise GeometryError("no 2-secant found")
 
@@ -372,28 +364,15 @@ def cw_hermitian_pair(q: int, variant: str, alpha: int = 1) -> ConstructionResul
     """Symbols +a/-a on the sections of H(5,q^2) by a plane and its polar
     plane: Hermitian curves (weight 2(q^3+1)) or Baer cones sharing their
     vertex, which gets symbol zero (weight 2(q^3+q^2))."""
-    from .polarspace import classify_plane_section
     P = get_space("H", 5, q * q)
-    F = P.F
-    p = F.p
-    if alpha % p == 0:
-        raise GeometryError("symbol must be nonzero")
+    a = _symbol(alpha, P.F.p)
     pi = hermitian_pair_plane(P, variant)
     want = "hermitian_curve" if variant == "curve_pair" else "baer_cone"
     if classify_plane_section(P, pi) != want:
         raise GeometryError(f"section of the chosen plane is not a {want}")
-    pis = polar_image(P, pi)
-    gamma = {x for x in subspace_points(pi, F) if x in P.index}
-    gamma2 = {x for x in subspace_points(pis, F) if x in P.index}
-    shared = gamma & gamma2
-    symbols = {}
-    for x in gamma - shared:
-        symbols[x] = alpha % p
-    for x in gamma2 - shared:
-        symbols[x] = (-alpha) % p
     weight = 2 * (q ** 3 + 1) if variant == "curve_pair" else 2 * (q ** 3 + q * q)
     return ConstructionResult(
-        _points_to_codeword(P, symbols), weight, P, 2,
+        _section_pair(P, pi, a), weight, P, 2,
         f"plane/polar-plane section pair ({variant})")
 
 
@@ -409,24 +388,23 @@ def cw_disjoint_perp_cones(family: str, q: int, alpha: int = 1) -> ConstructionR
     """Two truncated cones from non-collinear points over the base cut
     out by both perps, symbols +a and -a; small-weight codewords of the
     point-line codes of Q-(5,q) and H(4,q^2)."""
-    if family in ("Qminus", "elliptic"):
+    fam = canonical_family(family)
+    if fam == "elliptic":
         P = get_space("Qminus", 5, q)
         weight = 2 * (q ** 3 - q * q + q)
-    elif family in ("H", "hermitian"):
+    elif fam == "hermitian":
         P = get_space("H", 4, q * q)
         weight = 2 * (q ** 5 - q ** 3 + q * q)
     else:
         raise GeometryError(f"no perp-cone pair for family {family!r}")
     F = P.F
-    p = F.p
-    if alpha % p == 0:
-        raise GeometryError("symbol must be nonzero")
+    a = _symbol(alpha, F.p)
     P1, P2 = _first_noncollinear_pair(P)
     perp = intersect(polar_image(P, span([P1], F)),
                      polar_image(P, span([P2], F)), F)
-    base = [x for x in subspace_points(perp, F) if x in P.index]
+    base = _on(P, perp)
     symbols = {}
-    for vertex, s in ((P1, alpha % p), (P2, (-alpha) % p)):
+    for vertex, s in ((P1, a), (P2, -a)):
         cone = make_cone(span([vertex], F), base, F, truncated=True)
         for x in cone.points:
             if x not in base:
@@ -440,12 +418,12 @@ def cw_disjoint_perp_cones(family: str, q: int, alpha: int = 1) -> ConstructionR
 # --- polar pairs and complements of cones -----------------------------
 
 
-def _external_line(P: PolarSpace):
-    """Basis pair of the first line of the ambient space of P that carries
-    no point of P."""
+def _external_line(P: PolarSpace, positions, width) -> list:
+    """Basis rows of the first line of the ambient space of P that carries
+    no point of P, embedded at the positions of vectors of length width."""
     for L in enumerate_lines(P.n, P.F):
-        if not any(x in P.index for x in subspace_points(L, P.F)):
-            return L.basis
+        if not _on(P, L):
+            return [_embed(u, positions, width) for u in L.basis]
     raise GeometryError("no external line found")
 
 
@@ -456,6 +434,10 @@ def _embed(vec, positions, width):
     return tuple(out)
 
 
+def _unit(i: int, width: int) -> tuple[int, ...]:
+    return _embed((1,), (i,), width)
+
+
 def cw_polar_pair(family: str, n: int, q: int, alpha: int = 1) -> ConstructionResult:
     """Symbols +a/-a on the polar-space sections of a non-singular
     subspace and its polar image, their intersection excluded.
@@ -464,56 +446,34 @@ def cw_polar_pair(family: str, n: int, q: int, alpha: int = 1) -> ConstructionRe
     section for even n (weight 2 theta_{n-1}) and an elliptic section for
     odd n (weight 2 theta_{n-1} - 2 q^{(n-1)/2}).  Hermitian H(5,q^2):
     the Hermitian-curve pair of weight 2(q^3+1)."""
-    p = field_of_order(q).p if family != "hermitian" else field_of_order(q * q).p
-    if alpha % p == 0:
-        raise GeometryError("symbol must be nonzero")
-    if family in ("H", "hermitian"):
+    # q and q^2 have the same characteristic
+    a = _symbol(alpha, field_of_order(q).p)
+    fam = canonical_family(family)
+    if fam == "hermitian":
         if n != 5:
             raise GeometryError("hermitian polar pairs are built for n=5")
         return cw_hermitian_pair(q, "curve_pair", alpha)
-    if family not in ("Qplus", "hyperbolic"):
+    if fam != "hyperbolic":
         raise GeometryError(f"no polar pair for family {family!r}")
     if n < 2:
         # n = 0, 1 leave an empty section pair: the zero word
         raise GeometryError(f"polar pairs of Q+(2n+1,q) need n >= 2, got n={n}")
     P = get_space("Qplus", 2 * n + 1, q)
-    F = P.F
     width = 2 * n + 2
     if n % 2 == 0:
         rows = [_embed((1, 1), (0, 1), width)]
-        rows += [tuple(1 if j == i else 0 for j in range(width))
-                 for i in range(2, n + 2)]
+        rows += [_unit(i, width) for i in range(2, n + 2)]
         weight = 2 * theta(n - 1, q)
     else:
-        u0, u1 = _external_line(get_space("Qplus", 3, q))
-        rows = [_embed(u0, (0, 1, 2, 3), width), _embed(u1, (0, 1, 2, 3), width)]
-        rows += [tuple(1 if j == i else 0 for j in range(width))
-                 for i in range(4, n + 3)]
+        rows = _external_line(get_space("Qplus", 3, q), range(4), width)
+        rows += [_unit(i, width) for i in range(4, n + 3)]
         weight = 2 * theta(n - 1, q) - 2 * q ** ((n - 1) // 2)
-    pi = span(rows, F)
+    pi = span(rows, P.F)
     if pi.dim != n:
         raise GeometryError("section subspace has the wrong dimension")
-    pis = polar_image(P, pi)
-    T = intersect(pi, pis, F)
-    excluded = set(subspace_points(T, F)) if T is not None else set()
-    symbols = {}
-    for x in subspace_points(pi, F):
-        if x in P.index and x not in excluded:
-            symbols[x] = alpha % p
-    for x in subspace_points(pis, F):
-        if x in P.index and x not in excluded:
-            symbols[x] = (-alpha) % p
     return ConstructionResult(
-        _points_to_codeword(P, symbols), weight, P, n,
+        _section_pair(P, pi, a), weight, P, n,
         "non-singular subspace and its polar image, intersection dropped")
-
-
-def _removed_set_complement(P: PolarSpace, removed, k: int,
-                            weight: int, witness: str) -> ConstructionResult:
-    removed_idx = {P.index[x] for x in removed}
-    support = {j: 1 for j in range(len(P.points)) if j not in removed_idx}
-    return ConstructionResult(
-        CodewordVec(support, len(P.points), 2), weight, P, k, witness)
 
 
 def cw_complement_cone(family: str, n: int, q: int, k: int,
@@ -528,106 +488,81 @@ def cw_complement_cone(family: str, n: int, q: int, k: int,
     quadric; parabolic and elliptic families remove the analogous cones
     with vertex dimensions k-2 and k-1; the hermitian family removes a
     cone over a smaller Hermitian variety (vertex dimension k-1 for even
-    n, k-2 for odd n)."""
+    n, k-2 for odd n).  Everywhere but hyperbolic k=1 the flavor is
+    'cone'."""
     if q % 2:
         raise GeometryError("complement codewords need even q")
-    fam = {"Qplus": "hyperbolic", "Q": "parabolic", "Qminus": "elliptic",
-           "H": "hermitian"}.get(family, family)
+    fam = canonical_family(family)
+    if flavor != "cone" and not (fam == "hyperbolic" and k == 1):
+        raise GeometryError(f"flavor {flavor!r} applies only to hyperbolic k=1")
     if fam == "hyperbolic":
         P = get_space("Qplus", 2 * n + 1, q)
-        F = P.F
         width = 2 * n + 2
         if k == 1:
             if flavor == "parabolic":
-                sec = [P.points[i] for i in _first_hyperplane_section(
-                    P, theta(2 * n - 1, q), "parabolic")]
-                return _removed_set_complement(
-                    P, sec, 1, (q ** n + 1) * q ** n,
+                sec = _first_hyperplane_section(P, theta(2 * n - 1, q), "parabolic")
+                return ConstructionResult(
+                    _complement(P, [P.points[i] for i in sec]),
+                    (q ** n + 1) * q ** n, P, 1,
                     "complement of a parabolic hyperplane section")
             if flavor == "tangent":
-                pt = P.points[0]
-                perp = polar_image(P, span([pt], F))
-                sec = [x for x in subspace_points(perp, F) if x in P.index]
-                return _removed_set_complement(
-                    P, sec, 1, q ** (2 * n),
+                perp = polar_image(P, span([P.points[0]], P.F))
+                return ConstructionResult(
+                    _complement(P, _on(P, perp)), q ** (2 * n), P, 1,
                     "complement of a tangent hyperplane section")
             raise GeometryError(f"unknown flavor {flavor!r} for k=1")
         if not 2 <= k <= n - 1 and not (n == 2 and k == 2):
             raise GeometryError(f"k={k} out of range for this family")
-        vertex_rows = [_embed((1,), (2 * i,), width) for i in range(k - 2)]
-        u0, u1 = _external_line(get_space("Qplus", 3, q))
-        pos = (2 * (k - 2), 2 * (k - 2) + 1, 2 * (k - 2) + 2, 2 * (k - 2) + 3)
-        base_rows = [_embed(u0, pos, width), _embed(u1, pos, width)]
-        base_rows += [tuple(1 if j == i else 0 for j in range(width))
-                      for i in range(2 * k, width)]
+        vertex_rows = [_unit(2 * i, width) for i in range(k - 2)]
+        base_rows = _external_line(get_space("Qplus", 3, q),
+                                   range(2 * k - 4, 2 * k), width)
+        base_rows += [_unit(i, width) for i in range(2 * k, width)]
         weight = q ** n * sum(q ** j for j in range(n - k + 1, n + 1)) \
             + q ** n + q ** (n - 1)
     elif fam == "parabolic":
         P = get_space("Q", 2 * n, q)
-        F = P.F
         width = 2 * n + 1
         if not 1 <= k < (n + 1) / 2:
             raise GeometryError(f"k={k} out of range for this family")
-        vertex_rows = [_embed((1,), (2 * i + 1,), width) for i in range(k - 1)]
-        u0, u1 = _external_line(get_space("Q", 2, q))
-        pos = (0, 2 * k - 1, 2 * k)
-        base_rows = [_embed(u0, pos, width), _embed(u1, pos, width)]
-        base_rows += [tuple(1 if j == i else 0 for j in range(width))
-                      for i in range(2 * k + 1, width)]
+        vertex_rows = [_unit(2 * i + 1, width) for i in range(k - 1)]
+        base_rows = _external_line(get_space("Q", 2, q),
+                                   (0, 2 * k - 1, 2 * k), width)
+        base_rows += [_unit(i, width) for i in range(2 * k + 1, width)]
         weight = q ** n * sum(q ** j for j in range(n - k, n)) + q ** (n - 1)
     elif fam == "elliptic":
         P = get_space("Qminus", 2 * n + 1, q)
-        F = P.F
         width = 2 * n + 2
         if not 1 <= k < (n + 1) / 2:
             raise GeometryError(f"k={k} out of range for this family")
-        vertex_rows = [_embed((1,), (2 * i,), width) for i in range(1, k + 1)]
-        base_rows = [tuple(1 if j == i else 0 for j in range(width))
-                     for i in (0, 1)]
-        base_rows += [tuple(1 if j == i else 0 for j in range(width))
-                      for i in range(2 * k + 2, width)]
+        vertex_rows = [_unit(2 * i, width) for i in range(1, k + 1)]
+        base_rows = [_unit(i, width)
+                     for i in (0, 1, *range(2 * k + 2, width))]
         weight = q ** (2 * n - k + 1) * theta(k - 1, q)
     elif fam == "hermitian":
         P = get_space("H", n, q * q)
-        F = P.F
         width = n + 1
         if not 1 <= k <= (n - 3) / 2 + (1 if n % 2 else 0) and k != 1:
             raise GeometryError(f"k={k} out of range for this family")
-        b = _norm_minus_one(F)
-        if n % 2 == 0:
-            nv = k - 1
-            base_first = 2 * k
-            base_count = n - 2 * k + 1
-        else:
-            nv = k - 2
-            base_first = 2 * (k - 1)
-            base_count = n - 2 * k + 2
-        vertex_rows = []
-        for i in range(nv + 1):
-            row = [0] * width
-            row[2 * i] = 1
-            row[2 * i + 1] = b
-            vertex_rows.append(tuple(row))
-        base_rows = [tuple(1 if j == base_first + i else 0 for j in range(width))
-                     for i in range(base_count)]
+        b = _norm_minus_one(P.F)
+        nv = k - 1 if n % 2 == 0 else k - 2
+        vertex_rows = [_embed((1, b), (2 * i, 2 * i + 1), width)
+                       for i in range(nv + 1)]
+        # the base spans the coordinates after the vertex pairs, all but
+        # the last one for odd n
+        base_rows = [_unit(i, width) for i in range(2 * nv + 2, width - n % 2)]
         weight = q ** (2 * n - 2 * k + 1) * (q ** (2 * k) - 1) // (q * q - 1)
         if n % 2:
             weight += q ** (n - 1)
     else:
-        raise GeometryError(f"unknown family {family!r}")
+        raise GeometryError(f"no complement cone for family {family!r}")
 
-    base_space = span(base_rows, F)
-    base_pts = [x for x in subspace_points(base_space, F) if x in P.index]
+    removed = _on(P, span(base_rows, P.F))
     if vertex_rows:
-        vertex = span(vertex_rows, F)
-        cone = make_cone(vertex, base_pts, F, truncated=False)
-        removed = [x for x in cone.points if x in P.index]
-        if len(removed) != len(cone.points):
+        removed = make_cone(span(vertex_rows, P.F), removed, P.F).points
+        if any(x not in P.index for x in removed):
             raise GeometryError("cone is not contained in the polar space")
-    else:
-        removed = base_pts
-    return _removed_set_complement(
-        P, removed, k, weight,
+    return ConstructionResult(
+        _complement(P, removed), weight, P, k,
         "complement of a cone-type blocking configuration")
 
 

@@ -167,10 +167,10 @@ def _spread_line_to_kpoint(q: int) -> dict:
 def reguli_partition_through(T, L: Subspace, q: int) -> list[list[Subspace]]:
     """q reguli of the regular spread through L, pairwise sharing only L
     and jointly covering the spread."""
-    T = list(T)
-    if list(regular_spread(q)) != sorted(T, key=lambda S: S.basis) and set(T) != set(regular_spread(q)):
+    T = set(T)
+    if T != set(regular_spread(q)):
         raise GeometryError("expected the regular spread")
-    if L not in set(T):
+    if L not in T:
         raise GeometryError("line is not in the spread")
     F, K, emb, xi, decomp = _field_reduction(q)
     kpt = _spread_line_to_kpoint(q)[L]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import ceil
+from math import ceil, isqrt
 from operator import and_
 
 import numpy as np
@@ -146,42 +146,54 @@ def _standard_matrix(family: str, n: int, F: FieldSpec):
     return tuple(tuple(r) for r in m)
 
 
+def _counting_param(family: str, n: int) -> int:
+    """The parameter m of the family in PG(n,q) used by the counting
+    formulas: Q+(2m+1,q), Q(2m,q), Q-(2m+1,q), W(2m-1,q), H(m,q^2)."""
+    if family == "hermitian":
+        return n
+    if family == "parabolic":
+        return n // 2
+    if family == "symplectic":
+        return (n + 1) // 2
+    return (n - 1) // 2
+
+
+def _rank_e2(family: str, m: int) -> tuple[int, int]:
+    """Rank r and 2e of the family with counting parameter m; see
+    prop_counts."""
+    if family == "hyperbolic":
+        return m + 1, 0
+    if family in ("parabolic", "symplectic"):
+        return m, 2
+    if family == "elliptic":
+        return m, 4
+    if family == "hermitian":
+        return (m + 1) // 2, 1 if m % 2 else 3
+    raise GeometryError(f"unknown family {family!r}")
+
+
+def _singular_count(r: int, e2: int, j: int, q: int) -> Fraction:
+    """Totally singular subspaces of vector dimension j of a polar space of
+    rank r over GF(q): [r, j]_q prod_{i<j} (q^{r-1-i} q^e + 1)."""
+    qe = isqrt(q ** e2)
+    if qe * qe != q ** e2:
+        raise GeometryError(f"hermitian family needs a square field order, got {q}")
+    count = Fraction(1)
+    for i in range(j):
+        count *= (Fraction(q ** (r - i) - 1, q ** (i + 1) - 1)
+                  * (q ** (r - 1 - i) * qe + 1))
+    return count
+
+
 def polar_space_order(family: str, n: int, q: int) -> int:
     """Closed-form point count; q is the field order (q^2 for hermitian
     counts in terms of the square root parameter)."""
-    if family == "hyperbolic":
-        m = (n - 1) // 2
-        return (q ** m + 1) * theta(m, q)
-    if family == "parabolic":
-        return theta(n - 1, q)
-    if family == "elliptic":
-        m = (n - 1) // 2
-        return (q ** m - 1) * (q ** (m + 1) + 1) // (q - 1)
-    if family == "hermitian":
-        r = _isqrt_exact(q)
-        return ((r ** (n + 1) - (-1) ** (n + 1)) * (r ** n - (-1) ** n)) // (r * r - 1)
-    if family == "symplectic":
-        return theta(n, q)
-    raise GeometryError(f"unknown family {family!r}")
-
-
-def _isqrt_exact(q: int) -> int:
-    r = round(q ** 0.5)
-    if r * r != q:
-        raise GeometryError(f"hermitian family needs a square field order, got {q}")
-    return r
+    r, e2 = _rank_e2(family, _counting_param(family, n))
+    return int(_singular_count(r, e2, 1, q))
 
 
 def generator_dimension(family: str, n: int) -> int:
-    if family == "hyperbolic":
-        return (n - 1) // 2
-    if family in ("parabolic", "elliptic"):
-        return n // 2 - 1 if family == "parabolic" else (n - 1) // 2 - 1
-    if family == "hermitian":
-        return (n - 1) // 2
-    if family == "symplectic":
-        return 1
-    raise GeometryError(f"unknown family {family!r}")
+    return _rank_e2(family, _counting_param(family, n))[0] - 1
 
 
 class PolarSpace:
@@ -230,13 +242,7 @@ class PolarSpace:
         """The family parameter n used by the counting formulas: ambient
         dimension for hermitian spaces, half the (adjusted) ambient
         dimension for quadrics, and 2 for the symplectic GQ."""
-        if self.family == "hermitian":
-            return self.n
-        if self.family == "parabolic":
-            return self.n // 2
-        if self.family == "symplectic":
-            return 2
-        return (self.n - 1) // 2
+        return _counting_param(self.family, self.n)
 
     def collinear(self, x, y) -> bool:
         return bool(self.form.pair(x, y) == 0)
@@ -525,48 +531,28 @@ def prop_counts(family: str, n: int, k: int, q: int) -> tuple[Fraction, Fraction
     """Closed-form counts (M, N): singular k-spaces through one point and
     through a collinear pair.  n as in Q+(2n+1,q), Q(2n,q), Q-(2n+1,q);
     ambient dimension for H(n,q^2); q the square-root parameter for the
-    hermitian family."""
+    hermitian family.
+
+    A classical polar space of rank r over GF(q) is fixed by e
+    (Hirschfeld-Thas), and has [r, j]_q prod_{i<j} (q^{r-1-i+e} + 1)
+    totally singular subspaces of vector dimension j:
+
+        family        rank r    e
+        Q+(2n+1,q)    n+1       0
+        Q(2n,q)       n         1
+        W(2n-1,q)     n         1
+        Q-(2n+1,q)    n         2
+        H(n,q^2)      n/2       3/2   (n even; over GF(q^2))
+        H(n,q^2)      (n+1)/2   1/2   (n odd)
+
+    A point has a quotient of rank r-1 and a line one of rank r-2, so
+    M = count(j=k, rank r-1), N = count(j=k-1, rank r-2), and the number
+    of points is count(j=1, rank r)."""
     fam = canonical_family(family)
-    if fam == "symplectic":
-        fam, n = "parabolic", 2
-    M = Fraction(1)
-    N = Fraction(1)
-    if fam == "hyperbolic":
-        for i in range(k):
-            M *= Fraction(q ** (n - i) - 1, q ** (i + 1) - 1)
-        for i in range(n - k, n):
-            M *= q ** i + 1
-        for i in range(k - 1):
-            N *= Fraction(q ** (n - i - 1) - 1, q ** (i + 1) - 1)
-        for i in range(n - k, n - 1):
-            N *= q ** i + 1
-    elif fam == "parabolic":
-        for i in range(k):
-            M *= Fraction(q ** (n - 1 - i) - 1, q ** (i + 1) - 1)
-        for i in range(n - k, n):
-            M *= q ** i + 1
-        for i in range(k - 1):
-            N *= Fraction(q ** (n - 2 - i) - 1, q ** (i + 1) - 1)
-        for i in range(n - k, n - 1):
-            N *= q ** i + 1
-    elif fam == "elliptic":
-        for i in range(k):
-            M *= Fraction(q ** (n - 1 - i) - 1, q ** (i + 1) - 1)
-        for i in range(n - k + 1, n + 1):
-            M *= q ** i + 1
-        for i in range(k - 1):
-            N *= Fraction(q ** (n - 2 - i) - 1, q ** (i + 1) - 1)
-        for i in range(n - k + 1, n):
-            N *= q ** i + 1
-    elif fam == "hermitian":
-        for i in range(n - 2 * k, n):
-            M *= q ** i - (-1) ** i
-        for j in range(1, k + 1):
-            M /= q ** (2 * j) - 1
-        for i in range(n - 2 * k, n - 2):
-            N *= q ** i - (-1) ** i
-        for j in range(1, k):
-            N /= q ** (2 * j) - 1
+    r, e2 = _rank_e2(fam, n)
+    order = q * q if fam == "hermitian" else q
+    M = _singular_count(r - 1, e2, k, order)
+    N = _singular_count(r - 2, e2, k - 1, order)
     assert M.denominator == 1 and N.denominator == 1
     return M, N
 

@@ -144,6 +144,12 @@ def test_same_config_same_bytes(capsys, tmp_path):
     ("geometry", "--family", "Qminus", "--n", "-1", "--q", "2"),
     ("geometry", "--family", "Qplus", "--n", "-1", "--q", "2"),
     ("construct", "polar-pair", "--family", "Qplus", "--n", "-1", "--q", "2"),
+    ("construct", "regulus-combination", "--q", "2", "--common-lines", "0",
+     "--alpha", "2"),
+    ("construct", "complement-cone", "--family", "Qplus", "--n", "3", "--q", "2",
+     "--k", "2", "--flavor", "bogus"),
+    ("construct", "complement-cone", "--family", "Q", "--n", "3", "--q", "2",
+     "--k", "1", "--flavor", "tangent"),
 ])
 def test_bad_parameters_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

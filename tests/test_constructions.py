@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from polarlab.projspace import GeometryError
@@ -28,6 +31,19 @@ def test_two_reguli_any_symbol():
 def test_two_reguli_rejects_zero_symbol():
     with pytest.raises(GeometryError):
         C.cw_two_reguli(3, alpha=3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: C.cw_two_pencils(3, beta=3),
+    lambda: C.cw_regulus_combination(2, 0, alpha=2),
+    lambda: C.cw_hermitian_pair(2, "curve_pair", alpha=2),
+    lambda: C.cw_disjoint_perp_cones("Qminus", 2, alpha=4),
+    lambda: C.cw_polar_pair("Qplus", 2, 2, alpha=2),
+], ids=["two-pencils", "regulus-combination", "hermitian-pair",
+        "disjoint-cones", "polar-pair"])
+def test_zero_symbol_is_rejected(build):
+    with pytest.raises(GeometryError, match="symbol must be nonzero"):
+        build()
 
 
 @pytest.mark.parametrize("q,expected", [(2, 8), (3, 12), (4, 16)])
@@ -123,6 +139,18 @@ def test_complement_cone_rejects_odd_q():
         C.cw_complement_cone("Qplus", 3, 3, 1, "parabolic")
 
 
+@pytest.mark.parametrize("family,n,k,flavor", [
+    ("Qplus", 3, 1, "cone"),      # hyperbolic k=1 needs parabolic or tangent
+    ("Qplus", 3, 2, "bogus"),
+    ("Qplus", 3, 2, "tangent"),
+    ("Q", 3, 1, "tangent"),
+    ("H", 4, 1, "parabolic"),
+])
+def test_complement_cone_rejects_flavor_without_meaning(family, n, k, flavor):
+    with pytest.raises(GeometryError, match="flavor"):
+        C.cw_complement_cone(family, n, 2, k, flavor)
+
+
 def test_regulus_combination_reports_outcome():
     r = C.cw_regulus_combination(2, 0)
     check(r)
@@ -150,3 +178,91 @@ def test_registry_covers_all_constructions():
         "regulus-switch", "complement-ovoid", "wq-example",
         "hermitian-pair", "disjoint-cones", "polar-pair",
         "complement-cone"}
+
+
+# weight, bound and support sha256 of every construct-verify row of the
+# benchmark (perfbench/reference.json): the 33 rows of weight_table.py and
+# two regulus combinations
+PINNED = [
+    ("two-reguli", (2,), 6, 4,
+     "00c73ff6f8493d478d85b87ebda79fb37226717c1faa41b4ba188fd3580b8feb"),
+    ("two-reguli", (3,), 8, 5,
+     "ce5be2ca0ca5c60ecdd25a1f76be277917d01b804cf049789f12204898679dbc"),
+    ("two-reguli", (4,), 10, 6,
+     "205105a5bcfb27f02f58ca3a1112ac000fc174a8f0f594089a3573adcf84ef46"),
+    ("two-pencils", (2,), 8, 4,
+     "79be0dabf7cceb0c26370944a13b493183e7cd262e3ed8ced166252c50be43b8"),
+    ("two-pencils", (3,), 12, 5,
+     "7e03db1d8f3da65b8ff50606936df372e60045fcefecfa894b76a6b1fccd6de1"),
+    ("two-pencils", (4,), 16, 6,
+     "509381368e9e80a588f594cec6e6b3b4694e3842b15d46fe519abc05845a9683"),
+    ("regulus-switch", (2, 0), 30, 4,
+     "97be62a8234e66501829d3f74b737cf3a1c5f0ee6db21f102ae8f119b0be2b87"),
+    ("regulus-switch", (2, 1), 28, 4,
+     "d470e585e84a287d84cb60dcc22abe047562ee8b2f416bb91b587eee289c1cb9"),
+    ("regulus-switch", (4, 0), 340, 6,
+     "1e74860e8186f31499f42e025559e342d73cb7448a354d2575b9b71c588e8cfe"),
+    ("regulus-switch", (4, 1), 338, 6,
+     "aa5d55c3b7b2c9ef52c80b4ce48dc5b47425eb9b3a9bd658a61cf9e5c201927d"),
+    ("regulus-switch", (4, 2), 336, 6,
+     "13aeeee95110b55f3492114c9c9fca6b3d03eafa50d079e158ed566cc4ace054"),
+    ("complement-ovoid", ("Q", 2), 10, 4,
+     "c010e932f754e86a8f22643bf8cf8b0f1f4da3a5a25c676a19f30165f1339e32"),
+    ("complement-ovoid", ("Q", 4), 68, 6,
+     "1cd540cc2edbcdf916845c0854880878e7c3c17a347f52cbea284a6d7d1c3392"),
+    ("complement-ovoid", ("Qplus", 2), 30, 4,
+     "97be62a8234e66501829d3f74b737cf3a1c5f0ee6db21f102ae8f119b0be2b87"),
+    ("wq-example", (2, "affine"), 8, 4,
+     "9cc2ce771b92729e2898c7ea48822bc9184fafda5b09dc3d144cedea7aee041c"),
+    ("wq-example", (2, "affine_plus_pair"), 10, 4,
+     "a13148152129814fff196665720defac5e3fd14a49704d75b470271d660674e2"),
+    ("wq-example", (2, "ovoid_plus_pair"), 8, 4,
+     "05e9f906622466e38b58ebfa78ac7f3c72b473c20225aa855f2b3f4a78367e94"),
+    ("wq-example", (4, "affine"), 64, 6,
+     "66b86d8d7c73827f5fa5d8737fdecbbf700f9370d01111f373ad6afad3ba9f8e"),
+    ("wq-example", (4, "affine_plus_pair"), 66, 6,
+     "16cbb340bcb84d2fbd39c73be5bd78e5f819b09ea17f5bc32b5d78d2a78e434e"),
+    ("wq-example", (4, "ovoid_plus_pair"), 62, 6,
+     "538a52f58d1626aab342d05093c56ddd8d170db830e083dcde30ab212f824dfc"),
+    ("hermitian-pair", (2, "curve_pair"), 18, 10,
+     "fff5af44c620c63c64f84eb809510b0b873ca849adf9c3e17fe45c6a1c24bb30"),
+    ("hermitian-pair", (2, "cone_pair"), 24, 10,
+     "63567669e502f332deea594a6e291aeeca65ec03c08e00bd3b3e29762642f6f8"),
+    ("disjoint-cones", ("Qminus", 2), 12, 12,
+     "945ab666eeba26556eac62bde2c1f1ba96648e93875e36fa74711622363b0d4f"),
+    ("disjoint-cones", ("H", 2), 56, 30,
+     "5e20556a29e771b704275fb9a07b96c2ba5650ba991fa7c8e3c8fe77fffac882"),
+    ("polar-pair", ("Qplus", 2, 2), 6, 4,
+     "6941ebf1b569fb908f30426c233bf72204be0d83a4bf7153d18960762152f81c"),
+    ("polar-pair", ("Qplus", 3, 2), 10, 6,
+     "fa0d878c7f65e822c752a389c452835fbb7a91b556ab89f258adef8935a9cebe"),
+    ("complement-cone", ("Qplus", 3, 2, 1, "parabolic"), 72, 36,
+     "3782bf73e6c8ca14d382414755fa04afb8f8642bb681f600edaea48fe5085b73"),
+    ("complement-cone", ("Qplus", 3, 2, 1, "tangent"), 64, 36,
+     "550f66366ef1494d9ab4b44682c7a3817d95b0c6c9be98ebfb9ce02733aaefef"),
+    ("complement-cone", ("Qplus", 3, 2, 2), 108, 13,
+     "f792c3efedc9956a1353ed4c821710a1a69653f05a896d43f03b4f18c2ce412d"),
+    ("complement-cone", ("Q", 3, 2, 1), 36, 16,
+     "7e3dafd042c6e2106ffb50940f1d318a683b670ceaff07a917828dea2cef204e"),
+    ("complement-cone", ("Qminus", 3, 2, 1), 64, 28,
+     "2bc879393bb79780c8c37d69b80376579f3e56d9230884a9499e179024930d39"),
+    ("complement-cone", ("H", 4, 2, 1), 128, 30,
+     "45032bd79b055f00f8b726f64d3bb1d62838d5431e45405d2820ea7851a5291b"),
+    ("complement-cone", ("H", 5, 2, 1), 528, 46,
+     "2b75502f9b9aef79b5de0e83ae478718507ed9ff3be41e489c14e525ec8b2a38"),
+    ("regulus-combination", (2, 0), 12, 4,
+     "2a6b03748b3a969e2ef20fdb7ff1bc37c98026245b43134db5593fb8b356ce53"),
+    ("regulus-combination", (2, 1), 10, 4,
+     "32f6167e17460fa39f2969fb5eca14fff7af6247a942ae888d17a9b305af98bc"),
+]
+
+
+@pytest.mark.parametrize("key,args,weight,bound,sha", PINNED, ids=[
+    "-".join(map(str, (key, *args))) for key, args, *_ in PINNED])
+def test_codewords_pinned(key, args, weight, bound, sha):
+    r = C.CONSTRUCTIONS[key](*args)
+    assert r.codeword.weight == r.predicted_weight == weight
+    assert bound_min_weight_dual(r.space.family, r.space.rank_param, r.k,
+                                 r.space.q) == bound
+    support = sorted(r.codeword.support.items())
+    assert hashlib.sha256(json.dumps(support).encode()).hexdigest() == sha

@@ -3,6 +3,7 @@ import json
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -21,6 +22,7 @@ from polarlab.polarspace import (
     canonical_family,
     classify_plane_section,
     count_kspaces_through,
+    generator_dimension,
     get_space,
     make_cone,
     nucleus,
@@ -165,6 +167,46 @@ def test_prop_counts_match_enumeration():
         other = next(x for x in P.points[1:] if P.collinear(pt, x))
         assert N == count_kspaces_through(P, k, (pt, other))
         assert M == Fraction(int(M)) and N == Fraction(int(N))
+
+
+# closed forms on a grid of all five families, every k <= gen_dim:
+# (family, ambient n, field order, points, gen_dim, [(M, N) for each k])
+CLOSED_FORMS = [
+    ("hyperbolic", 3, 2, 9, 1, [(1, 1), (2, 1)]),
+    ("hyperbolic", 5, 3, 130, 2, [(1, 1), (16, 1), (8, 2)]),
+    ("hyperbolic", 7, 2, 135, 3, [(1, 1), (35, 1), (105, 9), (30, 6)]),
+    ("hyperbolic", 9, 4, 87637, 4,
+     [(1, 1), (5525, 1), (394485, 357), (469625, 1785), (11050, 170)]),
+    ("parabolic", 2, 3, 4, 0, [(1, 1)]),
+    ("parabolic", 4, 5, 156, 1, [(1, 1), (6, 1)]),
+    ("parabolic", 6, 3, 364, 2, [(1, 1), (40, 1), (40, 4)]),
+    ("parabolic", 8, 2, 255, 3, [(1, 1), (63, 1), (315, 15), (135, 15)]),
+    ("elliptic", 3, 4, 17, 0, [(1, 1)]),
+    ("elliptic", 5, 3, 112, 1, [(1, 1), (10, 1)]),
+    ("elliptic", 7, 2, 119, 2, [(1, 1), (27, 1), (45, 5)]),
+    ("elliptic", 9, 3, 9760, 3, [(1, 1), (1066, 1), (29848, 112), (22960, 280)]),
+    ("hermitian", 2, 4, 9, 0, [(1, 1)]),
+    ("hermitian", 3, 9, 280, 1, [(1, 1), (4, 1)]),
+    ("hermitian", 4, 4, 165, 1, [(1, 1), (9, 1)]),
+    ("hermitian", 5, 4, 693, 2, [(1, 1), (45, 1), (27, 3)]),
+    ("hermitian", 6, 9, 199108, 2, [(1, 1), (2440, 1), (6832, 28)]),
+    ("hermitian", 7, 4, 10965, 3, [(1, 1), (693, 1), (6237, 45), (891, 27)]),
+    ("symplectic", 3, 2, 15, 1, [(1, 1), (3, 1)]),
+    ("symplectic", 3, 7, 400, 1, [(1, 1), (8, 1)]),
+]
+
+
+@pytest.mark.parametrize("family,n,order,npts,gdim,counts", CLOSED_FORMS)
+def test_closed_forms_pinned(family, n, order, npts, gdim, counts):
+    assert polar_space_order(family, n, order) == npts
+    assert generator_dimension(family, n) == gdim
+    # the counting parameter of PolarSpace.rank_param
+    m = {"hermitian": n, "parabolic": n // 2, "symplectic": 2}.get(family, (n - 1) // 2)
+    q = isqrt(order) if family == "hermitian" else order
+    got = [prop_counts(family, m, k, q) for k in range(gdim + 1)]
+    assert all(type(x) is Fraction for MN in got for x in MN)
+    assert got[0][1] == 1
+    assert got == counts
 
 
 def test_bounds():
