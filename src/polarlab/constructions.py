@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count, islice
 
 import numpy as np
 
@@ -157,42 +157,65 @@ def cw_two_pencils(q: int, beta: int = 1) -> ConstructionResult:
         "two pencils of lines through two points in two planes")
 
 
+class _Replay:
+    """The items of a generator, produced on demand and kept: every
+    iteration replays those found so far before asking for more."""
+
+    def __init__(self, gen):
+        self._gen, self._items = gen, []
+
+    def __iter__(self):
+        for i in count():
+            if i == len(self._items):
+                item = next(self._gen, None)
+                if item is None:
+                    return
+                self._items.append(item)
+            yield self._items[i]
+
+
 @lru_cache(maxsize=None)
-def _all_hyperbolic_quadrics(q: int):
+def _hyperbolic_quadrics(q: int) -> _Replay:
     """Hyperbolic quadrics of PG(3,q) as (regulus, opposite regulus)
     pairs, each found from its first skew line triple in canonical order;
     the regulus is the one through that triple."""
     F = field_of_order(q)
     lines = enumerate_lines(3, F)
-    skew = {(i, j): intersect(lines[i], lines[j], F) is None
-            for i, j in combinations(range(len(lines)), 2)}
-    out, seen = [], set()
-    for i, j, k in combinations(range(len(lines)), 3):
-        if skew[(i, j)] and skew[(i, k)] and skew[(j, k)]:
-            O = common_transversals(lines[i], lines[j], lines[k], F)
-            if frozenset(O) not in seen:
-                R = common_transversals(*O[:3], F)
-                seen.update((frozenset(R), frozenset(O)))
-                out.append((R, O))
-    return out
+
+    def quadrics():
+        skew = {(i, j): intersect(lines[i], lines[j], F) is None
+                for i, j in combinations(range(len(lines)), 2)}
+        seen = set()
+        for i, j, k in combinations(range(len(lines)), 3):
+            if skew[(i, j)] and skew[(i, k)] and skew[(j, k)]:
+                O = common_transversals(lines[i], lines[j], lines[k], F)
+                if frozenset(O) not in seen:
+                    R = common_transversals(*O[:3], F)
+                    seen.update((frozenset(R), frozenset(O)))
+                    yield R, O
+    return _Replay(quadrics())
 
 
 def cw_regulus_combination(q: int, common_lines: int, orientation: int = 1,
                            alpha: int = 1):
     """Sum of two regulus-pair codewords whose quadrics share the given
-    number of lines; None when no such pair of quadrics is found."""
+    number of lines; None when no such pair of quadrics is found.  The
+    pairs are searched in combinations order, listing quadrics only as
+    far as the search reaches."""
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
     a = _symbol(alpha, F.p)
-    for (R1, O1), (R2, O2) in combinations(_all_hyperbolic_quadrics(q), 2):
-        if len(set(R1 + O1) & set(R2 + O2)) != common_lines:
-            continue
-        if orientation < 0:
-            R2, O2 = O2, R2
-        c = _regulus_pair(R1, O1, a, P) + _regulus_pair(R2, O2, a, P)
-        return ConstructionResult(
-            c, c.weight, P, 2,
-            f"sum of two regulus-pair codewords sharing {common_lines} lines")
+    quadrics = _hyperbolic_quadrics(q)
+    for i, (R1, O1) in enumerate(quadrics):
+        for R2, O2 in islice(quadrics, i + 1, None):
+            if len(set(R1 + O1) & set(R2 + O2)) != common_lines:
+                continue
+            if orientation < 0:
+                R2, O2 = O2, R2
+            c = _regulus_pair(R1, O1, a, P) + _regulus_pair(R2, O2, a, P)
+            return ConstructionResult(
+                c, c.weight, P, 2,
+                f"sum of two regulus-pair codewords sharing {common_lines} lines")
     return None
 
 

@@ -9,26 +9,30 @@ Standard coordinate forms (fixed for reproducibility):
   hermitian   H(n,q^2):    x0^{q+1} + ... + x_n^{q+1}
   symplectic  W(q) in PG(3,q): x0 y1 - x1 y0 + x2 y3 - x3 y2
 
-Singular k-spaces are generated level by level from the singular lines,
-each exactly once (canonical augmentation, McKay 1998).  A (k-1)-space S
-with greedy basis b_0 < ... < b_{k-1} (each b_i the lowest point outside
-the span of the earlier ones) is extended by each point p above b_{k-1}
-in the common perp of S, and the child C = <S, p> is kept only when p is
-the lowest point of C \\ S: then S is spanned by the first k points of the
-greedy basis of C, so C has exactly one parent.  The lines themselves
-come from one table-arithmetic pass over the collinear pairs.  The count
-is predicted from the closed forms first: a space whose bitmasks would not
-fit the budget is refused before anything is allocated, and a count that
-misses the prediction is an error.
+Singular k-spaces are generated level by level from the points, each
+exactly once (canonical augmentation, McKay 1998).  A subspace C with
+RREF rows R_0, ..., R_m has the canonical parent S = <R_1, ..., R_m>,
+its intersection with x_c = 0 for the first pivot column c: the greedy
+basis of C (each point the lowest outside the span of the earlier ones)
+is R_m, ..., R_0.  So S is extended by exactly the points p of its
+common perp whose lead column lies left of the pivots of S and which are
+zero at those pivots, and (p, R_1, ..., R_m) is then the RREF of the
+child: no candidate is rejected and nothing is eliminated.  One bitmask
+per node holds these points; a child's is its parent's AND one mask of
+p.  The new points p + v, v in the span of S, are already normalised and
+are formed from the parent's support by table arithmetic.  The count is
+predicted from the closed forms first: a space whose largest level would
+not fit the budget is refused before anything is allocated, and a count
+that misses the prediction is an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
+from itertools import product
 from math import ceil, isqrt
-from operator import and_
 
 import numpy as np
 
@@ -43,7 +47,6 @@ from .projspace import (
     form_values,
     normalize_point,
     nullspace,
-    span,
     subspace_points,
     theta,
 )
@@ -115,19 +118,13 @@ class FormSpec:
 def _standard_matrix(family: str, n: int, F: FieldSpec):
     m = [[0] * (n + 1) for _ in range(n + 1)]
     if family == "hyperbolic":
-        if n % 2 == 0:
-            raise GeometryError("hyperbolic quadric needs odd ambient dimension")
         for i in range(0, n, 2):
             m[i][i + 1] = 1
     elif family == "parabolic":
-        if n % 2:
-            raise GeometryError("parabolic quadric needs even ambient dimension")
         m[0][0] = 1
         for i in range(1, n, 2):
             m[i][i + 1] = 1
     elif family == "elliptic":
-        if n % 2 == 0:
-            raise GeometryError("elliptic quadric needs odd ambient dimension")
         b, c = least_irreducible_binary_quadratic(F)
         m[0][0] = 1
         m[0][1] = b
@@ -138,8 +135,6 @@ def _standard_matrix(family: str, n: int, F: FieldSpec):
         for i in range(n + 1):
             m[i][i] = 1
     elif family == "symplectic":
-        if n != 3:
-            raise GeometryError("symplectic space is modeled in PG(3,q) only")
         one, neg = 1, F.neg(1)
         m[0][1], m[1][0] = one, neg
         m[2][3], m[3][2] = one, neg
@@ -185,15 +180,30 @@ def _singular_count(r: int, e2: int, j: int, q: int) -> Fraction:
     return count
 
 
+def _rank_of(family: str, n: int) -> tuple[int, int]:
+    """Rank r and 2e of the standard polar space of the family in PG(n,q);
+    GeometryError when the family has none there."""
+    if family == "symplectic" and n != 3:
+        raise GeometryError("symplectic space is modeled in PG(3,q) only")
+    if family in ("hyperbolic", "parabolic", "elliptic"):
+        parity = "even" if family == "parabolic" else "odd"
+        if n % 2 != (parity == "odd"):
+            raise GeometryError(f"{family} quadric needs {parity} ambient dimension")
+    r, e2 = _rank_e2(family, _counting_param(family, n))
+    if r < 1:
+        raise GeometryError(f"{family} with n={n} has no singular points")
+    return r, e2
+
+
 def polar_space_order(family: str, n: int, q: int) -> int:
     """Closed-form point count; q is the field order (q^2 for hermitian
     counts in terms of the square root parameter)."""
-    r, e2 = _rank_e2(family, _counting_param(family, n))
+    r, e2 = _rank_of(family, n)
     return int(_singular_count(r, e2, 1, q))
 
 
 def generator_dimension(family: str, n: int) -> int:
-    return _rank_e2(family, _counting_param(family, n))[0] - 1
+    return _rank_of(family, n)[0] - 1
 
 
 class PolarSpace:
@@ -265,44 +275,6 @@ class PolarSpace:
         self._adj = adj
         return adj
 
-    def _lines(self) -> list[list[int]]:
-        """Ascending point indices of every singular line, ordered by the
-        two lowest points.  For each collinear pair i < j the other points
-        t x_i + x_j (t != 0) are found by table arithmetic, normalised and
-        looked up by base-q code; the pair is kept only when i and j are
-        the two lowest points of its line."""
-        mul, add, _conj = _tables(self.F)
-        q, N = self.F.order, len(self.points)
-        inv = np.argmax(mul == 1, axis=1).astype(mul.dtype)
-        X = np.array(self.points, dtype=mul.dtype)
-        weights = q ** np.arange(self.n, -1, -1, dtype=np.int64)
-        codes = X @ weights  # ascending: the points are in lexicographic order
-        t = np.arange(1, q, dtype=mul.dtype)[:, None]
-        adj = self.adjacency()
-        nbytes = -(-N // 8)
-        # a row has at most `most` pairs, each over (q - 1) x (n + 1) entries
-        most = max(a.bit_count() for a in adj)
-        rows = max(1, _BLOCK // (most * (q - 1) * (self.n + 1)))
-        lines = []
-        for lo in range(0, N, rows):
-            packed = np.frombuffer(b"".join(
-                a.to_bytes(nbytes, "little") for a in adj[lo:lo + rows]),
-                dtype=np.uint8).reshape(-1, nbytes)
-            bits = np.unpackbits(packed, axis=1, count=N, bitorder="little")
-            I, J = np.nonzero(bits)
-            I += lo
-            up = J > I
-            I, J = I[up], J[up]
-            V = add[mul[t, X[I, None]], X[J, None]]
-            lead = np.argmax(V != 0, axis=2)[..., None]
-            V = mul[inv[np.take_along_axis(V, lead, axis=2)], V]
-            others = np.searchsorted(codes, V @ weights)
-            low = (others > J[:, None]).all(axis=1)
-            lines += np.concatenate(
-                [I[low, None], J[low, None], np.sort(others[low], axis=1)],
-                axis=1).tolist()
-        return lines
-
     def kspace_count(self, k: int) -> int:
         """Closed-form number of singular k-spaces, |P| M / theta(k) with
         M the number through a point."""
@@ -311,22 +283,25 @@ class PolarSpace:
         M, _N = prop_counts(self.family, self.rank_param, k, self.q)
         return int(len(self.points) * M / theta(k, self.F.order))
 
-    def _check_budget(self, k: int, count: int):
-        """Refuse before allocating when the k-space bitmasks, the
-        adjacency, or (for k >= 2) the pair-to-line lookup would exceed a
-        budget of one 64-bit word per point the point cap admits.  The
-        lookup is counted at one word per collinear pair, a lower bound."""
+    def _check_budget(self, k: int):
+        """Refuse before allocating when the largest level up to k would
+        need more than a budget of one 64-bit word per point the point cap
+        admits for its supports or, for k >= 1, its point masks, or when
+        the adjacency would.  A level below k holds a candidate mask per
+        subspace; level k is charged as much for each output row."""
         N = len(self.points)
-        need = {"k-space masks": count * -(-N // 8), "adjacency": N * N // 8}
-        if k >= 2:
-            per_line = theta(1, self.F.order)
-            need["pair lookup"] = (self.kspace_count(1)
-                                   * per_line * (per_line - 1) // 2 * 8)
+        counts = [self.kspace_count(m) for m in range(k + 1)]
+        item = np.min_scalar_type(N).itemsize
+        need = {"supports": max(c * theta(m, self.F.order) * item
+                                for m, c in enumerate(counts))}
+        if k:
+            need["adjacency"] = N * N // 8
+            need["point masks"] = max(counts) * -(-N // 8)
         budget = 8 * POINT_CAP
         for what, size in need.items():
             if size > budget:
                 raise ResourceError(
-                    f"{count} singular {k}-spaces of {self!r}: {what} needs "
+                    f"{counts[k]} singular {k}-spaces of {self!r}: {what} needs "
                     f"{size} bytes, over the budget of {budget}")
 
     def singular_kspaces_with_supports(self, k: int):
@@ -335,11 +310,8 @@ class PolarSpace:
         if k in self._kspace_cache:
             return self._kspace_cache[k]
         count = self.kspace_count(k)
-        if k == 0:
-            out = [(span([p], self.F), (i,)) for i, p in enumerate(self.points)]
-        else:
-            self._check_budget(k, count)
-            out = self._kspaces(k)
+        self._check_budget(k)
+        out = self._kspaces(k)
         if len(out) != count:
             raise GeometryError(
                 f"{len(out)} singular {k}-spaces of {self!r}, closed form {count}")
@@ -348,46 +320,50 @@ class PolarSpace:
         return out
 
     def _kspaces(self, k: int):
-        """Singular k-spaces, k >= 1, as (span of the greedy basis,
-        support), grown from the lines one point at a time.  A child
-        C = <S, p> is kept only from its canonical parent: p above the
-        greedy basis of S and the lowest point of C \\ S."""
-        lines = self._lines()
-        if k == 1:
-            return [(span([self.points[a] for a in row[:2]], self.F), tuple(row))
-                    for row in lines]
-        adj = self.adjacency()
-        N = len(self.points)
-        line_of = {}  # a * N + b, a < b collinear -> point mask of their line
-        for row in lines:
-            mask = 0
-            for a in row:
-                mask |= 1 << a
-            for x, a in enumerate(row):
-                for b in row[x + 1:]:
-                    line_of[a * N + b] = mask
-        # (point mask, points, greedy basis, common perp mask), lazily
-        nodes = ((line_of[row[0] * N + row[1]], row, (row[0], row[1]),
-                  reduce(and_, [adj[a] for a in row])) for row in lines)
-        for _level in range(2, k + 1):
-            nxt = []
-            for mask, pts, basis, common in nodes:
-                cand = common & ~mask & -(2 << basis[-1])
-                while cand:
-                    bit = cand & -cand
-                    p = bit.bit_length() - 1
-                    new = bit
-                    for a in pts:
-                        new |= line_of[a * N + p] if a < p else line_of[p * N + a]
-                    new &= ~mask
-                    if (new & -new) == bit:  # p is the lowest point of C \ S
-                        child = mask | new
-                        nxt.append((child, tuple(bit_indices(child)), basis + (p,),
-                                    common & adj[p]))
-                    cand &= ~new
-            nodes = nxt
-        return [(span([self.points[b] for b in basis], self.F), pts)
-                for _mask, pts, basis, _common in nodes]
+        """Singular k-spaces as (Subspace, support), grown from the points
+        by the pivot rule of the module docstring.  Per level, `rows` holds
+        the point indices of each node's RREF rows, `sup` its support, and
+        `cands` the points that extend it."""
+        mul, add, _conj = _tables(self.F)
+        X = np.array(self.points, dtype=mul.dtype)
+        (N, width), q = X.shape, self.F.order
+        weights = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        codes = X @ weights  # ascending: the points are in lexicographic order
+        lead = np.argmax(X != 0, axis=1)
+        t = np.arange(1, q, dtype=mul.dtype)[:, None, None]
+        rows = sup = np.arange(N, dtype=np.min_scalar_type(N))[:, None]
+        if k:
+            # fresh[c]: the points with lead column left of c and a zero at
+            # c; down[p]: those of them, c = lead(p), in the perp of p
+            fresh = [int.from_bytes(np.packbits((lead < c) & (X[:, c] == 0),
+                                                bitorder="little").tobytes(), "little")
+                     for c in range(width)]
+            cands = down = [a & fresh[c]
+                            for a, c in zip(self.adjacency(), lead.tolist())]
+        for level in range(1, k + 1):
+            new, counts, nxt = [], [], []
+            for cand in cands:
+                ps = bit_indices(cand)
+                new += ps
+                counts.append(len(ps))
+                if level < k:
+                    nxt += [cand & down[p] for p in ps]
+            cands = nxt
+            par = np.repeat(np.arange(len(counts)), counts)
+            new = np.array(new, dtype=sup.dtype)
+            # the child of (S, p) has the points of S and p + t x, x in S
+            grown = np.empty((len(new), q * sup.shape[1] + 1), dtype=sup.dtype)
+            step = max(1, _BLOCK // ((q - 1) * sup.shape[1] * width))
+            for lo in range(0, len(new), step):
+                S, p = sup[par[lo:lo + step]], new[lo:lo + step]
+                V = add[mul[t, X[S][:, None]], X[p][:, None, None]]
+                others = np.searchsorted(codes, V.reshape(len(p), -1, width) @ weights)
+                grown[lo:lo + step] = np.sort(
+                    np.concatenate([S, p[:, None], others], axis=1), axis=1)
+            rows, sup = np.concatenate([new[:, None], rows[par]], axis=1), grown
+        pts = self.points
+        return [(Subspace(self.n, tuple(pts[i] for i in rows[r].tolist())),
+                 tuple(sup[r].tolist())) for r in range(len(sup))]
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -407,8 +383,7 @@ def standard_polar_space(family: str, n: int, F: FieldSpec) -> PolarSpace:
     fam = canonical_family(family)
     if fam == "hermitian" and not F.has_conjugation:
         raise GeometryError("hermitian family needs a field of square order")
-    if generator_dimension(fam, n) < 0:
-        raise GeometryError(f"{family} with n={n} has no singular points")
+    generator_dimension(fam, n)  # refuses an n with no polar space
     return PolarSpace(FormSpec(fam, n, F, _standard_matrix(fam, n, F)))
 
 
@@ -486,9 +461,8 @@ def make_cone(vertex: Subspace | None, base, F: FieldSpec,
     q = F.order
     ambient = len(base[0]) if base else vertex.ambient + 1
     # vectors of the vertex span, zero included
-    from itertools import product as iproduct
     vvecs = []
-    for coeffs in iproduct(F.elements(), repeat=vdim + 1):
+    for coeffs in product(F.elements(), repeat=vdim + 1):
         v = [0] * ambient
         for c, row in zip(coeffs, vertex.basis):
             if c:

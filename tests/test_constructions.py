@@ -160,6 +160,17 @@ def test_regulus_combination_reports_outcome():
     assert r1.codeword.weight == 10  # one shared line cancels twice
 
 
+def test_regulus_combination_lists_quadrics_lazily():
+    C._hyperbolic_quadrics.cache_clear()
+    assert C.cw_regulus_combination(2, 0).codeword.weight == 12
+    # the first disjoint pair is (0, 55): no quadric past 55 was listed
+    assert len(C._hyperbolic_quadrics(2)._items) == 56
+    # no two quadrics share 4 lines: every pair is tried, over all
+    # q^4 (q^3 - 1)(q^2 + 1) / 2 = 280 quadrics
+    assert C.cw_regulus_combination(2, 4) is None
+    assert len(C._hyperbolic_quadrics(2)._items) == 280
+
+
 def test_weights_respect_bounds():
     cases = [
         (C.cw_two_reguli(2), ("hyperbolic", 2, 2, 2)),

@@ -7,11 +7,13 @@ from math import isqrt
 
 import pytest
 
-from polarlab import gfcode, polarspace
+from polarlab import gfcode, polarspace, projspace
 from polarlab.gf import field_of_order
 from polarlab.projspace import (
     GeometryError,
     ResourceError,
+    Subspace,
+    rref,
     span,
     subspace_points,
     theta,
@@ -270,6 +272,7 @@ def brute_force_kspaces(P, k):
 @pytest.mark.parametrize("family,n,order,k", [
     ("Q", 4, 2, 1), ("W", 3, 2, 1), ("Qminus", 5, 2, 1), ("H", 3, 4, 1),
     ("Qplus", 5, 2, 1), ("Qplus", 5, 2, 2), ("Q", 6, 2, 2),
+    ("Qplus", 5, 3, 2), ("Q", 4, 3, 1), ("W", 3, 3, 1), ("Q", 4, 4, 1),
 ])
 def test_kspaces_match_brute_force(family, n, order, k):
     P = get_space(family, n, order)
@@ -301,11 +304,35 @@ def test_kspace_counts_match_closed_form(family, n, order):
     ("H", 5, 4, 2, "cf52a1721c787b13e328e314b9abb76350cb154e25fe298524589644701d3b36"),
     ("Q", 8, 2, 3, "478a037b47d1fc749a41a76fef7b4c93b703165dd32227ef61f5bbdab459c7b5"),
     ("Qplus", 7, 3, 1, "b1ba5a8f3b917010b9ea9a58969799ba769e91b2ebcdb7081cecb58003f558c5"),
+    # the deepest levels, as the greedy-basis enumerator before the pivot
+    # rule gave them
+    ("Qplus", 7, 3, 3, "e942a566b4f0ea37ad5c3a652d44a7993cf35790a6515a1fc78087964a31d5e2"),
+    ("Qplus", 9, 2, 4, "d4928c2738ceca62ba4a3ac6f05eaa999600a5c72b112ff5cccc6a6d08f59779"),
 ])
 def test_kspace_enum_supports_pinned(family, n, order, k, sha):
     P = get_space(family, n, order)
     supports = [list(sup) for _S, sup in P.singular_kspaces_with_supports(k)]
     assert hashlib.sha256(json.dumps(supports).encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("family,n,order", [("Q", 6, 2), ("Qplus", 5, 3)])
+def test_each_basis_is_an_rref_over_its_canonical_parent(family, n, order):
+    P = get_space(family, n, order)
+    parents = {S for S, _sup in P.singular_kspaces_with_supports(1)}
+    for S, _sup in P.singular_kspaces_with_supports(2):
+        assert rref(S.basis, P.F) == S.basis
+        assert Subspace(P.n, S.basis[1:]) in parents
+
+
+def test_enumeration_eliminates_nothing(monkeypatch):
+    P = standard_polar_space("Qplus", 7, field_of_order(2))
+    calls = []
+    real = projspace.rref
+    monkeypatch.setattr(projspace, "rref",
+                        lambda *args: calls.append(args) or real(*args))
+    for k in range(P.gen_dim + 1):
+        P.singular_kspaces_with_supports(k)
+    assert calls == []
 
 
 def test_refused_before_allocating(monkeypatch):
@@ -318,6 +345,39 @@ def test_refused_before_allocating(monkeypatch):
     with pytest.raises(gfcode.CodeError):
         gfcode.build_incidence(P, 1)
     assert P._adj is None and P._kspace_cache == {}
+
+
+def test_largest_level_refused_before_allocating(monkeypatch):
+    # the solids of Q+(7,2) fit a budget of 8000 bytes, its planes do not
+    P = standard_polar_space("Qplus", 7, field_of_order(2))
+    assert P.kspace_count(3) * theta(3, 2) < 8000 < P.kspace_count(2) * theta(2, 2)
+    monkeypatch.setattr(polarspace, "POINT_CAP", 1000)
+    with pytest.raises(ResourceError):
+        P.singular_kspaces_with_supports(3)
+    assert P._adj is None and P._kspace_cache == {}
+
+
+def test_output_rows_are_charged():
+    # the 621,712 lines of H(5,9) fit the supports and adjacency budgets,
+    # but one point mask per line does not
+    P = standard_polar_space("H", 5, field_of_order(9))
+    with pytest.raises(ResourceError, match="point masks"):
+        P.singular_kspaces_with_supports(1)
+    assert P._adj is None and P._kspace_cache == {}
+
+
+@pytest.mark.parametrize("family,n,order", [
+    ("elliptic", 0, 2), ("elliptic", 1, 3), ("parabolic", 3, 2), ("parabolic", 0, 3),
+    ("hyperbolic", 4, 2), ("hyperbolic", -1, 2), ("symplectic", 4, 2),
+    ("symplectic", 5, 3), ("hermitian", 0, 4),
+])
+def test_closed_forms_refuse_what_has_no_polar_space(family, n, order):
+    with pytest.raises(GeometryError):
+        polar_space_order(family, n, order)
+    with pytest.raises(GeometryError):
+        generator_dimension(family, n)
+    with pytest.raises(GeometryError):
+        standard_polar_space(family, n, field_of_order(order))
 
 
 def test_count_off_the_closed_form_is_an_error(monkeypatch):
