@@ -21,6 +21,7 @@ from .polarspace import (
     get_space,
 )
 from .gfcode import (
+    JSON_SCHEMA,
     CodeError,
     ScanRefused,
     build_incidence,
@@ -127,7 +128,7 @@ def cmd_scan(cfg: RunConfig) -> int:
         print(f"min nonzero weight: {nonzero[0]}")
         print(f"max weight: {nonzero[-1]}")
     if cfg.out:
-        payload = {"schema": "polar-code-lab/v1", "kind": "scan",
+        payload = {"schema": JSON_SCHEMA, "kind": "scan",
                    "run_config": asdict(cfg),
                    "mode": report["mode"], "rank": report["rank"],
                    "nullity": report["nullity"],

@@ -34,8 +34,8 @@ from .polarspace import (
 )
 from .gfcode import CodewordVec, IncidenceMatrix, build_incidence, is_dual_codeword
 from .kleinmap import (
-    common_transversals,
     klein_point,
+    klein_preimage,
     lineset_to_codeword,
     opposite_regulus,
     regular_spread,
@@ -178,21 +178,24 @@ class _Replay:
 def _hyperbolic_quadrics(q: int) -> _Replay:
     """Hyperbolic quadrics of PG(3,q) as (regulus, opposite regulus)
     pairs, each found from its first skew line triple in canonical order;
-    the regulus is the one through that triple."""
+    the regulus is the one through that triple.  Lines are skew when
+    their Klein points are not collinear, and a quadric is the plane of
+    its regulus's Klein points together with the polar plane."""
     F = field_of_order(q)
-    lines = enumerate_lines(3, F)
+    P = get_space("Qplus", 5, q)
+    at = [P.index[klein_point(L, F)] for L in enumerate_lines(3, F)]
 
     def quadrics():
-        skew = {(i, j): intersect(lines[i], lines[j], F) is None
-                for i, j in combinations(range(len(lines)), 2)}
+        adj = P.adjacency()
         seen = set()
-        for i, j, k in combinations(range(len(lines)), 3):
-            if skew[(i, j)] and skew[(i, k)] and skew[(j, k)]:
-                O = common_transversals(lines[i], lines[j], lines[k], F)
-                if frozenset(O) not in seen:
-                    R = common_transversals(*O[:3], F)
-                    seen.update((frozenset(R), frozenset(O)))
-                    yield R, O
+        for i, j, k in combinations(at, 3):
+            if adj[i] >> j & 1 or adj[i] >> k & 1 or adj[j] >> k & 1:
+                continue
+            plane = span([P.points[x] for x in (i, j, k)], F)
+            if plane not in seen:
+                perp = polar_image(P, plane)
+                seen.update((plane, perp))
+                yield klein_preimage(P, plane), klein_preimage(P, perp)
     return _Replay(quadrics())
 
 

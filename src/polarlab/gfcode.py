@@ -17,7 +17,6 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .projspace import theta
 from .polarspace import PolarSpace
 
 ROW_CAP = 10 ** 6
@@ -41,7 +40,6 @@ class IncidenceMatrix:
     n_cols: int
     p: int
     k: int
-    q: int  # ambient field order, for the theta row-weight check
 
     @property
     def n_rows(self) -> int:
@@ -106,7 +104,6 @@ def build_incidence(P: PolarSpace, k: int) -> IncidenceMatrix:
         n_cols=len(P.points),
         p=P.F.p,
         k=k,
-        q=P.F.order,
     )
 
 
@@ -314,11 +311,6 @@ def scan_dual_weights(A: IncidenceMatrix,
         "weights": weights,
         "window": weight_window,
     }
-
-
-def primal_row_weight_check(A: IncidenceMatrix) -> bool:
-    want = theta(A.k, A.q)
-    return all(len(sup) == want for sup in A.supports)
 
 
 def export_alist(A: IncidenceMatrix, path: str) -> str:

@@ -3,7 +3,14 @@
 Plucker coordinates are taken in the order (p01,p02,p03,p23,p31,p12), on
 which the quadric relation reads p01*p23 + p02*p31 + p03*p12 = 0.  The
 fixed permutation to (p01,p23,p02,p31,p03,p12) carries the image onto the
-standard hyperbolic form x0x1 + x2x3 + x4x5.
+standard hyperbolic form x0x1 + x2x3 + x4x5.  The inverse map is one
+table from Klein points to lines.
+
+Line geometry is read off the quadric: two lines meet iff their Klein
+points are collinear on Q+(5,q).  The regulus through three pairwise skew
+lines is the conic that Q+(5,q) cuts from the plane of their Klein
+points, and its opposite regulus, the lines meeting all of them, is the
+conic in the polar plane.
 
 Regular spreads come from field reduction of PG(1,q^2); their reguli
 through a fixed line are additive cosets of GF(q), pulled through a
@@ -13,20 +20,18 @@ Mobius map when the line is not the one at infinity.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .gf import FieldSpec, field_of_order, embed_subfield
 from .projspace import (
     GeometryError,
     Subspace,
-    contains_point,
     enumerate_lines,
-    enumerate_points,
-    incidence_with_hyperplanes,
-    intersect,
     normalize_point,
     span,
     subspace_points,
 )
+from .polarspace import PolarSpace, get_space, polar_image
 from .gfcode import CodewordVec
 
 # plucker index -> coordinate pair, in the fixed output order
@@ -34,7 +39,6 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
 
 # position of each plucker coordinate in the standard hyperbolic form
 _TO_QUADRIC = (0, 2, 4, 1, 3, 5)
-_FROM_QUADRIC = tuple(_TO_QUADRIC.index(i) for i in range(6))
 
 
 def plucker(L: Subspace, F: FieldSpec) -> tuple[int, ...]:
@@ -47,22 +51,10 @@ def plucker(L: Subspace, F: FieldSpec) -> tuple[int, ...]:
     return normalize_point(coords, F)
 
 
-def klein_relation(pt, F: FieldSpec) -> int:
-    p01, p02, p03, p23, p31, p12 = pt
-    return F.add(F.add(F.mul(p01, p23), F.mul(p02, p31)), F.mul(p03, p12))
-
-
 def to_quadric_point(pt, F: FieldSpec) -> tuple[int, ...]:
     """Permute plucker coordinates onto the standard Q+(5,q) form."""
     out = [0] * 6
     for i, pos in enumerate(_TO_QUADRIC):
-        out[pos] = pt[i]
-    return normalize_point(tuple(out), F)
-
-
-def from_quadric_point(pt, F: FieldSpec) -> tuple[int, ...]:
-    out = [0] * 6
-    for i, pos in enumerate(_FROM_QUADRIC):
         out[pos] = pt[i]
     return normalize_point(tuple(out), F)
 
@@ -73,52 +65,46 @@ def klein_point(L: Subspace, F: FieldSpec) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _plucker_table(F: FieldSpec) -> dict:
-    return {plucker(L, F): L for L in enumerate_lines(3, F)}
-
-
-def inverse_plucker(pt, F: FieldSpec) -> Subspace:
-    if klein_relation(pt, F) != 0:
-        raise GeometryError(f"{pt} is not on the Klein quadric")
-    return _plucker_table(F)[normalize_point(pt, F)]
+def _klein_table(F: FieldSpec) -> dict:
+    return {klein_point(L, F): L for L in enumerate_lines(3, F)}
 
 
 def inverse_klein_point(pt, F: FieldSpec) -> Subspace:
-    return inverse_plucker(from_quadric_point(pt, F), F)
+    L = _klein_table(F).get(normalize_point(pt, F))
+    if L is None:
+        raise GeometryError(f"{pt} is not on the Klein quadric")
+    return L
 
 
-def lines_skew(L1: Subspace, L2: Subspace, F: FieldSpec) -> bool:
-    return intersect(L1, L2, F) is None
+def klein_preimage(P: PolarSpace, S: Subspace) -> list[Subspace]:
+    """The lines of PG(3,q) whose Klein points lie in the subspace S of
+    PG(5,q), sorted; P is the standard Q+(5,q)."""
+    return sorted(inverse_klein_point(x, P.F)
+                  for x in subspace_points(S, P.F) if x in P.index)
 
 
-def _transversal_through(x, L2: Subspace, L3: Subspace, F: FieldSpec) -> Subspace:
-    pl2 = span(list(L2.basis) + [x], F)
-    pl3 = span(list(L3.basis) + [x], F)
-    T = intersect(pl2, pl3, F)
-    if T is None or T.dim != 1:
-        raise GeometryError("no transversal line through the point")
-    return T
-
-
-def common_transversals(L1: Subspace, L2: Subspace, L3: Subspace,
-                        F: FieldSpec) -> list[Subspace]:
-    """The q+1 lines meeting three pairwise skew lines of PG(3,q)."""
-    for A, B in ((L1, L2), (L1, L3), (L2, L3)):
-        if not lines_skew(A, B, F):
-            raise GeometryError("lines are not pairwise skew")
-    out = [_transversal_through(x, L2, L3, F) for x in subspace_points(L1, F)]
-    return sorted(set(out))
+def _regulus_plane(L1: Subspace, L2: Subspace, L3: Subspace, F: FieldSpec):
+    """Q+(5,q) and the plane of the Klein points of three pairwise skew
+    lines of PG(3,q)."""
+    P = get_space("Qplus", 5, F.order)
+    pts = [klein_point(L, F) for L in (L1, L2, L3)]
+    if any(P.collinear(x, y) for x, y in combinations(pts, 2)):
+        raise GeometryError("lines are not pairwise skew")
+    return P, span(pts, F)
 
 
 def regulus_through(L1: Subspace, L2: Subspace, L3: Subspace,
                     F: FieldSpec) -> list[Subspace]:
-    """The q+1 pairwise skew lines through every common transversal."""
-    T = common_transversals(L1, L2, L3, F)
-    return common_transversals(T[0], T[1], T[2], F)
+    """The q+1 pairwise skew lines through every common transversal of
+    three pairwise skew lines: a conic section of Q+(5,q)."""
+    return klein_preimage(*_regulus_plane(L1, L2, L3, F))
 
 
 def opposite_regulus(R, F: FieldSpec) -> list[Subspace]:
-    return common_transversals(R[0], R[1], R[2], F)
+    """The q+1 lines meeting every line of a regulus: the conic in the
+    polar plane."""
+    P, plane = _regulus_plane(*R[:3], F)
+    return klein_preimage(P, polar_image(P, plane))
 
 
 @lru_cache(maxsize=None)
@@ -212,45 +198,6 @@ def normalize_pair(p, K: FieldSpec) -> tuple[int, int]:
     if a:
         return (1, K.mul(K.inv(a), b))
     return (0, 1)
-
-
-def check_line_conditions(symbols: dict, F: FieldSpec, parity_mode: str) -> dict:
-    """Check a symbol-weighted line set of PG(3,q).
-
-    dual_codeword mode: every plane and every point sees 0 or >= 2 lines
-    of the set, and the symbol sums over the lines in a plane and through
-    a point vanish mod p.  odd_blocking mode: every plane and every point
-    sees an odd number of lines."""
-    if parity_mode not in ("dual_codeword", "odd_blocking"):
-        raise GeometryError(f"unknown parity mode {parity_mode!r}")
-    p = F.p
-    lines = list(symbols)
-    points = enumerate_points(3, F)  # also the planes, in dual coordinates
-    # a line lies in a plane when both of its basis rows do
-    on = incidence_with_hyperplanes([r for L in lines for r in L.basis], 3, F)
-    on = on.reshape(len(lines), 2, len(points)).all(axis=1)
-
-    def through_point(j):
-        return [L for L in lines if contains_point(L, points[j], F)]
-
-    def in_plane(j):
-        return [L for L, hit in zip(lines, on[:, j].tolist()) if hit]
-
-    for kind, picker in (("point", through_point), ("plane", in_plane)):
-        for j, obj in enumerate(points):
-            hit = picker(j)
-            if parity_mode == "odd_blocking":
-                if len(hit) % 2 == 0:
-                    return {"ok": False, "condition": f"odd count at {kind}",
-                            "witness": obj, "count": len(hit)}
-            else:
-                if len(hit) == 1:
-                    return {"ok": False, "condition": f"0-or-2 at {kind}",
-                            "witness": obj, "count": 1}
-                if sum(symbols[L] for L in hit) % p:
-                    return {"ok": False, "condition": f"symbol sum at {kind}",
-                            "witness": obj}
-    return {"ok": True, "condition": None, "witness": None}
 
 
 def lineset_to_codeword(symbols: dict, P: PolarSpace) -> CodewordVec:

@@ -62,11 +62,6 @@ def enumerate_points(n: int, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(pts)
 
 
-@lru_cache(maxsize=None)
-def point_index(n: int, F: FieldSpec) -> dict:
-    return {pt: i for i, pt in enumerate(enumerate_points(n, F))}
-
-
 @dataclass(frozen=True, order=True)
 class Subspace:
     ambient: int
@@ -176,13 +171,13 @@ def intersect(S: Subspace, T: Subspace, F: FieldSpec) -> Subspace | None:
 
 @lru_cache(maxsize=None)
 def enumerate_lines(n: int, F: FieldSpec) -> tuple[Subspace, ...]:
+    """All lines of PG(n,q), sorted by basis.  The RREF rows (a, b) of a
+    line are points with lead(a) < lead(b) and a zero in a at lead(b);
+    pairing the points in the global order lists each line once, sorted."""
     pts = enumerate_points(n, F)
-    seen = {}
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            L = span([pts[i], pts[j]], F)
-            seen.setdefault(L.basis, L)
-    return tuple(seen[k] for k in sorted(seen))
+    lead = [p.index(1) for p in pts]
+    return tuple(Subspace(n, (a, b)) for a, la in zip(pts, lead)
+                 for b, lb in zip(pts, lead) if la < lb and not a[lb])
 
 
 def hyperplanes(n: int, F: FieldSpec) -> tuple[tuple[int, ...], ...]:

@@ -206,11 +206,6 @@ def decompose_sum_of_lines(P: PolarSpace, W: WeightedPointSet):
     return peel(w0, total // (q + 1))
 
 
-def outside_lemma_hypothesis(x: int, q: int) -> bool:
-    """The decomposition guarantee assumes x < q/2."""
-    return not x < q / 2
-
-
 def find_spread(P: PolarSpace):
     """First spread in canonical order, by exact-cover backtracking over
     the singular lines; None if the space has no spread."""

@@ -171,6 +171,16 @@ def test_regulus_combination_lists_quadrics_lazily():
     assert len(C._hyperbolic_quadrics(2)._items) == 280
 
 
+def test_hyperbolic_quadrics_pinned():
+    # the (regulus, opposite regulus) bases of all 280 quadrics of PG(3,2),
+    # in listing order
+    pairs = [(tuple(L.basis for L in R), tuple(L.basis for L in O))
+             for R, O in C._hyperbolic_quadrics(2)]
+    assert len(pairs) == 280
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
+        "4dc7e99f6fd0825b580f422e7585bc3bb312b16ad110d71c439706713afe9236")
+
+
 def test_weights_respect_bounds():
     cases = [
         (C.cw_two_reguli(2), ("hyperbolic", 2, 2, 2)),

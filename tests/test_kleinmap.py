@@ -1,13 +1,17 @@
 import pytest
 
 from polarlab.gf import field_of_order
-from polarlab.projspace import enumerate_lines, intersect, span, subspace_points
+from polarlab.gfcode import CodewordVec, build_incidence, is_dual_codeword
+from polarlab.projspace import (
+    GeometryError,
+    enumerate_lines,
+    intersect,
+    span,
+    subspace_points,
+)
 from polarlab.polarspace import get_space
 from polarlab.kleinmap import (
-    check_line_conditions,
-    common_transversals,
     inverse_klein_point,
-    inverse_plucker,
     klein_point,
     lineset_to_codeword,
     normalize_pair,
@@ -16,7 +20,15 @@ from polarlab.kleinmap import (
     reguli_partition_through,
     regular_spread,
     regulus_through,
+    to_quadric_point,
 )
+
+
+def skew_triple(F):
+    L1 = span([(1, 0, 0, 0), (0, 1, 0, 0)], F)
+    L2 = span([(0, 0, 1, 0), (0, 0, 0, 1)], F)
+    L3 = span([(1, 0, 1, 0), (0, 1, 0, 1)], F)
+    return L1, L2, L3
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -53,15 +65,16 @@ def test_plucker_relation_and_inverse():
         terms = F.add(terms, F.mul(c[1], c[4]))
         terms = F.add(terms, F.mul(c[2], c[5]))
         assert terms == 0
-        assert inverse_plucker(c, F) == L
+        assert inverse_klein_point(to_quadric_point(c, F), F) == L
+    # x0 x1 = 1: not a Klein point
+    with pytest.raises(GeometryError):
+        inverse_klein_point((1, 1, 0, 0, 0, 0), F)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_regulus_and_opposite(q):
     F = field_of_order(q)
-    L1 = span([(1, 0, 0, 0), (0, 1, 0, 0)], F)
-    L2 = span([(0, 0, 1, 0), (0, 0, 0, 1)], F)
-    L3 = span([(1, 0, 1, 0), (0, 1, 0, 1)], F)
+    L1, L2, L3 = skew_triple(F)
     R = regulus_through(L1, L2, L3, F)
     assert len(R) == q + 1 and {L1, L2, L3} <= set(R)
     O = opposite_regulus(R, F)
@@ -78,11 +91,29 @@ def test_regulus_and_opposite(q):
 
 def test_common_transversals_count():
     F = field_of_order(3)
-    L1 = span([(1, 0, 0, 0), (0, 1, 0, 0)], F)
-    L2 = span([(0, 0, 1, 0), (0, 0, 0, 1)], F)
-    L3 = span([(1, 0, 1, 0), (0, 1, 0, 1)], F)
-    T = common_transversals(L1, L2, L3, F)
+    T = opposite_regulus(regulus_through(*skew_triple(F), F), F)
     assert len(T) == 4  # q+1 transversals to three pairwise skew lines
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("triple", ["canonical", "spread"])
+def test_opposite_regulus_is_the_transversals(q, triple):
+    # reference: the lines of PG(3,q) that meet all three, by intersect
+    F = field_of_order(q)
+    L = skew_triple(F) if triple == "canonical" else regular_spread(q)[:3]
+    meeting = [M for M in enumerate_lines(3, F)
+               if all(intersect(M, A, F) is not None for A in L)]
+    assert opposite_regulus(regulus_through(*L, F), F) == meeting
+
+
+def test_regulus_through_meeting_lines_is_refused():
+    F = field_of_order(3)
+    L1, L2, L3 = skew_triple(F)
+    meets_L1 = span([(1, 0, 0, 0), (0, 0, 1, 0)], F)
+    with pytest.raises(GeometryError):
+        regulus_through(L1, meets_L1, L2, F)
+    with pytest.raises(GeometryError):
+        regulus_through(L1, L2, L2, F)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -135,36 +166,45 @@ def test_normalize_pair():
     assert normalize_pair((1, 1), F) == (1, 1)
 
 
+# The planes of Q+(5,q) are the Klein images of the points and of the
+# planes of PG(3,q), so a symbol-weighted line set satisfies the line
+# conditions exactly when its Klein image is a dual codeword of planes.
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_line_conditions_for_regulus_pair(q):
     F = field_of_order(q)
-    L1 = span([(1, 0, 0, 0), (0, 1, 0, 0)], F)
-    L2 = span([(0, 0, 1, 0), (0, 0, 0, 1)], F)
-    L3 = span([(1, 0, 1, 0), (0, 1, 0, 1)], F)
-    R = regulus_through(L1, L2, L3, F)
+    P = get_space("Qplus", 5, q)
+    R = regulus_through(*skew_triple(F), F)
     O = opposite_regulus(R, F)
     symbols = {L: 1 for L in R}
     symbols.update({L: q - 1 for L in O})
-    verdict = check_line_conditions(symbols, F, parity_mode="dual_codeword")
-    assert verdict["ok"], verdict
+    ok, row = is_dual_codeword(lineset_to_codeword(symbols, P), build_incidence(P, 2))
+    assert ok, row
 
 
 def test_line_conditions_reject_unbalanced_set():
     F = field_of_order(2)
+    P = get_space("Qplus", 5, 2)
     lines = enumerate_lines(3, F)
-    verdict = check_line_conditions({lines[0]: 1}, F,
-                                    parity_mode="dual_codeword")
-    assert not verdict["ok"]
-    assert verdict["witness"] is not None
+    ok, row = is_dual_codeword(lineset_to_codeword({lines[0]: 1}, P),
+                               build_incidence(P, 2))
+    assert not ok
+    assert row is not None
 
 
 @pytest.mark.parametrize("q", [2])
 def test_switched_spread_satisfies_odd_conditions(q):
+    # every point and plane of PG(3,q) sees an odd number of the lines:
+    # q^2+q+1 is odd, so the complement of the image is a dual codeword
     from polarlab.constructions import switched_line_set
     F = field_of_order(q)
-    symbols = switched_line_set(q, 1)
-    verdict = check_line_conditions(symbols, F, parity_mode="odd_blocking")
-    assert verdict["ok"], verdict
+    P = get_space("Qplus", 5, q)
+    image = {P.index[klein_point(L, F)] for L in switched_line_set(q, 1)}
+    rest = CodewordVec({j: 1 for j in range(len(P.points)) if j not in image},
+                       len(P.points), 2)
+    ok, row = is_dual_codeword(rest, build_incidence(P, 2))
+    assert ok, row
 
 
 def test_lineset_to_codeword_support():

@@ -1,10 +1,13 @@
-"""Every name that src/polarlab defines has a caller.
+"""Every name that src/polarlab defines has a caller and every import a use.
 
 A module-level function, class or constant, or a method, must occur
 somewhere in src/, scripts/, tests/ or perfbench/ besides its own
 definition.  Occurrences are identifier tokens in code and identifiers
 inside string literals (perfbench/tracing.py looks functions up by name);
 comments do not count.  Dunder names are exempt.
+
+Every name a module of src/polarlab imports is also read in that module,
+so deleting a caller cannot leave a stale import behind.
 """
 
 import ast
@@ -65,3 +68,30 @@ def unreferenced(root: Path = ROOT) -> list[str]:
 
 def test_every_definition_has_a_caller():
     assert unreferenced() == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads; in __init__.py a name
+    listed in __all__ counts as read."""
+    tree = ast.parse(path.read_text())
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.value.id for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    if path.name == "__init__.py":
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_every_import_is_used():
+    package = ROOT / "src" / "polarlab"
+    found = {path.name: unused_imports(path) for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

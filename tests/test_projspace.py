@@ -18,7 +18,6 @@ from polarlab.projspace import (
     intersect,
     normalize_point,
     nullspace,
-    point_index,
     span,
     subspace_points,
     theta,
@@ -46,12 +45,13 @@ def test_line_counts(n, q):
         assert len(subspace_points(L, F)) == q + 1
 
 
-def test_point_index_roundtrip():
-    F = field_of_order(3)
-    pts = enumerate_points(3, F)
-    idx = point_index(3, F)
-    for i, p in enumerate(pts):
-        assert idx[p] == i
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_lines_match_brute_force(n, q):
+    # reference: the span of every pair of points, duplicates removed
+    F = field_of_order(q)
+    pts = enumerate_points(n, F)
+    spans = {span([x, y], F) for i, x in enumerate(pts) for y in pts[i + 1:]}
+    assert enumerate_lines(n, F) == tuple(sorted(spans))
 
 
 @given(st.sampled_from([2, 3, 4]), st.data())

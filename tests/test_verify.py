@@ -21,7 +21,6 @@ from polarlab.verify import (
     is_minihyper,
     is_ovoid,
     is_spread,
-    outside_lemma_hypothesis,
 )
 from polarlab.constructions import elliptic_hyperplane_section
 
@@ -166,7 +165,3 @@ def test_decompose_rejects_bad_total(q42):
     with pytest.raises(GeometryError):
         decompose_sum_of_lines(q42, W)
 
-
-def test_outside_lemma_hypothesis():
-    assert outside_lemma_hypothesis(4, 8)
-    assert not outside_lemma_hypothesis(3, 8)
