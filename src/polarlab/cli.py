@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -54,8 +53,12 @@ class RunConfig:
     window: tuple | None = None
     partial: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+    def payload_fields(self) -> dict:
+        """The fields without `out`: payload bytes must not depend on the
+        path they are written to."""
+        fields = asdict(self)
+        fields.pop("out")
+        return fields
 
 
 def _space(family: str, n: int, q: int):
@@ -103,11 +106,9 @@ def cmd_construct(cfg: RunConfig) -> int:
     if not ok_dual:
         print(f"failing incidence row: {witness}")
     if cfg.out:
-        run_config = asdict(cfg)
-        run_config.pop("out")  # payload bytes must not depend on the path
         meta = {"construction": cfg.construction, "params": cfg.params,
                 "predicted_weight": result.predicted_weight,
-                "run_config": run_config}
+                "run_config": cfg.payload_fields()}
         sha = export_json(codeword_payload(result.codeword, meta), cfg.out)
         print(f"wrote {cfg.out} sha256={sha}")
     return EXIT_OK if verdict else EXIT_VERIFY
@@ -129,7 +130,7 @@ def cmd_scan(cfg: RunConfig) -> int:
         print(f"max weight: {nonzero[-1]}")
     if cfg.out:
         payload = {"schema": JSON_SCHEMA, "kind": "scan",
-                   "run_config": asdict(cfg),
+                   "run_config": cfg.payload_fields(),
                    "mode": report["mode"], "rank": report["rank"],
                    "nullity": report["nullity"],
                    "weights": {str(w): c for w, c in sorted(weights.items())}}

@@ -57,33 +57,14 @@ def _poly_divmod(a, b, p):
     return quo, a
 
 
-def _has_root(coeffs, p) -> bool:
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return True
-    return False
-
-
 def _is_irreducible(coeffs, p) -> bool:
-    """coeffs: monic, degree h <= 4, low-first."""
+    """coeffs: monic, low-first.  Trial division by every monic
+    polynomial of degree 1..h//2."""
     h = len(coeffs) - 1
-    if h == 1:
-        return True
-    if _has_root(coeffs, p):
-        return False
-    if h <= 3:
-        return True
-    # degree 4: also exclude products of two irreducible quadratics
-    for b in range(p):
-        for c in range(p):
-            quad = [c, b, 1]
-            if _has_root(quad, p):
-                continue
-            _, rem = _poly_divmod(coeffs, quad, p)
-            if not rem:
+    for d in range(1, h // 2 + 1):
+        for tail in range(p ** d):
+            divisor = [tail // p ** i % p for i in range(d)] + [1]
+            if not _poly_divmod(coeffs, divisor, p)[1]:
                 return False
     return True
 
@@ -250,31 +231,3 @@ def field_of_order(q: int) -> FieldSpec:
             return make_field(p, h)
     raise FieldError(f"{q} is not a prime power")
 
-
-def embed_subfield(sub: FieldSpec, big: FieldSpec):
-    """Embedding GF(q) -> GF(q^m) sending the residue class of x to a root
-    of sub's modulus.  Returns (emb list, inverse dict)."""
-    if big.p != sub.p or big.h % sub.h:
-        raise FieldError(f"{sub} does not embed in {big}")
-    root = None
-    for r in big.elements():
-        acc = 0
-        for c in reversed(sub.modulus):
-            acc = big.add(big.mul(acc, r), c % big.p)
-        if acc == 0:
-            root = r
-            break
-    if root is None:
-        raise FieldError("no root of subfield modulus found")
-    emb = []
-    for a in sub.elements():
-        acc = 0
-        digits = []
-        aa = a
-        for _ in range(sub.h):
-            digits.append(aa % sub.p)
-            aa //= sub.p
-        for d in reversed(digits):
-            acc = big.add(big.mul(acc, root), d)
-        emb.append(acc)
-    return emb, {v: i for i, v in enumerate(emb)}

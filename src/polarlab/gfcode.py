@@ -377,16 +377,3 @@ def export_json(payload: dict, path: str) -> str:
         fh.write(data)
     return hashlib.sha256(data.encode()).hexdigest()
 
-
-def import_json(path: str) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("schema") != JSON_SCHEMA:
-        raise CodeError(f"unsupported schema {payload.get('schema')!r}")
-    return payload
-
-
-def codeword_from_payload(payload: dict) -> CodewordVec:
-    cw = payload["codeword"]
-    return CodewordVec({int(c): int(s) for c, s in cw["support"]},
-                       cw["n_cols"], cw["p"])

@@ -12,9 +12,11 @@ lines is the conic that Q+(5,q) cuts from the plane of their Klein
 points, and its opposite regulus, the lines meeting all of them, is the
 conic in the polar plane.
 
-Regular spreads come from field reduction of PG(1,q^2); their reguli
-through a fixed line are additive cosets of GF(q), pulled through a
-Mobius map when the line is not the one at infinity.
+The regular spread is PG(1,q^2) read over GF(q), with GF(q) arithmetic
+only: xi, a root of the least irreducible t^2 + bt + c, multiplies each
+coordinate pair (x0, x1) = x0 + x1 xi of GF(q)^4 as (-c x1, x0 - b x1),
+and each point of PG(1,q^2) is a line <v, xi v>.  Its reguli through a
+spread line are the Baer sublines through it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .gf import FieldSpec, field_of_order, embed_subfield
+from .gf import FieldSpec, field_of_order
 from .projspace import (
     GeometryError,
     Subspace,
@@ -30,8 +32,15 @@ from .projspace import (
     normalize_point,
     span,
     subspace_points,
+    vec_add,
+    vec_scale,
 )
-from .polarspace import PolarSpace, get_space, polar_image
+from .polarspace import (
+    PolarSpace,
+    get_space,
+    least_irreducible_binary_quadratic,
+    polar_image,
+)
 from .gfcode import CodewordVec
 
 # plucker index -> coordinate pair, in the fixed output order
@@ -107,97 +116,51 @@ def opposite_regulus(R, F: FieldSpec) -> list[Subspace]:
     return klein_preimage(P, polar_image(P, plane))
 
 
-@lru_cache(maxsize=None)
-def _field_reduction(q: int):
-    """Tables for viewing PG(3,q) as PG(1,q^2) over a basis (1, xi)."""
-    F = field_of_order(q)
-    K = field_of_order(q * q)
-    emb, back = embed_subfield(F, K)
-    image = set(emb)
-    xi = min(a for a in K.elements() if a not in image)
-    decomp = {}
-    for c0 in F.elements():
-        for c1 in F.elements():
-            decomp[K.add(emb[c0], K.mul(emb[c1], xi))] = (c0, c1)
-    return F, K, emb, xi, decomp
+def _times_xi(v, F: FieldSpec) -> tuple[int, ...]:
+    """Multiplication by xi on each coordinate pair (x0, x1) = x0 + x1 xi,
+    where xi is a root of the least irreducible t^2 + bt + c over F."""
+    b, c = least_irreducible_binary_quadratic(F)
+    out = []
+    for x0, x1 in zip(v[::2], v[1::2]):
+        out += [F.mul(F.neg(c), x1), F.sub(x0, F.mul(b, x1))]
+    return tuple(out)
 
 
-def _kpair_to_line(a: int, b: int, q: int) -> Subspace:
-    """Line of PG(3,q) spanned by the GF(q)-span of the GF(q^2) vector
-    (a,b) under coordinates (a0,a1,b0,b1)."""
-    F, K, emb, xi, decomp = _field_reduction(q)
-    rows = []
-    for s in (1, xi):
-        sa, sb = K.mul(s, a), K.mul(s, b)
-        rows.append(decomp[sa] + decomp[sb])
-    return span(rows, F)
-
-
-def _pg1_points(q: int):
-    """Points of PG(1,q^2) as normalized pairs: (1, b) and (0, 1)."""
-    _F, K, *_ = _field_reduction(q)
-    return [(1, b) for b in K.elements()] + [(0, 1)]
+def _xi_line(v, F: FieldSpec) -> Subspace:
+    """The line <v, xi v>: the GF(q^2)-point of v as a line of PG(3,q)."""
+    return span([v, _times_xi(v, F)], F)
 
 
 @lru_cache(maxsize=None)
 def regular_spread(q: int) -> tuple[Subspace, ...]:
-    """Field-reduction spread: q^2+1 pairwise skew lines of PG(3,q)."""
-    return tuple(_kpair_to_line(a, b, q) for a, b in _pg1_points(q))
-
-
-@lru_cache(maxsize=None)
-def _spread_line_to_kpoint(q: int) -> dict:
-    return {L: ab for ab, L in zip(_pg1_points(q), regular_spread(q))}
+    """The q^2+1 points of PG(1,q^2) as pairwise skew lines <v, xi v>:
+    v = (1, 0, b0, b1) in lexicographic order, then v = (0, 0, 1, 0)."""
+    F = field_of_order(q)
+    vs = [(1, 0, b0, b1) for b0 in F.elements() for b1 in F.elements()]
+    return tuple(_xi_line(v, F) for v in vs + [(0, 0, 1, 0)])
 
 
 def reguli_partition_through(T, L: Subspace, q: int) -> list[list[Subspace]]:
     """q reguli of the regular spread through L, pairwise sharing only L
-    and jointly covering the spread."""
-    T = set(T)
-    if T != set(regular_spread(q)):
+    and jointly covering the spread.
+
+    With u = L.basis[0] and w not on L, the spread lines other than L
+    are those of z u + w for z in GF(q^2); the regulus for a1 takes the
+    coset z = x0 + a1 xi of GF(q), a Baer subline through L."""
+    if set(T) != set(regular_spread(q)):
         raise GeometryError("expected the regular spread")
     if L not in T:
         raise GeometryError("line is not in the spread")
-    F, K, emb, xi, decomp = _field_reduction(q)
-    kpt = _spread_line_to_kpoint(q)[L]
-
-    # Mobius map sending the K-coordinate of L to infinity; identity when
-    # L is already the line at infinity (0:1), i.e. z = infinity
-    def mob_inv(z):  # K value or None for infinity, back to a PG(1) pair
-        if kpt == (0, 1):
-            return (1, z) if z is not None else (0, 1)
-        # m(z) = 1/(z - c) with c the coordinate of L; inverse z = c + 1/w
-        c = kpt[1]
-        if z is None:
-            return (1, c)
-        return (0, 1) if z == 0 else (1, K.add(c, K.inv(z)))
-
-    subfield = [emb[c] for c in F.elements()]
-    cosets: list[list[int]] = []
-    seen = set()
-    for a in K.elements():
-        if a in seen:
-            continue
-        coset = sorted(K.add(a, s) for s in subfield)
-        seen.update(coset)
-        cosets.append(coset)
-    assert len(cosets) == q
-    spread_of = {ab: Ln for Ln, ab in _spread_line_to_kpoint(q).items()}
+    F = field_of_order(q)
+    u = L.basis[0]
+    w = (1, 0, 0, 0) if u == (0, 0, 1, 0) else (0, 0, 1, 0)
+    xu = _times_xi(u, F)
     out = []
-    for coset in cosets:
-        pts = [mob_inv(None)] + [mob_inv(z) for z in coset]
-        reg = sorted({spread_of[normalize_pair(p, K)] for p in pts})
-        if len(reg) != q + 1:
-            raise GeometryError("regulus construction degenerated")
-        out.append(reg)
+    for a1 in F.elements():
+        shift = vec_add(vec_scale(a1, xu, F), w, F)
+        out.append(sorted([L] + [_xi_line(vec_add(vec_scale(x0, u, F), shift, F), F)
+                                 for x0 in F.elements()]))
     return out
-
-
-def normalize_pair(p, K: FieldSpec) -> tuple[int, int]:
-    a, b = p
-    if a:
-        return (1, K.mul(K.inv(a), b))
-    return (0, 1)
 
 
 def lineset_to_codeword(symbols: dict, P: PolarSpace) -> CodewordVec:

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 from math import ceil, isqrt
 
 import numpy as np
@@ -47,6 +46,7 @@ from .projspace import (
     form_values,
     normalize_point,
     nullspace,
+    span,
     subspace_points,
     theta,
 )
@@ -72,6 +72,7 @@ def canonical_family(name: str) -> str:
     return fam
 
 
+@lru_cache(maxsize=None)
 def least_irreducible_binary_quadratic(F: FieldSpec) -> tuple[int, int]:
     """Least (b,c) with t^2 + b t + c irreducible over F."""
     for b in F.elements():
@@ -457,27 +458,17 @@ def make_cone(vertex: Subspace | None, base, F: FieldSpec,
     if vertex is None or not vertex.basis:
         pts = sorted(set(base))
         return Cone(vertex, base, tuple(pts), truncated)
-    vdim = vertex.dim
-    q = F.order
-    ambient = len(base[0]) if base else vertex.ambient + 1
-    # vectors of the vertex span, zero included
-    vvecs = []
-    for coeffs in product(F.elements(), repeat=vdim + 1):
-        v = [0] * ambient
-        for c, row in zip(coeffs, vertex.basis):
-            if c:
-                v = [F.add(a, F.mul(c, b)) for a, b in zip(v, row)]
-        vvecs.append(tuple(v))
+    vertex_pts = set(subspace_points(vertex, F))
     pts = set()
     for b in base:
-        for w in vvecs:
-            pts.add(normalize_point(tuple(F.add(x, y) for x, y in zip(b, w)), F))
-    expected = q ** (vdim + 1) * len(base)
+        pts.update(subspace_points(span(vertex.basis + (b,), F), F))
+    pts -= vertex_pts
+    expected = F.order ** (vertex.dim + 1) * len(base)
     if len(pts) != expected:
         raise GeometryError(
             f"degenerate cone: {len(pts)} points, expected {expected}")
     if not truncated:
-        pts.update(subspace_points(vertex, F))
+        pts |= vertex_pts
     return Cone(vertex, base, tuple(sorted(pts)), truncated)
 
 

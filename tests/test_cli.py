@@ -126,8 +126,8 @@ def test_export_requires_out(capsys):
 def test_run_config_is_serializable():
     cfg = parse_config(["construct", "regulus-switch", "--q", "4", "--i",
                         "1"])
-    blob = cfg.to_json()
-    data = json.loads(blob)
+    data = json.loads(json.dumps(cfg.payload_fields(), sort_keys=True))
+    assert "out" not in data
     assert data["construction"] == "regulus-switch"
     assert data["params"] == {"q": 4, "i": 1}
 
@@ -136,6 +136,14 @@ def test_same_config_same_bytes(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
         run(capsys, "construct", "two-reguli", "--q", "2",
+            "--out", str(path))
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_same_scan_same_bytes(capsys, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        run(capsys, "scan", "--family", "Q", "--n", "4", "--q", "2",
             "--out", str(path))
     assert a.read_bytes() == b.read_bytes()
 

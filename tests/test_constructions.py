@@ -54,7 +54,8 @@ def test_two_pencils(q, expected):
 
 @pytest.mark.parametrize("q,i,expected", [(2, 0, 30), (2, 1, 28),
                                           (4, 0, 340), (4, 1, 338),
-                                          (4, 2, 336)])
+                                          (4, 2, 336), (8, 0, 4680),
+                                          (8, 4, 4672)])
 def test_regulus_switch(q, i, expected):
     r = check(C.cw_regulus_switch(q, i))
     assert r.predicted_weight == expected
@@ -68,7 +69,8 @@ def test_regulus_switch_rejects_bad_parameters():
 
 
 @pytest.mark.parametrize("family,q,expected", [("Q", 2, 10), ("Q", 4, 68),
-                                               ("Qplus", 2, 30)])
+                                               ("Qplus", 2, 30),
+                                               ("Qplus", 8, 4680)])
 def test_complement_ovoid(family, q, expected):
     r = check(C.cw_complement_ovoid(family, q))
     assert r.predicted_weight == expected

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from polarlab.gf import field_of_order
@@ -14,7 +16,6 @@ from polarlab.kleinmap import (
     inverse_klein_point,
     klein_point,
     lineset_to_codeword,
-    normalize_pair,
     opposite_regulus,
     plucker,
     reguli_partition_through,
@@ -116,7 +117,7 @@ def test_regulus_through_meeting_lines_is_refused():
         regulus_through(L1, L2, L2, F)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 8])
 def test_regular_spread(q):
     F = field_of_order(q)
     T = regular_spread(q)
@@ -132,7 +133,7 @@ def test_regular_spread(q):
     assert set(R) <= set(T)
 
 
-@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("q", [2, 4, 8])
 def test_reguli_partition_through(q):
     F = field_of_order(q)
     T = regular_spread(q)
@@ -147,6 +148,33 @@ def test_reguli_partition_through(q):
         assert not rest
 
 
+def _bases_sha(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+# sha256 of the sorted spread bases and of the sorted partitions through
+# the first and last spread line, as built by field reduction over GF(q^2)
+SPREAD_PINS = {
+    2: ("c0e02ad4c87d062ef81e3353aacf059bd747ac55da836e52ae2fc3f6c53cd4a3",
+        "56ddfdae9d4cb5021cd69034aee009903d7aaf48d9ad26f9843f01caa81ca726",
+        "3f5869fcc1ec23b61eb8d1bf6deea99803120c815005b29821620afaccb680c8"),
+    4: ("8bf9c1f524680077ca70fd5e5a97bb3dcd710c380649dbe7d8819481d3b43211",
+        "cfd78b5324363133d747fd4ea13623ba6492ee717bf7420cf06eb36a351e20f2",
+        "2ec7319f7d4eccc84ce83586794a1d230f5c1738d5b2409ba0a67ddcac2edebf"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(SPREAD_PINS))
+def test_spread_and_partitions_pinned(q):
+    T = regular_spread(q)
+    shas = [_bases_sha(sorted(L.basis for L in T))]
+    for L in (T[0], T[-1]):
+        regs = reguli_partition_through(T, L, q)
+        shas.append(_bases_sha(sorted(tuple(M.basis for M in reg)
+                                      for reg in regs)))
+    assert tuple(shas) == SPREAD_PINS[q]
+
+
 def test_klein_spread_image_is_an_ovoid_cap(q=3):
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
@@ -156,14 +184,6 @@ def test_klein_spread_image_is_an_ovoid_cap(q=3):
     for i, x in enumerate(img):
         for y in img[i + 1:]:
             assert not P.collinear(x, y)
-
-
-def test_normalize_pair():
-    # projective-line coordinates over GF(3)
-    F = field_of_order(3)
-    assert normalize_pair((2, 1), F) == (1, 2)
-    assert normalize_pair((0, 2), F) == (0, 1)
-    assert normalize_pair((1, 1), F) == (1, 1)
 
 
 # The planes of Q+(5,q) are the Klein images of the points and of the
