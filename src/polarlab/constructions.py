@@ -246,7 +246,7 @@ def switched_line_set(q: int, i: int) -> dict:
     F = field_of_order(q)
     T = regular_spread(q)
     L = T[0]
-    regs = reguli_partition_through(T, L, q)
+    regs = reguli_partition_through(L, q)
     switched = set(T)
     for reg in regs[:2 * i]:
         switched.difference_update(reg)

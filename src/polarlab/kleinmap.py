@@ -140,17 +140,15 @@ def regular_spread(q: int) -> tuple[Subspace, ...]:
     return tuple(_xi_line(v, F) for v in vs + [(0, 0, 1, 0)])
 
 
-def reguli_partition_through(T, L: Subspace, q: int) -> list[list[Subspace]]:
-    """q reguli of the regular spread through L, pairwise sharing only L
-    and jointly covering the spread.
+def reguli_partition_through(L: Subspace, q: int) -> list[list[Subspace]]:
+    """q reguli of the regular spread through its line L, pairwise sharing
+    only L and jointly covering the spread.
 
     With u = L.basis[0] and w not on L, the spread lines other than L
     are those of z u + w for z in GF(q^2); the regulus for a1 takes the
     coset z = x0 + a1 xi of GF(q), a Baer subline through L."""
-    if set(T) != set(regular_spread(q)):
-        raise GeometryError("expected the regular spread")
-    if L not in T:
-        raise GeometryError("line is not in the spread")
+    if L not in regular_spread(q):
+        raise GeometryError("line is not in the regular spread")
     F = field_of_order(q)
     u = L.basis[0]
     w = (1, 0, 0, 0) if u == (0, 0, 1, 0) else (0, 0, 1, 0)

@@ -37,8 +37,10 @@ import numpy as np
 
 from .gf import FieldSpec, field_of_order
 from .projspace import (
+    _BLOCK,
     POINT_CAP,
     GeometryError,
+    Pairing,
     ResourceError,
     Subspace,
     _tables,
@@ -50,9 +52,6 @@ from .projspace import (
     subspace_points,
     theta,
 )
-
-# entries of one row block of a point-by-point array
-_BLOCK = 1 << 18
 
 FAMILIES = ("hyperbolic", "parabolic", "elliptic", "hermitian", "symplectic")
 
@@ -260,15 +259,14 @@ class PolarSpace:
 
     def adjacency(self):
         """Per-point bitmask of other points joined by a singular line.
-        The form is evaluated on a block of rows at a time, so no N x N
+        The pairing is tested on a block of rows at a time, so no N x N
         array exists."""
         if self._adj is not None:
             return self._adj
-        X = np.array(self.points)
-        rows = max(1, _BLOCK // len(X))
+        pairing = Pairing(self.points, self.form.bilinear_matrix, self.F,
+                          conj=self.family == "hermitian")
         adj = []
-        for lo in range(0, len(X), rows):
-            zero = self.form.pair(X[lo:lo + rows, None], X[None]) == 0
+        for lo, zero in pairing.blocks(self.points):
             r = np.arange(len(zero))
             zero[r, lo + r] = False
             packed = np.packbits(zero, axis=1, bitorder="little")

@@ -21,6 +21,9 @@ from .gf import FieldSpec
 
 POINT_CAP = 10 ** 7
 
+# entries of one row block of a pairwise array
+_BLOCK = 1 << 18
+
 
 class GeometryError(ValueError):
     pass
@@ -231,9 +234,78 @@ def form_values(X, Y, M, F: FieldSpec, conj: bool = False) -> np.ndarray:
     return acc
 
 
+class Pairing:
+    """Zeros of the pairing (x, y) -> sum over a, b of M[a][b] x_a y_b^s in
+    GF(q) between any vectors x and the fixed vectors Y (rows), s the
+    involution y -> y^sqrt(q) when conj is set and the identity otherwise.
+
+    x is first folded into its linear form l = x M, so the pairing is the
+    sum of l_b y_b^s over the w columns b of M that are not zero.  Each
+    element is coded by its base-p digits, spaced `bits` apart with
+    2^bits > w(p-1), so a sum of w codes never carries from one digit into
+    the next.  The rows T_b[a] = code(a y_b^s), over all y, are formed once;
+    the pairing of x with every y is then the sum of the rows T_b[l_b], and
+    it is zero exactly when each digit of that sum is 0 mod p: for p = 2,
+    when the sum shares no bit with the code of the all-ones digit string."""
+
+    def __init__(self, Y, M, F: FieldSpec, conj: bool = False):
+        mul, _add, cj = _tables(F)
+        Y = np.asarray(Y, dtype=mul.dtype)
+        if conj:
+            Y = cj[Y]
+        self.F = F
+        self.M = M
+        self.cols = [b for b in range(len(M)) if any(row[b] for row in M)]
+        p, h = F.p, F.h
+        bits = (len(self.cols) * (p - 1)).bit_length()
+        dtype = np.min_scalar_type((1 << bits * h) - 1)
+        digits = np.arange(F.order)[:, None] // p ** np.arange(h) % p
+        code = (digits << bits * np.arange(h)).sum(axis=1).astype(dtype)
+        self.rows = [code[mul[:, Y[:, b]]] for b in self.cols]
+        for T in self.rows:
+            T.setflags(write=False)
+        if p == 2:
+            self.mask = code[-1]
+        else:
+            # zero[s]: every bits-wide digit field of s is 0 mod p
+            digit_zero = np.arange(1 << bits) % p == 0
+            self.zero = digit_zero
+            for _ in range(h - 1):
+                self.zero = np.logical_and.outer(digit_zero, self.zero).ravel()
+
+    def blocks(self, X):
+        """(lo, Z) for consecutive row blocks of X, Z[i, j] true when
+        x = X[lo + i] pairs to zero with Y[j]; a block has as many rows as
+        fit in _BLOCK entries, and at least one."""
+        mul, add, _cj = _tables(self.F)
+        X = np.asarray(X, dtype=mul.dtype)
+        forms = np.zeros((len(X), len(self.cols)), dtype=mul.dtype)
+        for c, b in enumerate(self.cols):
+            for a, row in enumerate(self.M):
+                if row[b]:
+                    forms[:, c] = add[forms[:, c], mul[row[b], X[:, a]]]
+        step = max(1, _BLOCK // self.rows[0].shape[1])
+        for lo in range(0, len(X), step):
+            block = forms[lo:lo + step]
+            acc = np.take(self.rows[0], block[:, 0], axis=0)
+            term = np.empty_like(acc)
+            for T, l in zip(self.rows[1:], block[:, 1:].T):
+                acc += np.take(T, l, axis=0, out=term)
+            yield lo, (acc & self.mask) == 0 if self.F.p == 2 else np.take(self.zero, acc)
+
+
+@lru_cache(maxsize=None)
+def _hyperplane_pairing(n: int, F: FieldSpec) -> Pairing:
+    unit = np.eye(n + 1, dtype=np.int64)
+    return Pairing(hyperplanes(n, F), unit.tolist(), F)
+
+
 def incidence_with_hyperplanes(points, n: int, F: FieldSpec) -> np.ndarray:
     """Boolean matrix [i,j] = point i lies on hyperplane j, the hyperplanes
     in the canonical dual order of hyperplanes(n, F)."""
+    pairing = _hyperplane_pairing(n, F)
     X = np.array(points, dtype=np.int64).reshape(-1, n + 1)
-    D = np.array(hyperplanes(n, F), dtype=np.int64)
-    return form_values(X[:, None], D[None], np.eye(n + 1, dtype=np.int64), F) == 0
+    on = np.empty((len(X), theta(n, F.order)), dtype=bool)
+    for lo, zero in pairing.blocks(X):
+        on[lo:lo + len(zero)] = zero
+    return on

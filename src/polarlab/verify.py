@@ -3,6 +3,7 @@ sets, minihypers, and line-sum decompositions."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,19 +189,26 @@ def decompose_sum_of_lines(P: PolarSpace, W: WeightedPointSet):
     lines = P.singular_kspaces_with_supports(1)
     w0 = {P.index[pt]: wt for pt, wt in W.weights.items()}
 
+    def first(line):
+        return line[1][0]
+
     def peel(w, x):
         if x == 0:
             return [] if not w else None
-        for S, sup in lines:
-            if all(w.get(i, 0) > 0 for i in sup):
-                w2 = dict(w)
-                for i in sup:
-                    w2[i] -= 1
-                    if not w2[i]:
-                        del w2[i]
-                rest = peel(w2, x - 1)
-                if rest is not None:
-                    return [S] + rest
+        # the lines are sorted by support: those starting at s form one
+        # range, and a fully covered line starts at a point of w
+        for s in sorted(w):
+            lo = bisect_left(lines, s, key=first)
+            for S, sup in lines[lo:bisect_right(lines, s, lo, key=first)]:
+                if all(w.get(i, 0) > 0 for i in sup):
+                    w2 = dict(w)
+                    for i in sup:
+                        w2[i] -= 1
+                        if not w2[i]:
+                            del w2[i]
+                    rest = peel(w2, x - 1)
+                    if rest is not None:
+                        return [S] + rest
         return None
 
     return peel(w0, total // (q + 1))

@@ -138,7 +138,7 @@ def test_reguli_partition_through(q):
     F = field_of_order(q)
     T = regular_spread(q)
     for L in (T[0], T[-1]):
-        regs = reguli_partition_through(T, L, q)
+        regs = reguli_partition_through(L, q)
         assert len(regs) == q
         rest = set(T) - {L}
         for reg in regs:
@@ -146,6 +146,9 @@ def test_reguli_partition_through(q):
             assert L in reg
             rest.difference_update(set(reg) - {L})
         assert not rest
+    off = next(M for M in enumerate_lines(3, F) if M not in T)
+    with pytest.raises(GeometryError):
+        reguli_partition_through(off, q)
 
 
 def _bases_sha(x):
@@ -169,7 +172,7 @@ def test_spread_and_partitions_pinned(q):
     T = regular_spread(q)
     shas = [_bases_sha(sorted(L.basis for L in T))]
     for L in (T[0], T[-1]):
-        regs = reguli_partition_through(T, L, q)
+        regs = reguli_partition_through(L, q)
         shas.append(_bases_sha(sorted(tuple(M.basis for M in reg)
                                       for reg in regs)))
     assert tuple(shas) == SPREAD_PINS[q]

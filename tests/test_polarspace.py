@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from polarlab import gfcode, polarspace, projspace
@@ -233,6 +234,18 @@ def test_adjacency_matches_pairwise_collinear(family, n, order):
     for i, x in enumerate(P.points):
         want = [j for j, y in enumerate(P.points) if j != i and P.collinear(x, y)]
         assert bit_indices(adj[i]) == want
+
+
+@pytest.mark.parametrize("family,n,order", [
+    ("Q", 4, 8), ("Q", 4, 9), ("H", 3, 9), ("W", 3, 5), ("Qminus", 5, 4), ("H", 5, 4)])
+def test_adjacency_matches_form_pairs(family, n, order):
+    # p = 2 with h = 3, odd p with h = 2, and the hermitian family
+    P = get_space(family, n, order)
+    X = np.array(P.points)
+    zero = P.form.pair(X[:, None], X[None]) == 0
+    np.fill_diagonal(zero, False)
+    assert [bit_indices(a) for a in P.adjacency()] == [
+        np.flatnonzero(row).tolist() for row in zero]
 
 
 def test_adjacency_has_no_square_temporary():

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarlab.gf import field_of_order
-from polarlab.polarspace import get_space
+from polarlab.polarspace import FormSpec, _standard_matrix, get_space
 from polarlab.projspace import (
     GeometryError,
+    Pairing,
     _tables,
     annihilator,
     enumerate_lines,
@@ -164,3 +166,49 @@ def test_field_tables_match_scalar_operations(q):
         assert conj.tolist() == [F.conj(a) for a in range(q)]
     else:
         assert conj is None
+
+
+def _standard_forms(width, F):
+    """The standard forms of every family that lives in PG(width-1, q)."""
+    n = width - 1
+    families = ["hyperbolic", "elliptic"] if n % 2 else ["parabolic"]
+    families += ["symplectic"] * (n == 3) + ["hermitian"] * F.has_conjugation
+    return [FormSpec(fam, n, F, _standard_matrix(fam, n, F)) for fam in families]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_pairing_matches_scalar_reference(q):
+    # zero, all-ones and all-(q-1) vectors and random non-normalized ones;
+    # against the all-ones matrix every term of the all-(q-1) pair has the
+    # largest digits, so a digit carry or a dtype wrap would show there
+    F = field_of_order(q)
+    rng = random.Random(q)
+    for width in range(2, 9):
+        vecs = [(0,) * width, (1,) * width, (q - 1,) * width] + [
+            tuple(rng.randrange(q) for _ in range(width)) for _ in range(9)]
+        X, Y = vecs[:8], vecs[:3] + vecs[8:]
+        ones = ((1,) * width,) * width
+        dense = tuple(tuple(rng.randrange(q) for _ in range(width))
+                      for _ in range(width))
+        cases = [(ones, False), (dense, False)]
+        for form in _standard_forms(width, F):
+            conj = form.family == "hermitian"
+            cases += [(form.matrix, conj), (form.bilinear_matrix, conj)]
+        if F.has_conjugation:
+            cases += [(ones, True), (dense, True)]
+        for M, conj in cases:
+            got = np.concatenate([Z for _lo, Z in Pairing(Y, M, F, conj).blocks(X)])
+            want = [[_form_reference(x, y, M, F, conj) == 0 for y in Y] for x in X]
+            assert got.tolist() == want, (width, M, conj)
+
+
+def test_pairing_blocks_cover_every_row():
+    form = get_space("Q", 6, 3).form
+    Y = np.array(enumerate_points(6, form.field))
+    X = Y[:300]
+    blocks = list(Pairing(Y, form.bilinear_matrix, form.field).blocks(X))
+    assert len(blocks) > 1
+    assert all(Z.size <= 1 << 18 for _lo, Z in blocks)
+    assert [lo for lo, _Z in blocks] == list(range(0, len(X), len(blocks[0][1])))
+    got = np.concatenate([Z for _lo, Z in blocks])
+    assert (got == (form.pair(X[:, None], Y[None]) == 0)).all()

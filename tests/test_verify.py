@@ -3,7 +3,13 @@ import random
 import pytest
 
 from polarlab.gf import field_of_order
-from polarlab.projspace import GeometryError, span, subspace_points
+from polarlab.projspace import (
+    GeometryError,
+    enumerate_points,
+    hyperplanes,
+    span,
+    subspace_points,
+)
 from polarlab.polarspace import get_space
 from polarlab.verify import (
     WeightedPointSet,
@@ -145,6 +151,24 @@ def test_hyperplane_weights_of_one_line():
     assert set(int(v) for v in hw) == {1, q + 1}
 
 
+@pytest.mark.parametrize("q", [3, 4, 8, 9])
+def test_hyperplane_weights_match_dot_products(q):
+    F = field_of_order(q)
+    rng = random.Random(q)
+    pts = rng.sample(enumerate_points(3, F), 12)
+    W = WeightedPointSet({pt: rng.randint(1, 4) for pt in pts}, 3, F)
+    want = []
+    for d in hyperplanes(3, F):
+        total = 0
+        for pt, wt in W.weights.items():
+            dot = 0
+            for a, b in zip(pt, d):
+                dot = F.add(dot, F.mul(a, b))
+            total += wt * (dot == 0)
+        want.append(total)
+    assert hyperplane_weights(W).tolist() == want
+
+
 def test_decompose_sum_of_lines(q42):
     lines = q42.singular_kspaces_with_supports(1)
     chosen = [lines[0], lines[3], lines[3]]
@@ -158,6 +182,37 @@ def test_decompose_sum_of_lines(q42):
     assert dec is not None and len(dec) == 3
     assert sorted(S.basis for S in dec) == sorted(
         S.basis for S, _ in chosen)
+
+
+def _decompose_by_full_scan(P, w, x):
+    """Reference peel: the first fully covered line of the whole list."""
+    if x == 0:
+        return [] if not w else None
+    for S, sup in P.singular_kspaces_with_supports(1):
+        if all(w.get(i, 0) > 0 for i in sup):
+            w2 = {i: c - (i in sup) for i, c in w.items() if c - (i in sup)}
+            rest = _decompose_by_full_scan(P, w2, x - 1)
+            if rest is not None:
+                return [S] + rest
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_decompose_matches_full_scan(q):
+    P = get_space("Q", 4, q)
+    lines = P.singular_kspaces_with_supports(1)
+    rng = random.Random(q)
+    for case in range(40):
+        w = {}
+        if case < 30:
+            for _L, sup in rng.choices(lines, k=rng.randint(1, 4)):
+                for i in sup:
+                    w[i] = w.get(i, 0) + 1
+        else:  # random points, most of them no sum of lines
+            w = dict.fromkeys(rng.sample(range(len(P.points)), 2 * (q + 1)), 1)
+        W = WeightedPointSet({P.points[i]: c for i, c in w.items()}, 4, P.F)
+        want = _decompose_by_full_scan(P, w, W.total // (q + 1))
+        assert decompose_sum_of_lines(P, W) == want
 
 
 def test_decompose_rejects_bad_total(q42):
