@@ -19,7 +19,6 @@ from .projspace import (
     Subspace,
     enumerate_lines,
     incidence_with_hyperplanes,
-    intersect,
     span,
     subspace_points,
     theta,
@@ -426,8 +425,7 @@ def cw_disjoint_perp_cones(family: str, q: int, alpha: int = 1) -> ConstructionR
     F = P.F
     a = _symbol(alpha, F.p)
     P1, P2 = _first_noncollinear_pair(P)
-    perp = intersect(polar_image(P, span([P1], F)),
-                     polar_image(P, span([P2], F)), F)
+    perp = polar_image(P, span([P1, P2], F))
     base = _on(P, perp)
     symbols = {}
     for vertex, s in ((P1, a), (P2, -a)):

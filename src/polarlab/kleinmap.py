@@ -28,12 +28,11 @@ from .gf import FieldSpec, field_of_order
 from .projspace import (
     GeometryError,
     Subspace,
+    combine,
     enumerate_lines,
     normalize_point,
     span,
     subspace_points,
-    vec_add,
-    vec_scale,
 )
 from .polarspace import (
     PolarSpace,
@@ -152,13 +151,9 @@ def reguli_partition_through(L: Subspace, q: int) -> list[list[Subspace]]:
     F = field_of_order(q)
     u = L.basis[0]
     w = (1, 0, 0, 0) if u == (0, 0, 1, 0) else (0, 0, 1, 0)
-    xu = _times_xi(u, F)
-    out = []
-    for a1 in F.elements():
-        shift = vec_add(vec_scale(a1, xu, F), w, F)
-        out.append(sorted([L] + [_xi_line(vec_add(vec_scale(x0, u, F), shift, F), F)
-                                 for x0 in F.elements()]))
-    return out
+    coeffs = [(x0, a1, 1) for a1 in F.elements() for x0 in F.elements()]
+    V = combine(coeffs, [u, _times_xi(u, F), w], F).reshape(q, q, 4)
+    return [sorted([L] + [_xi_line(v, F) for v in vs]) for vs in V.tolist()]
 
 
 def lineset_to_codeword(symbols: dict, P: PolarSpace) -> CodewordVec:

@@ -17,10 +17,11 @@ basis of C (each point the lowest outside the span of the earlier ones)
 is R_m, ..., R_0.  So S is extended by exactly the points p of its
 common perp whose lead column lies left of the pivots of S and which are
 zero at those pivots, and (p, R_1, ..., R_m) is then the RREF of the
-child: no candidate is rejected and nothing is eliminated.  One bitmask
-per node holds these points; a child's is its parent's AND one mask of
-p.  The new points p + v, v in the span of S, are already normalised and
-are formed from the parent's support by table arithmetic.  The count is
+child: no candidate is rejected and nothing is eliminated.  A node keeps
+only its RREF rows and a bitmask of these points; a child's is its
+parent's AND one mask of p.  The points of a k-space are formed once, at
+level k, as the combinations c R of its rows R with the points c of
+PG(k,q), already normalised and in the point order.  The count is
 predicted from the closed forms first: a space whose largest level would
 not fit the budget is refused before anything is allocated, and a count
 that misses the prediction is an error.
@@ -43,7 +44,7 @@ from .projspace import (
     Pairing,
     ResourceError,
     Subspace,
-    _tables,
+    combine,
     enumerate_points,
     form_values,
     normalize_point,
@@ -320,17 +321,15 @@ class PolarSpace:
 
     def _kspaces(self, k: int):
         """Singular k-spaces as (Subspace, support), grown from the points
-        by the pivot rule of the module docstring.  Per level, `rows` holds
-        the point indices of each node's RREF rows, `sup` its support, and
-        `cands` the points that extend it."""
-        mul, add, _conj = _tables(self.F)
-        X = np.array(self.points, dtype=mul.dtype)
-        (N, width), q = X.shape, self.F.order
-        weights = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        by the pivot rule of the module docstring.  Per level, `rows`
+        holds the point indices of each node's RREF rows and `cands` the
+        points that extend it; the supports are formed at level k only."""
+        X = np.array(self.points, dtype=np.intp)
+        (N, width), F = X.shape, self.F
+        weights = F.order ** np.arange(width - 1, -1, -1, dtype=np.int64)
         codes = X @ weights  # ascending: the points are in lexicographic order
         lead = np.argmax(X != 0, axis=1)
-        t = np.arange(1, q, dtype=mul.dtype)[:, None, None]
-        rows = sup = np.arange(N, dtype=np.min_scalar_type(N))[:, None]
+        rows = np.arange(N, dtype=np.min_scalar_type(N))[:, None]
         if k:
             # fresh[c]: the points with lead column left of c and a zero at
             # c; down[p]: those of them, c = lead(p), in the perp of p
@@ -349,17 +348,21 @@ class PolarSpace:
                     nxt += [cand & down[p] for p in ps]
             cands = nxt
             par = np.repeat(np.arange(len(counts)), counts)
-            new = np.array(new, dtype=sup.dtype)
-            # the child of (S, p) has the points of S and p + t x, x in S
-            grown = np.empty((len(new), q * sup.shape[1] + 1), dtype=sup.dtype)
-            step = max(1, _BLOCK // ((q - 1) * sup.shape[1] * width))
-            for lo in range(0, len(new), step):
-                S, p = sup[par[lo:lo + step]], new[lo:lo + step]
-                V = add[mul[t, X[S][:, None]], X[p][:, None, None]]
-                others = np.searchsorted(codes, V.reshape(len(p), -1, width) @ weights)
-                grown[lo:lo + step] = np.sort(
-                    np.concatenate([S, p[:, None], others], axis=1), axis=1)
-            rows, sup = np.concatenate([new[:, None], rows[par]], axis=1), grown
+            rows = np.concatenate([np.array(new, dtype=rows.dtype)[:, None], rows[par]],
+                                  axis=1)
+        # the support of rows R: the points c R, c in PG(k,q), in the point
+        # order.  A unit vector c = e_j gives the row R_j, and the units come
+        # in the order e_k, ..., e_0; only the other points are formed.  A
+        # block's int64 arrays take at most _BLOCK / 2 bytes: blocks twice as
+        # large raised the peak RSS of the H(5,4) lines by 0.2 MB
+        coeffs = np.array(enumerate_points(k, F), dtype=np.intp)
+        unit = np.count_nonzero(coeffs, axis=1) == 1
+        sup = np.empty((len(rows), len(coeffs)), dtype=rows.dtype)
+        sup[:, unit] = rows[:, ::-1]
+        step = max(1, _BLOCK // (16 * len(coeffs) * width))
+        for lo in range(0, len(rows), step):
+            V = combine(coeffs[~unit], X[rows[lo:lo + step]][:, None], F)
+            sup[lo:lo + step, ~unit] = np.searchsorted(codes, V @ weights)
         pts = self.points
         return [(Subspace(self.n, tuple(pts[i] for i in rows[r].tolist())),
                  tuple(sup[r].tolist())) for r in range(len(sup))]

@@ -75,14 +75,6 @@ class Subspace:
         return len(self.basis) - 1
 
 
-def vec_add(u, v, F: FieldSpec):
-    return tuple(F.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(c, u, F: FieldSpec):
-    return tuple(F.mul(c, a) for a in u)
-
-
 def rref(rows, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
     """Reduced row-echelon form; zero rows dropped."""
     mat = [list(r) for r in rows]
@@ -127,21 +119,14 @@ def contains_point(S: Subspace, pt, F: FieldSpec) -> bool:
 
 
 def subspace_points(S: Subspace, F: FieldSpec) -> list[tuple[int, ...]]:
-    """All theta(dim,q) points of S, sorted in the global point order.
+    """All theta(dim,q) points of S, in the global point order.
 
-    Combinations with first nonzero coefficient 1 of RREF rows are already
-    normalized, so each point appears exactly once."""
-    k = len(S.basis)
-    pts = []
-    for lead in range(k):
-        for rest in product(F.elements(), repeat=k - 1 - lead):
-            v = S.basis[lead]
-            for c, row in zip(rest, S.basis[lead + 1:]):
-                if c:
-                    v = vec_add(v, vec_scale(c, row, F), F)
-            pts.append(v)
-    pts.sort()
-    return pts
+    The points are c R for the RREF rows R and the points c of PG(dim,q):
+    c R is normalized and equals c at the pivot columns, and the columns
+    left of a pivot take only the rows above it, so the order of the c
+    is the order of the points."""
+    V = combine(enumerate_points(S.dim, F), S.basis, F)
+    return [tuple(v) for v in V.tolist()]
 
 
 def nullspace(rows, width: int, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
@@ -213,6 +198,24 @@ def _tables(F: FieldSpec):
     return mul, add, conj
 
 
+def combine(C, B, F: FieldSpec) -> np.ndarray:
+    """Sum over i of C[..., i] B[..., i, :] in GF(q), the leading axes of C
+    and B broadcast: the combinations with coefficients C of the rows of B.
+    C and B are cast to intp once; a product or a sum is one lookup in a
+    flat table at the intp index q a + b."""
+    mul, add, _cj = _tables(F)
+    q = F.order
+    mul, add = mul.ravel(), add.ravel()
+    C = np.asarray(C, dtype=np.intp) * q
+    B = np.asarray(B, dtype=np.intp)
+    acc = mul[C[..., 0, None] + B[..., 0, :]]
+    for i in range(1, C.shape[-1]):
+        at = np.multiply(acc, q, dtype=np.intp)
+        at += mul[C[..., i, None] + B[..., i, :]]
+        acc = add[at]
+    return acc
+
+
 def form_values(X, Y, M, F: FieldSpec, conj: bool = False) -> np.ndarray:
     """Sum over i, j of M[i][j] x_i y_j^s in GF(q), s the involution
     y -> y^sqrt(q) when conj is set and the identity otherwise.
@@ -277,13 +280,9 @@ class Pairing:
         """(lo, Z) for consecutive row blocks of X, Z[i, j] true when
         x = X[lo + i] pairs to zero with Y[j]; a block has as many rows as
         fit in _BLOCK entries, and at least one."""
-        mul, add, _cj = _tables(self.F)
-        X = np.asarray(X, dtype=mul.dtype)
-        forms = np.zeros((len(X), len(self.cols)), dtype=mul.dtype)
-        for c, b in enumerate(self.cols):
-            for a, row in enumerate(self.M):
-                if row[b]:
-                    forms[:, c] = add[forms[:, c], mul[row[b], X[:, a]]]
+        # the linear forms x M at the nonzero columns b: the form at (x, e_b)
+        unit = np.eye(len(self.M), dtype=np.int64)[self.cols]
+        forms = form_values(np.asarray(X)[:, None], unit, self.M, self.F)
         step = max(1, _BLOCK // self.rows[0].shape[1])
         for lo in range(0, len(X), step):
             block = forms[lo:lo + step]

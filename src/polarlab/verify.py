@@ -179,6 +179,12 @@ def is_minihyper(W: WeightedPointSet, f: int, m: int) -> bool:
     return int(hw.min()) == m
 
 
+def _lines_from(lines, s):
+    """The lines, sorted by support, whose support starts at point s."""
+    lo = bisect_left(lines, s, key=lambda line: line[1][0])
+    return lines[lo:bisect_right(lines, s, lo, key=lambda line: line[1][0])]
+
+
 def decompose_sum_of_lines(P: PolarSpace, W: WeightedPointSet):
     """Write a weight function on Q(4,q) as a sum of x singular lines,
     by peeling a fully-covered line and recursing; None if impossible."""
@@ -189,17 +195,12 @@ def decompose_sum_of_lines(P: PolarSpace, W: WeightedPointSet):
     lines = P.singular_kspaces_with_supports(1)
     w0 = {P.index[pt]: wt for pt, wt in W.weights.items()}
 
-    def first(line):
-        return line[1][0]
-
     def peel(w, x):
         if x == 0:
             return [] if not w else None
-        # the lines are sorted by support: those starting at s form one
-        # range, and a fully covered line starts at a point of w
+        # a fully covered line starts at a point of w
         for s in sorted(w):
-            lo = bisect_left(lines, s, key=first)
-            for S, sup in lines[lo:bisect_right(lines, s, lo, key=first)]:
+            for S, sup in _lines_from(lines, s):
                 if all(w.get(i, 0) > 0 for i in sup):
                     w2 = dict(w)
                     for i in sup:
@@ -221,19 +222,20 @@ def find_spread(P: PolarSpace):
     n_pts = len(P.points)
     want = n_pts // (P.q + 1)
 
-    def rec(covered, start, chosen):
+    def rec(covered, chosen):
         if len(chosen) == want:
             return list(chosen)
-        lowest = min(i for i in range(n_pts) if i not in covered)
-        for j in range(start, len(lines)):
-            S, sup = lines[j]
-            if lowest in sup and covered.isdisjoint(sup):
-                got = rec(covered | set(sup), 0, chosen + [S])
+        # every point below the lowest uncovered one is covered, so a line
+        # through it that misses the covered points starts at it
+        lowest = next(i for i in range(n_pts) if i not in covered)
+        for S, sup in _lines_from(lines, lowest):
+            if covered.isdisjoint(sup):
+                got = rec(covered | set(sup), chosen + [S])
                 if got is not None:
                     return got
         return None
 
-    return rec(set(), 0, [])
+    return rec(set(), [])
 
 
 def find_ovoid(P: PolarSpace):

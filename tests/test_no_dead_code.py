@@ -8,6 +8,9 @@ comments do not count.  Dunder names are exempt.
 
 Every name a module of src/polarlab imports is also read in that module,
 so deleting a caller cannot leave a stale import behind.
+
+GF(q) vector arithmetic has one implementation: only projspace reads the
+field tables `_tables`.
 """
 
 import ast
@@ -95,3 +98,10 @@ def test_every_import_is_used():
     package = ROOT / "src" / "polarlab"
     found = {path.name: unused_imports(path) for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_only_projspace_reads_the_field_tables():
+    package = ROOT / "src" / "polarlab"
+    readers = [path.name for path in sorted(package.glob("*.py"))
+               if occurrences(path)["_tables"]]
+    assert readers == ["projspace.py"]

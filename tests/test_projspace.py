@@ -12,6 +12,8 @@ from polarlab.projspace import (
     Pairing,
     _tables,
     annihilator,
+    combine,
+    contains_point,
     enumerate_lines,
     enumerate_points,
     form_values,
@@ -117,6 +119,50 @@ def test_subspace_points_of_full_space():
     F = field_of_order(2)
     S = span([(1, 0, 0), (0, 1, 0), (0, 0, 1)], F)
     assert set(subspace_points(S, F)) == set(enumerate_points(2, F))
+
+
+def _random_subspace(n, d, F, rng):
+    """A subspace of PG(n,q) of dimension d spanned by random vectors."""
+    while True:
+        S = span([[rng.randrange(F.order) for _ in range(n + 1)]
+                  for _ in range(d + 1)], F)
+        if S.dim == d:
+            return S
+
+
+@pytest.mark.parametrize("n,q", [(4, q) for q in (2, 3, 4, 5, 7, 8, 9)]
+                         + [(3, q) for q in (16, 25, 27)])
+def test_subspace_points_match_brute_force(n, q):
+    # reference: the points of PG(n,q) that the subspace contains, in the
+    # global order; compared as lists, so the order is checked too
+    F = field_of_order(q)
+    rng = random.Random(q)
+    pts = enumerate_points(n, F)
+    for d in range(n + 1):
+        S = _random_subspace(n, d, F, rng)
+        want = [x for x in pts if contains_point(S, x, F)]
+        assert subspace_points(S, F) == want, S
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_combine_matches_scalar_reference(q):
+    # coefficients (a, 1, m) against rows (b, m, w): the leading axes
+    # broadcast to (a, b); all-(q-1) entries give the largest table indices
+    F = field_of_order(q)
+    rng = random.Random(q)
+    m, w = 4, 5
+    C = [[q - 1] * m, [1] + [0] * (m - 1)] + [
+        [rng.randrange(q) for _ in range(m)] for _ in range(4)]
+    B = [[[q - 1] * w] * m] + [
+        [[rng.randrange(q) for _ in range(w)] for _ in range(m)] for _ in range(2)]
+    got = combine(np.array(C)[:, None], B, F)
+    assert got.shape == (len(C), len(B), w)
+    for c, row in zip(C, got.tolist()):
+        for R, v in zip(B, row):
+            want = [0] * w
+            for ci, r in zip(c, R):
+                want = [F.add(x, F.mul(ci, y)) for x, y in zip(want, r)]
+            assert v == want
 
 
 def test_bad_dimension_errors():
