@@ -125,9 +125,12 @@ def cmd_scan(cfg: RunConfig) -> int:
     nonzero = sorted(w for w in weights if w > 0)
     for w in sorted(weights):
         print(f"weight {w}: {weights[w]}")
-    if nonzero:
+    if nonzero and report["mode"] == "FULL":
         print(f"min nonzero weight: {nonzero[0]}")
         print(f"max weight: {nonzero[-1]}")
+    elif nonzero:  # only some words were enumerated
+        print(f"min nonzero weight <= {nonzero[0]} (upper bound on d)")
+        print(f"max weight >= {nonzero[-1]} (lower bound)")
     if cfg.out:
         payload = {"schema": JSON_SCHEMA, "kind": "scan",
                    "run_config": cfg.payload_fields(),

@@ -1,9 +1,13 @@
 """GF(p) linear algebra for point versus k-space incidence codes.
 
 The code of a polar space is spanned by the rows of its point/k-space
-incidence matrix over the prime field; its dual is the right nullspace.
-Weight scans enumerate the dual exhaustively when the nullity is small
-enough and otherwise refuse or report explicitly partial results.
+incidence matrix over the prime field; its dual is the right nullspace,
+passed around as one systematic generator array D (nullity x n_cols).
+Weight scans enumerate the span of D exhaustively when the nullity is
+small enough and otherwise refuse, or, when asked, count the words of
+at most a few rows of D, whose extreme weights are then only bounds.
+`CodewordVec` is the sparse form of single words: constructions,
+witnesses and `--out` payloads.
 """
 
 from __future__ import annotations
@@ -78,19 +82,6 @@ class CodewordVec:
             else:
                 out.pop(c, None)
         return CodewordVec(out, self.n_cols, self.p)
-
-    def scaled(self, a: int) -> "CodewordVec":
-        a %= self.p
-        if a == 0:
-            return CodewordVec({}, self.n_cols, self.p)
-        return CodewordVec({c: (s * a) % self.p for c, s in self.support.items()},
-                           self.n_cols, self.p)
-
-    def dense(self) -> np.ndarray:
-        v = np.zeros(self.n_cols, dtype=np.int64)
-        for c, s in self.support.items():
-            v[c] = s
-        return v
 
 
 @lru_cache(maxsize=None)
@@ -172,18 +163,16 @@ def _rref_mod_p(A: np.ndarray, p: int):
 
 
 def rank_and_nullspace(A: IncidenceMatrix):
-    """Rank of A over GF(p) and a basis of the dual code: for each free
-    column, 1 there and minus that column of the RREF at the pivots."""
+    """Rank of A over GF(p) and the systematic generator D of the dual
+    code: row j of D is 1 at the j-th free column, minus that column of
+    the RREF at the pivots, and 0 elsewhere."""
     p = A.p
     M, pivots = _rref_gf2(A.dense()) if p == 2 else _rref_mod_p(A.dense(), p)
     free = np.setdiff1d(np.arange(A.n_cols), pivots)
-    N = -M[:, free].astype(np.int64) % p
-    basis = []
-    for fc, col in zip(free.tolist(), N.T):
-        sup = {fc: 1}
-        sup.update((pivots[i], int(col[i])) for i in np.flatnonzero(col))
-        basis.append(CodewordVec(sup, A.n_cols, p))
-    return len(pivots), basis
+    D = np.zeros((free.size, A.n_cols), dtype=np.int64)
+    D[:, pivots] = -M[:, free].T.astype(np.int64) % p  # widen, then negate
+    D[np.arange(free.size), free] = 1
+    return len(pivots), D
 
 
 def _words(bits: np.ndarray) -> np.ndarray:
@@ -260,6 +249,27 @@ def _scan_mod_p(D: np.ndarray, p: int) -> np.ndarray:
     return zeros[::-1]  # a word with z zero columns has weight n - z
 
 
+def _scan_partial(D: np.ndarray, p: int, bound: int) -> np.ndarray:
+    """Weight counts of the zero word and the words sum c_i D[i] over at
+    most `bound` rows with every c_i nonzero: each such word with fewer
+    rows is a prefix u, and u + c*D[j] is formed for every c and every
+    later row j at once, from the residue masks of u and of the rows."""
+    nullity, n = D.shape
+    values = np.arange(p)[:, None]
+    masks = _words(D == values[:, :, None])  # masks[v, j]: where D[j] = v
+    zeros = np.zeros(n + 1, dtype=np.intp)
+    zeros[n] = 1
+    for size in range(bound):
+        for idxs in combinations(range(nullity), size):
+            later = masks[:, idxs[-1] + 1 if idxs else 0:]
+            for coeffs in product(range(1, p), repeat=size):
+                u = np.array(coeffs, dtype=np.int64) @ D[list(idxs)] % p
+                R = _words(u == values)
+                for c in range(1, p):
+                    zeros += _popcounts(_sum_mask(R, later, c, 0, p), n)
+    return zeros[::-1]  # a word with z zero columns has weight n - z
+
+
 def scan_dual_weights(A: IncidenceMatrix,
                       max_nullity_for_full_scan: int = DEFAULT_FULL_SCAN_NULLITY,
                       weight_window: tuple[int, int] | None = None,
@@ -269,43 +279,25 @@ def scan_dual_weights(A: IncidenceMatrix,
 
     Full scan when p^nullity <= 2^max_nullity_for_full_scan.  Otherwise a
     partial report over combinations of at most partial_support_bound
-    basis vectors, but only when explicitly allowed."""
-    rank, basis = rank_and_nullspace(A)
-    nullity = len(basis)
+    rows of the dual generator, but only when explicitly allowed."""
+    rank, D = rank_and_nullspace(A)
+    nullity = len(D)
     p = A.p
     full = p ** nullity <= 2 ** max_nullity_for_full_scan
     if not full and not allow_partial:
         raise ScanRefused(
             f"dual has nullity {nullity} over GF({p}); full scan needs "
             f"p^nullity <= 2^{max_nullity_for_full_scan}")
-    D = np.array([b.dense() for b in basis]).reshape(nullity, A.n_cols)
-    weights: Counter[int] = Counter()
     if full:
         counts = _scan_gf2(D) if p == 2 else _scan_mod_p(D, p)
-        weights.update({w: int(m) for w, m in enumerate(counts) if m})
-        mode = "FULL"
     else:
-        weights[0] += 1
-        if p == 2:
-            packed = [sum(1 << c for c in b.support) for b in basis]
-            for size in range(1, partial_support_bound + 1):
-                for idxs in combinations(range(nullity), size):
-                    acc = 0
-                    for i in idxs:
-                        acc ^= packed[i]
-                    weights[acc.bit_count()] += 1
-        else:
-            for size in range(1, partial_support_bound + 1):
-                for idxs in combinations(range(nullity), size):
-                    for coeffs in product(range(1, p), repeat=size):
-                        v = sum(c * D[i] for i, c in zip(idxs, coeffs)) % p
-                        weights[int(np.count_nonzero(v))] += 1
-        mode = "PARTIAL"
+        counts = _scan_partial(D, p, partial_support_bound)
+    weights = Counter({w: int(m) for w, m in enumerate(counts) if m})
     if weight_window is not None:
         lo, hi = weight_window
         weights = Counter({w: m for w, m in weights.items() if lo <= w <= hi})
     return {
-        "mode": mode,
+        "mode": "FULL" if full else "PARTIAL",
         "rank": rank,
         "nullity": nullity,
         "weights": weights,

@@ -473,26 +473,6 @@ def make_cone(vertex: Subspace | None, base, F: FieldSpec,
     return Cone(vertex, base, tuple(sorted(pts)), truncated)
 
 
-def count_kspaces_through(P: PolarSpace, k: int, anchor) -> int:
-    """Exact count of singular k-spaces through a point or through a
-    collinear point pair, by enumeration."""
-    if isinstance(anchor[0], tuple):
-        idxs = []
-        for pt in anchor:
-            if pt not in P.index:
-                raise GeometryError(f"{pt} is not a point of {P!r}")
-            idxs.append(P.index[pt])
-        if len(idxs) == 2 and not P.collinear(anchor[0], anchor[1]):
-            raise GeometryError("anchor pair is not collinear")
-        need = set(idxs)
-    else:
-        if anchor not in P.index:
-            raise GeometryError(f"{anchor} is not a point of {P!r}")
-        need = {P.index[anchor]}
-    return sum(1 for _S, sup in P.singular_kspaces_with_supports(k)
-               if need.issubset(sup))
-
-
 def prop_counts(family: str, n: int, k: int, q: int) -> tuple[Fraction, Fraction]:
     """Closed-form counts (M, N): singular k-spaces through one point and
     through a collinear pair.  n as in Q+(2n+1,q), Q(2n,q), Q-(2n+1,q);

@@ -108,16 +108,6 @@ def span(vectors, F: FieldSpec, ambient: int | None = None) -> Subspace:
     return Subspace(amb, rref(vectors, F))
 
 
-def contains_point(S: Subspace, pt, F: FieldSpec) -> bool:
-    v = list(pt)
-    for row in S.basis:
-        lead = next(i for i, x in enumerate(row) if x)
-        if v[lead]:
-            c = v[lead]
-            v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
-    return not any(v)
-
-
 def subspace_points(S: Subspace, F: FieldSpec) -> list[tuple[int, ...]]:
     """All theta(dim,q) points of S, in the global point order.
 
@@ -142,19 +132,6 @@ def nullspace(rows, width: int, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
             v[pc] = F.neg(r[fc])
         basis.append(tuple(v))
     return rref(basis, F)
-
-
-def annihilator(S: Subspace, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    return nullspace(S.basis, S.ambient + 1, F)
-
-
-def intersect(S: Subspace, T: Subspace, F: FieldSpec) -> Subspace | None:
-    """Intersection via stacked dual constraints; None if empty."""
-    rows = annihilator(S, F) + annihilator(T, F)
-    basis = nullspace(rows, S.ambient + 1, F)
-    if not basis:
-        return None
-    return Subspace(S.ambient, basis)
 
 
 @lru_cache(maxsize=None)

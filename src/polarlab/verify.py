@@ -1,5 +1,5 @@
-"""Geometric predicates: blocking sets, ovoids, spreads, covers, even-type
-sets, minihypers, and line-sum decompositions."""
+"""Geometric predicates: ovoids, spreads, line covers and their excess,
+minihypers, and line-sum decompositions."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from .gf import FieldSpec
 from .projspace import GeometryError, incidence_with_hyperplanes
-from .polarspace import PolarSpace, bit_indices
+from .polarspace import PolarSpace
 
 
 def _as_index_set(P: PolarSpace, pts):
@@ -21,15 +21,6 @@ def _as_index_set(P: PolarSpace, pts):
         else:
             out.add(P.index[x])
     return out
-
-
-def is_blocking_set(P: PolarSpace, B, k: int):
-    """(True, None) or (False, first k-space missed by B)."""
-    idx = _as_index_set(P, B)
-    for S, sup in P.singular_kspaces_with_supports(k):
-        if idx.isdisjoint(sup):
-            return False, S
-    return True, None
 
 
 def is_ovoid(P: PolarSpace, O) -> bool:
@@ -58,13 +49,6 @@ def is_spread(P: PolarSpace, lines) -> bool:
             return False
         seen.update(sup)
     return len(seen) == len(P.points)
-
-
-def is_cover(P: PolarSpace, lines) -> bool:
-    covered = set()
-    for sup in _line_supports(P, lines):
-        covered.update(sup)
-    return len(covered) == len(P.points)
 
 
 def excess_profile(P: PolarSpace, cover):
@@ -138,14 +122,6 @@ def extract_ovoid(P: PolarSpace, blocking):
     if len(pts) == P.q ** 2 + 1 and is_ovoid(P, pts):
         return pts
     return None
-
-
-def is_even_type(P: PolarSpace, S, k: int) -> bool:
-    if P.F.p != 2:
-        raise GeometryError("even-type sets live in characteristic 2")
-    idx = _as_index_set(P, S)
-    return all(len(idx.intersection(sup)) % 2 == 0
-               for _Sp, sup in P.singular_kspaces_with_supports(k))
 
 
 @dataclass
@@ -236,30 +212,3 @@ def find_spread(P: PolarSpace):
         return None
 
     return rec(set(), [])
-
-
-def find_ovoid(P: PolarSpace):
-    """First ovoid in canonical order, by exact-cover backtracking:
-    pick pairwise non-collinear points hitting every generator once."""
-    gens = [set(sup) for _S, sup in
-            P.singular_kspaces_with_supports(P.gen_dim)]
-    adj = P.adjacency()
-    want = P.q ** 2 + 1
-
-    def rec(chosen, blocked, hit):
-        if len(hit) == len(gens):
-            return sorted(chosen) if len(chosen) == want else None
-        gi = min((i for i in range(len(gens)) if i not in hit),
-                 key=lambda i: len(gens[i] - blocked))
-        for x in sorted(gens[gi] - blocked):
-            newly = {i for i in range(len(gens))
-                     if i not in hit and x in gens[i]}
-            if any(not gens[i].isdisjoint(chosen) for i in newly):
-                continue
-            got = rec(chosen | {x},
-                      blocked | {x, *bit_indices(adj[x])}, hit | newly)
-            if got is not None:
-                return got
-        return None
-
-    return rec(set(), set(), set())

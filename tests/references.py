@@ -1,0 +1,87 @@
+"""Reference implementations that the tests compare the library against:
+scalar subspace membership and intersection, brute-force k-space counts,
+a blocking-set predicate and an exact-cover ovoid search."""
+
+from polarlab.gf import FieldSpec
+from polarlab.polarspace import PolarSpace, bit_indices
+from polarlab.projspace import GeometryError, Subspace, nullspace
+from polarlab.verify import _as_index_set
+
+
+def contains_point(S: Subspace, pt, F: FieldSpec) -> bool:
+    v = list(pt)
+    for row in S.basis:
+        lead = next(i for i, x in enumerate(row) if x)
+        if v[lead]:
+            c = v[lead]
+            v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+    return not any(v)
+
+
+def annihilator(S: Subspace, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    return nullspace(S.basis, S.ambient + 1, F)
+
+
+def intersect(S: Subspace, T: Subspace, F: FieldSpec) -> Subspace | None:
+    """Intersection via stacked dual constraints; None if empty."""
+    rows = annihilator(S, F) + annihilator(T, F)
+    basis = nullspace(rows, S.ambient + 1, F)
+    if not basis:
+        return None
+    return Subspace(S.ambient, basis)
+
+
+def count_kspaces_through(P: PolarSpace, k: int, anchor) -> int:
+    """Exact count of singular k-spaces through a point or through a
+    collinear point pair, by enumeration."""
+    if isinstance(anchor[0], tuple):
+        idxs = []
+        for pt in anchor:
+            if pt not in P.index:
+                raise GeometryError(f"{pt} is not a point of {P!r}")
+            idxs.append(P.index[pt])
+        if len(idxs) == 2 and not P.collinear(anchor[0], anchor[1]):
+            raise GeometryError("anchor pair is not collinear")
+        need = set(idxs)
+    else:
+        if anchor not in P.index:
+            raise GeometryError(f"{anchor} is not a point of {P!r}")
+        need = {P.index[anchor]}
+    return sum(1 for _S, sup in P.singular_kspaces_with_supports(k)
+               if need.issubset(sup))
+
+
+def is_blocking_set(P: PolarSpace, B, k: int):
+    """(True, None) or (False, first k-space missed by B)."""
+    idx = _as_index_set(P, B)
+    for S, sup in P.singular_kspaces_with_supports(k):
+        if idx.isdisjoint(sup):
+            return False, S
+    return True, None
+
+
+def find_ovoid(P: PolarSpace):
+    """First ovoid in canonical order, by exact-cover backtracking:
+    pick pairwise non-collinear points hitting every generator once."""
+    gens = [set(sup) for _S, sup in
+            P.singular_kspaces_with_supports(P.gen_dim)]
+    adj = P.adjacency()
+    want = P.q ** 2 + 1
+
+    def rec(chosen, blocked, hit):
+        if len(hit) == len(gens):
+            return sorted(chosen) if len(chosen) == want else None
+        gi = min((i for i in range(len(gens)) if i not in hit),
+                 key=lambda i: len(gens[i] - blocked))
+        for x in sorted(gens[gi] - blocked):
+            newly = {i for i in range(len(gens))
+                     if i not in hit and x in gens[i]}
+            if any(not gens[i].isdisjoint(chosen) for i in newly):
+                continue
+            got = rec(chosen | {x},
+                      blocked | {x, *bit_indices(adj[x])}, hit | newly)
+            if got is not None:
+                return got
+        return None
+
+    return rec(set(), set(), set())

@@ -8,11 +8,12 @@ import random
 import time
 from math import ceil
 
+import numpy as np
+
 from polarlab.gf import field_of_order
-from polarlab.projspace import contains_point, intersect, span, subspace_points
+from polarlab.projspace import span, subspace_points
 from polarlab.polarspace import (
     bound_min_weight_dual,
-    count_kspaces_through,
     get_space,
     prop_counts,
     tanner_bound_elliptic_5,
@@ -22,6 +23,7 @@ from polarlab.gfcode import build_incidence, rank_and_nullspace, scan_dual_weigh
 from polarlab.kleinmap import inverse_klein_point, klein_point
 from polarlab import constructions as C
 from polarlab import verify
+from references import contains_point, count_kspaces_through, intersect
 
 
 def report(capsys, n, ok, msg):
@@ -151,21 +153,17 @@ def test_criterion_4_bound_consistency(capsys):
 def test_criterion_5_full_scan_q42(capsys):
     P = get_space("Q", 4, 2)
     A = build_incidence(P, 1)
-    rank, basis = rank_and_nullspace(A)
-    ok = rank == 10 and len(basis) == 5  # regression constants
+    rank, D = rank_and_nullspace(A)
+    ok = rank == 10 and len(D) == 5  # regression constants
+    ok &= not (A.dense() @ D.T % 2).any()
     rep = scan_dual_weights(A)
     ok &= rep["mode"] == "FULL"
     nz = sorted(w for w in rep["weights"] if w)
     ok &= nz[0] == 6 and nz[-1] == 10
     # enumerate the maximum-weight words and test each complement
-    packed = []
-    for b in basis:
-        acc = 0
-        for i in b.support:
-            acc |= 1 << i
-        packed.append(acc)
+    packed = [sum(1 << int(i) for i in np.flatnonzero(row)) for row in D]
     n_max = 0
-    for x in range(1, 1 << len(basis)):
+    for x in range(1, 1 << len(D)):
         acc = 0
         for i, m in enumerate(packed):
             if (x >> i) & 1:
@@ -184,14 +182,10 @@ def test_criterion_6_even_weights(capsys):
     t0 = time.time()
     P = get_space("Qplus", 5, 2)
     A = build_incidence(P, 2)
-    _rank, basis = rank_and_nullspace(A)
-    ok = all(b.weight % 2 == 0 for b in basis)
-    packed = []
-    for b in basis:
-        acc = 0
-        for i in b.support:
-            acc |= 1 << i
-        packed.append(acc)
+    _rank, D = rank_and_nullspace(A)
+    ok = not (A.dense() @ D.T % 2).any()
+    ok &= all(np.count_nonzero(row) % 2 == 0 for row in D)
+    packed = [sum(1 << int(i) for i in np.flatnonzero(row)) for row in D]
     rng = random.Random(0)
     for _ in range(10 ** 4):
         acc = 0

@@ -95,6 +95,16 @@ def test_scan_q42(capsys):
     assert "max weight: 10" in out
 
 
+def test_scan_partial_labels_bounds(capsys):
+    code, out, _ = run(capsys, "scan", "--family", "Qplus", "--n", "7",
+                       "--q", "2", "--k", "2", "--partial")
+    assert code == EXIT_OK
+    assert "mode: PARTIAL" in out
+    assert "min nonzero weight <= 28 (upper bound on d)\n" in out
+    assert "max weight >= 76 (lower bound)\n" in out
+    assert "min nonzero weight:" not in out and "max weight:" not in out
+
+
 def test_scan_refused_without_partial(capsys):
     code, _, err = run(capsys, "scan", "--family", "H", "--n", "5",
                        "--q", "2", "--k", "2")

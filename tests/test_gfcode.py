@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -51,8 +52,6 @@ def test_codeword_mod_p_cleanup():
     c = CodewordVec({0: 3, 1: 2, 2: 4}, 10, 3)
     assert c.support == {1: 2, 2: 1}
     assert c.weight == 2
-    d = c.scaled(2)
-    assert d.support == {1: 1, 2: 2}
 
 
 def test_dual_membership_witness():
@@ -67,10 +66,12 @@ def test_dual_membership_witness():
 def test_rank_and_nullspace_q42():
     P = get_space("Q", 4, 2)
     A = build_incidence(P, 1)
-    rank, null = rank_and_nullspace(A)
-    assert rank == 10 and len(null) == 5
-    for c in null:
-        assert is_dual_codeword(c, A)[0]
+    rank, D = rank_and_nullspace(A)
+    assert rank == 10 and D.shape == (5, 15)
+    _assert_dual_generator(A, D)
+    for row in D:
+        word = CodewordVec(dict(enumerate(row.tolist())), 15, 2)
+        assert is_dual_codeword(word, A) == (True, None)
 
 
 def test_full_scan_q42():
@@ -156,6 +157,15 @@ def test_codeword_payload_roundtrip(tmp_path):
     assert cw["n_cols"] == c.n_cols and cw["p"] == c.p
 
 
+def _assert_dual_generator(A, D):
+    """D is the systematic generator of the dual of A: the identity at the
+    non-pivot columns of A, and A D^T = 0 over GF(p)."""
+    free = np.setdiff1d(np.arange(A.n_cols), _rref(A.dense(), A.p)[1])
+    assert D.shape == (free.size, A.n_cols)
+    assert (D[:, free] == np.eye(free.size)).all()
+    assert not (A.dense().astype(np.int64) @ D.T % A.p).any()
+
+
 def _reference_rref(rows, p):
     """Reduced row echelon form over GF(p) with Python ints, one entry at
     a time: (nonzero rows, pivot columns)."""
@@ -206,18 +216,16 @@ def test_rref_matches_scalar_reference(pA):
     assert len(_rref(A.T, p)[1]) == len(pivots)  # rank(A) = rank(A^T)
     # the 0/1 pattern of A as an incidence code: a basis of its dual
     I = _incidence(A, p)
-    rank, basis = rank_and_nullspace(I)
+    rank, D = rank_and_nullspace(I)
     assert rank == len(_reference_rref((A != 0).tolist(), p)[1])
-    assert rank + len(basis) == A.shape[1]
-    for c in basis:
-        assert is_dual_codeword(c, I) == (True, None)
+    assert rank + len(D) == A.shape[1]
+    _assert_dual_generator(I, D)
 
 
-def _brute_force_weights(basis, n_cols, p):
-    """Weights of all p^nullity combinations of the basis, by digits."""
-    k = len(basis)
-    D = np.array([b.dense() for b in basis], dtype=np.int32).reshape(k, n_cols)
-    digits = np.arange(p ** k, dtype=np.int32)[:, None] // p ** np.arange(k) % p
+def _brute_force_weights(D, p):
+    """Weights of all p^nullity combinations of the rows of D, by digits."""
+    k = len(D)
+    digits = np.arange(p ** k, dtype=np.int64)[:, None] // p ** np.arange(k) % p
     words = digits @ D % p
     return Counter(np.count_nonzero(words, axis=1).tolist())
 
@@ -229,9 +237,33 @@ def test_small_scans_match_brute_force(pA):
     A = A[:, :7]
     I = _incidence(A, p)
     rep = scan_dual_weights(I)
-    _rank, basis = rank_and_nullspace(I)
+    _rank, D = rank_and_nullspace(I)
     assert rep["mode"] == "FULL"
-    assert rep["weights"] == _brute_force_weights(basis, I.n_cols, p)
+    assert rep["weights"] == _brute_force_weights(D, p)
+
+
+def _reference_partial_weights(D, p, bound):
+    """Weights of the zero word and of every combination of at most
+    `bound` rows of D with nonzero coefficients, one word at a time."""
+    weights = Counter({0: 1})
+    for size in range(1, bound + 1):
+        for idxs in combinations(range(len(D)), size):
+            for coeffs in product(range(1, p), repeat=size):
+                word = sum(c * D[i] for i, c in zip(idxs, coeffs)) % p
+                weights[int(np.count_nonzero(word))] += 1
+    return weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(_matrices(), st.integers(1, 3))
+def test_partial_scans_match_scalar_reference(pA, bound):
+    p, A = pA
+    I = _incidence(A[:, :12], p)
+    rep = scan_dual_weights(I, max_nullity_for_full_scan=0,
+                            allow_partial=True, partial_support_bound=bound)
+    _rank, D = rank_and_nullspace(I)
+    assert rep["mode"] == ("FULL" if len(D) == 0 else "PARTIAL")
+    assert rep["weights"] == _reference_partial_weights(D, p, bound)
 
 
 @pytest.mark.parametrize("p,rows,cols,seed", [
@@ -245,10 +277,10 @@ def test_scans_with_a_head_match_brute_force(p, rows, cols, seed):
     A[1:] = rng.integers(0, 2, size=(rows - 1, cols))
     I = _incidence(A, p)
     rep = scan_dual_weights(I)
-    _rank, basis = rank_and_nullspace(I)
+    _rank, D = rank_and_nullspace(I)
     # a scan block holds at most 2^16 words, so the head loop runs
     assert p ** rep["nullity"] > 1 << 16
-    assert rep["weights"] == _brute_force_weights(basis, I.n_cols, p)
+    assert rep["weights"] == _brute_force_weights(D, p)
     if p > 2:
         assert all(m % (p - 1) == 0 for w, m in rep["weights"].items() if w)
 
@@ -294,8 +326,9 @@ def test_scan_ladder_pinned(family, n, order, k, rank, nullity, dist):
     if dist is None:
         with pytest.raises(ScanRefused, match=f"nullity {nullity} over"):
             scan_dual_weights(A)
-        got_rank, basis = rank_and_nullspace(A)
-        assert (got_rank, len(basis)) == (rank, nullity)
+        got_rank, D = rank_and_nullspace(A)
+        assert (got_rank, D.shape) == (rank, (nullity, A.n_cols))
+        _assert_dual_generator(A, D)
         return
     rep = scan_dual_weights(A)
     w = rep["weights"]

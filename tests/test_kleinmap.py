@@ -7,11 +7,11 @@ from polarlab.gfcode import CodewordVec, build_incidence, is_dual_codeword
 from polarlab.projspace import (
     GeometryError,
     enumerate_lines,
-    intersect,
     span,
     subspace_points,
 )
 from polarlab.polarspace import get_space
+from references import intersect
 from polarlab.kleinmap import (
     inverse_klein_point,
     klein_point,

@@ -1,10 +1,11 @@
 """Every name that src/polarlab defines has a caller and every import a use.
 
 A module-level function, class or constant, or a method, must occur
-somewhere in src/, scripts/, tests/ or perfbench/ besides its own
-definition.  Occurrences are identifier tokens in code and identifiers
-inside string literals (perfbench/tracing.py looks functions up by name);
-comments do not count.  Dunder names are exempt.
+somewhere in src/, scripts/ or perfbench/ besides its own definition:
+a name that only tests use belongs in the tests.  Occurrences are
+identifier tokens in code and identifiers inside string literals
+(perfbench/tracing.py looks functions up by name); comments do not
+count.  Dunder names are exempt.
 
 Every name a module of src/polarlab imports is also read in that module,
 so deleting a caller cannot leave a stale import behind.
@@ -20,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SEARCHED = ("src", "scripts", "tests", "perfbench")
+SEARCHED = ("src", "scripts", "perfbench")
 # Python 3.12 splits f-strings into parts; older versions have no such token
 STRING_TOKENS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
 
@@ -71,6 +72,16 @@ def unreferenced(root: Path = ROOT) -> list[str]:
 
 def test_every_definition_has_a_caller():
     assert unreferenced() == []
+
+
+def test_a_name_used_only_by_tests_has_no_caller(tmp_path):
+    (tmp_path / "src" / "polarlab").mkdir(parents=True)
+    (tmp_path / "src" / "polarlab" / "m.py").write_text(
+        "def used():\n    pass\n\n\ndef tested():\n    used()\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_m.py").write_text(
+        "from polarlab.m import tested\n\ntested()\n")
+    assert unreferenced(tmp_path) == ["m:tested"]
 
 
 def unused_imports(path: Path) -> list[str]:

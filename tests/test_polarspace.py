@@ -24,7 +24,6 @@ from polarlab.polarspace import (
     bound_min_weight_dual,
     canonical_family,
     classify_plane_section,
-    count_kspaces_through,
     generator_dimension,
     get_space,
     make_cone,
@@ -36,6 +35,7 @@ from polarlab.polarspace import (
     tanner_bound_elliptic_5,
     tanner_bound_hermitian_4,
 )
+from references import count_kspaces_through
 
 # (family, ambient n, field order, points, generators, gen_dim)
 CASES = [

