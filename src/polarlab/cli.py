@@ -28,7 +28,6 @@ from .gfcode import (
     export_alist,
     export_json,
     geometry_payload,
-    is_dual_codeword,
     scan_dual_weights,
 )
 from .constructions import CONSTRUCTIONS
@@ -72,10 +71,12 @@ _KSPACE_NAMES = {0: "points", 1: "lines", 2: "planes", 3: "solids"}
 
 def cmd_geometry(cfg: RunConfig) -> int:
     P = _space(cfg.family, cfg.n, cfg.q)
+    # one enumeration up to the generators checks every level's count
+    P.singular_kspaces_with_supports(P.gen_dim)
     parts = [f"points: {len(P.points)}"]
     for k in range(1, P.gen_dim + 1):
         name = _KSPACE_NAMES.get(k, f"{k}-spaces")
-        parts.append(f"{name}: {len(P.singular_kspaces_with_supports(k))}")
+        parts.append(f"{name}: {P.kspace_count(k)}")
     print(", ".join(parts))
     print(f"generator dimension: {P.gen_dim}")
     if cfg.out:
@@ -92,9 +93,7 @@ def cmd_construct(cfg: RunConfig) -> int:
     if result is None:
         print("search outcome: no configuration found")
         return EXIT_VERIFY
-    A = result.matrix
-    ok_dual, witness = is_dual_codeword(result.codeword, A)
-    ok_weight = result.codeword.weight == result.predicted_weight
+    ok_weight, ok_dual, witness = result.check()
     bound = bound_min_weight_dual(result.space.family, result.space.rank_param,
                                   result.k, result.space.q)
     print(f"construction: {cfg.construction}")
@@ -123,8 +122,10 @@ def cmd_scan(cfg: RunConfig) -> int:
     print(f"rank: {report['rank']}, nullity: {report['nullity']}")
     weights = report["weights"]
     nonzero = sorted(w for w in weights if w > 0)
+    # a PARTIAL count covers only the words that were enumerated
+    label = "weight" if report["mode"] == "FULL" else "enumerated weight"
     for w in sorted(weights):
-        print(f"weight {w}: {weights[w]}")
+        print(f"{label} {w}: {weights[w]}")
     if nonzero and report["mode"] == "FULL":
         print(f"min nonzero weight: {nonzero[0]}")
         print(f"max weight: {nonzero[-1]}")

@@ -281,7 +281,7 @@ def klein_spread_ovoid(P: PolarSpace) -> list:
     return sorted(P.index[klein_point(L, F)] for L in regular_spread(F.order))
 
 
-def cw_complement_ovoid(family: str, q: int, ovoid=None) -> ConstructionResult:
+def cw_complement_ovoid(family: str, q: int) -> ConstructionResult:
     """All-ones on the complement of an ovoid; q even."""
     if q % 2:
         raise GeometryError("complement-of-ovoid codewords need even q")
@@ -290,22 +290,18 @@ def cw_complement_ovoid(family: str, q: int, ovoid=None) -> ConstructionResult:
         P = get_space("Q", 4, q)
         k = 1
         weight = q ** 3 + q
-        if ovoid is None:
-            ovoid = elliptic_hyperplane_section(P)
+        ovoid = elliptic_hyperplane_section(P)
     elif fam == "hyperbolic":
         P = get_space("Qplus", 5, q)
         k = 2
         weight = (1 + q * q) * (q * q + q)
-        if ovoid is None:
-            ovoid = klein_spread_ovoid(P)
+        ovoid = klein_spread_ovoid(P)
     else:
         raise GeometryError(f"no ovoid complement for family {family!r}")
     if not verify.is_ovoid(P, ovoid):
         raise GeometryError("candidate point set is not an ovoid")
-    if isinstance(next(iter(ovoid)), int):
-        ovoid = [P.points[i] for i in ovoid]
-    return ConstructionResult(_complement(P, ovoid), weight, P, k,
-                              "complement of an ovoid")
+    return ConstructionResult(_complement(P, [P.points[i] for i in ovoid]),
+                              weight, P, k, "complement of an ovoid")
 
 
 def cw_wq_examples(q: int, variant: str) -> ConstructionResult:
@@ -429,8 +425,7 @@ def cw_disjoint_perp_cones(family: str, q: int, alpha: int = 1) -> ConstructionR
     base = _on(P, perp)
     symbols = {}
     for vertex, s in ((P1, a), (P2, -a)):
-        cone = make_cone(span([vertex], F), base, F, truncated=True)
-        for x in cone.points:
+        for x in make_cone(span([vertex], F), base, F, truncated=True):
             if x not in base:
                 symbols[x] = s
         symbols[vertex] = s
@@ -582,7 +577,7 @@ def cw_complement_cone(family: str, n: int, q: int, k: int,
 
     removed = _on(P, span(base_rows, P.F))
     if vertex_rows:
-        removed = make_cone(span(vertex_rows, P.F), removed, P.F).points
+        removed = make_cone(span(vertex_rows, P.F), removed, P.F)
         if any(x not in P.index for x in removed):
             raise GeometryError("cone is not contained in the polar space")
     return ConstructionResult(

@@ -25,6 +25,8 @@ from .polarspace import PolarSpace
 
 ROW_CAP = 10 ** 6
 DEFAULT_FULL_SCAN_NULLITY = 24
+# a PARTIAL scan counts the words of at most this many dual generator rows
+PARTIAL_SUPPORT_BOUND = 3
 
 JSON_SCHEMA = "polar-code-lab/v1"
 
@@ -273,12 +275,11 @@ def _scan_partial(D: np.ndarray, p: int, bound: int) -> np.ndarray:
 def scan_dual_weights(A: IncidenceMatrix,
                       max_nullity_for_full_scan: int = DEFAULT_FULL_SCAN_NULLITY,
                       weight_window: tuple[int, int] | None = None,
-                      allow_partial: bool = False,
-                      partial_support_bound: int = 3) -> dict:
+                      allow_partial: bool = False) -> dict:
     """Weight multiset of the dual code.
 
     Full scan when p^nullity <= 2^max_nullity_for_full_scan.  Otherwise a
-    partial report over combinations of at most partial_support_bound
+    partial report over combinations of at most PARTIAL_SUPPORT_BOUND
     rows of the dual generator, but only when explicitly allowed."""
     rank, D = rank_and_nullspace(A)
     nullity = len(D)
@@ -291,7 +292,7 @@ def scan_dual_weights(A: IncidenceMatrix,
     if full:
         counts = _scan_gf2(D) if p == 2 else _scan_mod_p(D, p)
     else:
-        counts = _scan_partial(D, p, partial_support_bound)
+        counts = _scan_partial(D, p, PARTIAL_SUPPORT_BOUND)
     weights = Counter({w: int(m) for w, m in enumerate(counts) if m})
     if weight_window is not None:
         lo, hi = weight_window

@@ -306,15 +306,13 @@ class PolarSpace:
 
     def singular_kspaces_with_supports(self, k: int):
         """All totally singular k-spaces with their point-index supports,
-        ordered by support tuple."""
+        ordered by support tuple.  The number of subspaces at every level
+        up to k has been checked against `kspace_count`."""
         if k in self._kspace_cache:
             return self._kspace_cache[k]
-        count = self.kspace_count(k)
+        self.kspace_count(k)  # refuses a k out of range
         self._check_budget(k)
         out = self._kspaces(k)
-        if len(out) != count:
-            raise GeometryError(
-                f"{len(out)} singular {k}-spaces of {self!r}, closed form {count}")
         out.sort(key=lambda t: t[1])
         self._kspace_cache[k] = out
         return out
@@ -323,7 +321,8 @@ class PolarSpace:
         """Singular k-spaces as (Subspace, support), grown from the points
         by the pivot rule of the module docstring.  Per level, `rows`
         holds the point indices of each node's RREF rows and `cands` the
-        points that extend it; the supports are formed at level k only."""
+        points that extend it; the supports are formed at level k only.
+        Each level's count is checked against the closed form."""
         X = np.array(self.points, dtype=np.intp)
         (N, width), F = X.shape, self.F
         weights = F.order ** np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -350,6 +349,10 @@ class PolarSpace:
             par = np.repeat(np.arange(len(counts)), counts)
             rows = np.concatenate([np.array(new, dtype=rows.dtype)[:, None], rows[par]],
                                   axis=1)
+            want = self.kspace_count(level)
+            if len(rows) != want:
+                raise GeometryError(f"{len(rows)} singular {level}-spaces of "
+                                    f"{self!r}, closed form {want}")
         # the support of rows R: the points c R, c in PG(k,q), in the point
         # order.  A unit vector c = e_j gives the row R_j, and the units come
         # in the order e_k, ..., e_0; only the other points are formed.  A
@@ -440,25 +443,14 @@ def classify_plane_section(H: PolarSpace, plane: Subspace) -> str:
     return kinds[count]
 
 
-@dataclass(frozen=True)
-class Cone:
-    vertex: Subspace | None
-    base: tuple[tuple[int, ...], ...]
-    points: tuple[tuple[int, ...], ...]
-    truncated: bool
-
-
-def make_cone(vertex: Subspace | None, base, F: FieldSpec,
-              truncated: bool = False) -> Cone:
-    """Union of the lines joining vertex points to base points.
+def make_cone(vertex: Subspace, base, F: FieldSpec,
+              truncated: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The points, sorted, of the union of the lines joining vertex points
+    to base points.
 
     The truncated cone omits the vertex.  Size must come out to
     q^(v+1)*|B| (+ theta_v when the vertex is kept); anything else means
     the base meets the vertex span badly."""
-    base = tuple(base)
-    if vertex is None or not vertex.basis:
-        pts = sorted(set(base))
-        return Cone(vertex, base, tuple(pts), truncated)
     vertex_pts = set(subspace_points(vertex, F))
     pts = set()
     for b in base:
@@ -470,7 +462,7 @@ def make_cone(vertex: Subspace | None, base, F: FieldSpec,
             f"degenerate cone: {len(pts)} points, expected {expected}")
     if not truncated:
         pts |= vertex_pts
-    return Cone(vertex, base, tuple(sorted(pts)), truncated)
+    return tuple(sorted(pts))
 
 
 def prop_counts(family: str, n: int, k: int, q: int) -> tuple[Fraction, Fraction]:

@@ -100,12 +100,11 @@ def rref(rows, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in mat[:rank] if any(r))
 
 
-def span(vectors, F: FieldSpec, ambient: int | None = None) -> Subspace:
+def span(vectors, F: FieldSpec) -> Subspace:
     vectors = list(vectors)
     if not vectors:
         raise GeometryError("span of empty set")
-    amb = (len(vectors[0]) - 1) if ambient is None else ambient
-    return Subspace(amb, rref(vectors, F))
+    return Subspace(len(vectors[0]) - 1, rref(vectors, F))
 
 
 def subspace_points(S: Subspace, F: FieldSpec) -> list[tuple[int, ...]]:

@@ -1,10 +1,12 @@
 """Geometric predicates: ovoids, spreads, line covers and their excess,
-minihypers, and line-sum decompositions."""
+minihypers, and line-sum decompositions.  One backtracking search peels
+lines off a weight function at its lowest point (a spread decomposes the
+all-ones weight); one descending minimality pass serves both extractions."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,23 +83,31 @@ def find_good_line(P: PolarSpace, cover):
     return None
 
 
+def _minimal(sets, n: int) -> list[int]:
+    """Positions of the sets kept by one pass from the last set to the
+    first, which drops a set when every element of range(n) in it lies in
+    another set still kept.  Dropping only lowers multiplicities, so a set
+    kept stays needed: this is the greedy that restarts after each drop."""
+    mult = [0] * n
+    for s in sets:
+        for i in s:
+            mult[i] += 1
+    keep = []
+    for j in reversed(range(len(sets))):
+        if all(mult[i] > 1 for i in sets[j]):
+            for i in sets[j]:
+                mult[i] -= 1
+        else:
+            keep.append(j)
+    return keep[::-1]
+
+
 def extract_spread(P: PolarSpace, cover):
-    """Drop redundant cover lines, highest canonical index first,
-    restarting after each removal; a spread if minimality lands there."""
+    """Drop redundant cover lines, highest canonical index first; a spread
+    if minimality lands there."""
     lines = sorted(set(cover))
-    sups = {L: sup for L, sup in zip(lines, _line_supports(P, lines))}
-    changed = True
-    while changed:
-        changed = False
-        mult = [0] * len(P.points)
-        for L in lines:
-            for i in sups[L]:
-                mult[i] += 1
-        for L in reversed(lines):
-            if all(mult[i] > 1 for i in sups[L]):
-                lines.remove(L)
-                changed = True
-                break
+    keep = _minimal(_line_supports(P, lines), len(P.points))
+    lines = [lines[j] for j in keep]
     if len(lines) == P.q ** 2 + 1 and is_spread(P, lines):
         return lines
     return None
@@ -107,18 +117,13 @@ def extract_ovoid(P: PolarSpace, blocking):
     """Drop redundant points of a generator-blocking set, highest index
     first; an ovoid if minimality lands at q^2+1 points."""
     pts = sorted(_as_index_set(P, blocking))
-    gens = [set(sup) for _S, sup in
-            P.singular_kspaces_with_supports(P.gen_dim)]
-    changed = True
-    while changed:
-        changed = False
-        chosen = set(pts)
-        for x in reversed(pts):
-            if all(len(g.intersection(chosen)) > 1
-                   for g in gens if x in g):
-                pts.remove(x)
-                changed = True
-                break
+    gens = P.singular_kspaces_with_supports(P.gen_dim)
+    through = {x: [] for x in pts}
+    for g, (_S, sup) in enumerate(gens):
+        for i in sup:
+            if i in through:
+                through[i].append(g)
+    pts = [pts[j] for j in _minimal([through[x] for x in pts], len(gens))]
     if len(pts) == P.q ** 2 + 1 and is_ovoid(P, pts):
         return pts
     return None
@@ -155,60 +160,52 @@ def is_minihyper(W: WeightedPointSet, f: int, m: int) -> bool:
     return int(hw.min()) == m
 
 
-def _lines_from(lines, s):
-    """The lines, sorted by support, whose support starts at point s."""
-    lo = bisect_left(lines, s, key=lambda line: line[1][0])
-    return lines[lo:bisect_right(lines, s, lo, key=lambda line: line[1][0])]
+@lru_cache(maxsize=None)
+def _lines_by_first_point(P: PolarSpace) -> dict:
+    """The singular lines as (line, support, support set), grouped by their
+    first support point, in support order."""
+    index = {}
+    for S, sup in P.singular_kspaces_with_supports(1):
+        index.setdefault(sup[0], []).append((S, sup, frozenset(sup)))
+    return index
 
 
 def decompose_sum_of_lines(P: PolarSpace, W: WeightedPointSet):
-    """Write a weight function on Q(4,q) as a sum of x singular lines,
-    by peeling a fully-covered line and recursing; None if impossible."""
-    q = P.q
+    """Write a weight function on the points of P as a sum of singular
+    lines; None if impossible.  The first decomposition in the order of
+    the lines through the lowest point, recursively, is returned."""
+    q = P.F.order
     total = W.total
     if total % (q + 1):
         raise GeometryError(f"total weight {total} is not a multiple of q+1")
-    lines = P.singular_kspaces_with_supports(1)
-    w0 = {P.index[pt]: wt for pt, wt in W.weights.items()}
+    index = _lines_by_first_point(P)
+    w = {P.index[pt]: wt for pt, wt in W.weights.items()}
 
-    def peel(w, x):
-        if x == 0:
-            return [] if not w else None
-        # a fully covered line starts at a point of w
-        for s in sorted(w):
-            for S, sup in _lines_from(lines, s):
-                if all(w.get(i, 0) > 0 for i in sup):
-                    w2 = dict(w)
-                    for i in sup:
-                        w2[i] -= 1
-                        if not w2[i]:
-                            del w2[i]
-                    rest = peel(w2, x - 1)
-                    if rest is not None:
-                        return [S] + rest
+    def peel():
+        # a line through the lowest point of w starts there, and one of
+        # them is in every decomposition: no other branch is needed
+        if not w:
+            return []
+        for S, sup, members in index.get(min(w), ()):
+            if w.keys() >= members:
+                for i in sup:
+                    w[i] -= 1
+                    if not w[i]:
+                        del w[i]
+                rest = peel()
+                for i in sup:
+                    w[i] = w.get(i, 0) + 1
+                if rest is not None:
+                    return [S] + rest
         return None
 
-    return peel(w0, total // (q + 1))
+    return peel()
 
 
 def find_spread(P: PolarSpace):
-    """First spread in canonical order, by exact-cover backtracking over
-    the singular lines; None if the space has no spread."""
-    lines = P.singular_kspaces_with_supports(1)
-    n_pts = len(P.points)
-    want = n_pts // (P.q + 1)
-
-    def rec(covered, chosen):
-        if len(chosen) == want:
-            return list(chosen)
-        # every point below the lowest uncovered one is covered, so a line
-        # through it that misses the covered points starts at it
-        lowest = next(i for i in range(n_pts) if i not in covered)
-        for S, sup in _lines_from(lines, lowest):
-            if covered.isdisjoint(sup):
-                got = rec(covered | set(sup), chosen + [S])
-                if got is not None:
-                    return got
+    """First spread in canonical order: the decomposition of the all-ones
+    weight, whose lines are disjoint; None if the space has no spread."""
+    if len(P.points) % (P.F.order + 1):
         return None
-
-    return rec(set(), [])
+    ones = WeightedPointSet(dict.fromkeys(P.points, 1), P.n, P.F)
+    return decompose_sum_of_lines(P, ones)

@@ -1,11 +1,14 @@
 """Reference implementations that the tests compare the library against:
 scalar subspace membership and intersection, brute-force k-space counts,
-a blocking-set predicate and an exact-cover ovoid search."""
+a blocking-set predicate, exact-cover ovoid and spread searches, and the
+spread and ovoid greedies that recount after every removal."""
+
+from bisect import bisect_left, bisect_right
 
 from polarlab.gf import FieldSpec
 from polarlab.polarspace import PolarSpace, bit_indices
 from polarlab.projspace import GeometryError, Subspace, nullspace
-from polarlab.verify import _as_index_set
+from polarlab.verify import _as_index_set, _line_supports, is_ovoid, is_spread
 
 
 def contains_point(S: Subspace, pt, F: FieldSpec) -> bool:
@@ -85,3 +88,75 @@ def find_ovoid(P: PolarSpace):
         return None
 
     return rec(set(), set(), set())
+
+
+def _lines_from(lines, s):
+    """The lines, sorted by support, whose support starts at point s."""
+    lo = bisect_left(lines, s, key=lambda line: line[1][0])
+    return lines[lo:bisect_right(lines, s, lo, key=lambda line: line[1][0])]
+
+
+def find_spread(P: PolarSpace):
+    """First spread in canonical order, by exact-cover backtracking over
+    the singular lines; None if the space has no spread."""
+    lines = P.singular_kspaces_with_supports(1)
+    n_pts = len(P.points)
+    want = n_pts // (P.q + 1)
+
+    def rec(covered, chosen):
+        if len(chosen) == want:
+            return list(chosen)
+        # every point below the lowest uncovered one is covered, so a line
+        # through it that misses the covered points starts at it
+        lowest = next(i for i in range(n_pts) if i not in covered)
+        for S, sup in _lines_from(lines, lowest):
+            if covered.isdisjoint(sup):
+                got = rec(covered | set(sup), chosen + [S])
+                if got is not None:
+                    return got
+        return None
+
+    return rec(set(), [])
+
+
+def extract_spread(P: PolarSpace, cover):
+    """Drop redundant cover lines, highest canonical index first,
+    restarting after each removal; a spread if minimality lands there."""
+    lines = sorted(set(cover))
+    sups = {L: sup for L, sup in zip(lines, _line_supports(P, lines))}
+    changed = True
+    while changed:
+        changed = False
+        mult = [0] * len(P.points)
+        for L in lines:
+            for i in sups[L]:
+                mult[i] += 1
+        for L in reversed(lines):
+            if all(mult[i] > 1 for i in sups[L]):
+                lines.remove(L)
+                changed = True
+                break
+    if len(lines) == P.q ** 2 + 1 and is_spread(P, lines):
+        return lines
+    return None
+
+
+def extract_ovoid(P: PolarSpace, blocking):
+    """Drop redundant points of a generator-blocking set, highest index
+    first; an ovoid if minimality lands at q^2+1 points."""
+    pts = sorted(_as_index_set(P, blocking))
+    gens = [set(sup) for _S, sup in
+            P.singular_kspaces_with_supports(P.gen_dim)]
+    changed = True
+    while changed:
+        changed = False
+        chosen = set(pts)
+        for x in reversed(pts):
+            if all(len(g.intersection(chosen)) > 1
+                   for g in gens if x in g):
+                pts.remove(x)
+                changed = True
+                break
+    if len(pts) == P.q ** 2 + 1 and is_ovoid(P, pts):
+        return pts
+    return None

@@ -100,6 +100,8 @@ def test_scan_partial_labels_bounds(capsys):
                        "--q", "2", "--k", "2", "--partial")
     assert code == EXIT_OK
     assert "mode: PARTIAL" in out
+    assert "\nenumerated weight 28: 96\n" in out
+    assert "\nweight " not in out
     assert "min nonzero weight <= 28 (upper bound on d)\n" in out
     assert "max weight >= 76 (lower bound)\n" in out
     assert "min nonzero weight:" not in out and "max weight:" not in out

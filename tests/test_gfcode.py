@@ -10,9 +10,11 @@ from polarlab.polarspace import get_space
 from polarlab.gfcode import (
     CodewordVec,
     IncidenceMatrix,
+    PARTIAL_SUPPORT_BOUND,
     ScanRefused,
     _rref_gf2,
     _rref_mod_p,
+    _scan_partial,
     _tail_size,
     build_incidence,
     codeword_payload,
@@ -116,9 +118,9 @@ def test_scan_refusal_and_partial():
     A = build_incidence(P, 2)
     with pytest.raises(ScanRefused):
         scan_dual_weights(A)
-    rep = scan_dual_weights(A, allow_partial=True, partial_support_bound=1)
-    assert rep["mode"] == "PARTIAL"
-    assert sum(rep["weights"].values()) == rep["nullity"] + 1
+    _rank, D = rank_and_nullspace(A)
+    counts = _scan_partial(D, 2, 1)
+    assert counts.sum() == len(D) + 1
 
 
 def test_alist_export(tmp_path):
@@ -259,11 +261,15 @@ def _reference_partial_weights(D, p, bound):
 def test_partial_scans_match_scalar_reference(pA, bound):
     p, A = pA
     I = _incidence(A[:, :12], p)
-    rep = scan_dual_weights(I, max_nullity_for_full_scan=0,
-                            allow_partial=True, partial_support_bound=bound)
     _rank, D = rank_and_nullspace(I)
+    counts = _scan_partial(D, p, bound)
+    weights = Counter({w: int(m) for w, m in enumerate(counts) if m})
+    assert weights == _reference_partial_weights(D, p, bound)
+    rep = scan_dual_weights(I, max_nullity_for_full_scan=0, allow_partial=True)
     assert rep["mode"] == ("FULL" if len(D) == 0 else "PARTIAL")
-    assert rep["weights"] == _reference_partial_weights(D, p, bound)
+    if len(D):
+        assert rep["weights"] == _reference_partial_weights(
+            D, p, PARTIAL_SUPPORT_BOUND)
 
 
 @pytest.mark.parametrize("p,rows,cols,seed", [

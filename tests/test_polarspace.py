@@ -139,9 +139,9 @@ def test_make_cone_sizes():
         make_cone(vertex, base, F)
     vertex = span([(1, 0, 0, 0, 0, 0)], F)
     cone = make_cone(vertex, base, F)
-    assert len(cone.points) == P.q * len(base) + 1
+    assert len(cone) == P.q * len(base) + 1 and list(cone) == sorted(cone)
     trunc = make_cone(vertex, base, F, truncated=True)
-    assert len(trunc.points) == len(cone.points) - 1
+    assert set(trunc) == set(cone) - {(1, 0, 0, 0, 0, 0)}
 
 
 def test_count_kspaces_through_point_and_pair():
@@ -400,3 +400,12 @@ def test_count_off_the_closed_form_is_an_error(monkeypatch):
     with pytest.raises(GeometryError):
         P.singular_kspaces_with_supports(1)
     assert P._kspace_cache == {}
+
+
+def test_every_level_below_k_is_checked(monkeypatch):
+    # only the line count is off; the planes are the generators
+    P = standard_polar_space("Qplus", 5, field_of_order(2))
+    count = P.kspace_count
+    monkeypatch.setattr(P, "kspace_count", lambda k: count(k) + (k == 1))
+    with pytest.raises(GeometryError, match="singular 1-spaces"):
+        P.singular_kspaces_with_supports(P.gen_dim)

@@ -25,7 +25,9 @@ from polarlab.verify import (
     is_ovoid,
     is_spread,
 )
+from polarlab import verify
 from polarlab.constructions import elliptic_hyperplane_section
+import references
 from references import find_ovoid, is_blocking_set
 
 
@@ -192,7 +194,7 @@ def _decompose_by_full_scan(P, w, x):
     return None
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 8])
 def test_decompose_matches_full_scan(q):
     P = get_space("Q", 4, q)
     lines = P.singular_kspaces_with_supports(1)
@@ -215,3 +217,67 @@ def test_decompose_rejects_bad_total(q42):
     with pytest.raises(GeometryError):
         decompose_sum_of_lines(q42, W)
 
+
+
+def test_decompose_hermitian_lines():
+    # lines of H(3,q^2) have q^2+1 points
+    P = get_space("H", 3, 4)
+    lines = P.singular_kspaces_with_supports(1)
+    rng = random.Random(3)
+    for x in (1, 2, 3):
+        chosen = rng.sample(lines, x)
+        w = {}
+        for _L, sup in chosen:
+            for i in sup:
+                w[P.points[i]] = w.get(P.points[i], 0) + 1
+        dec = decompose_sum_of_lines(P, WeightedPointSet(w, 3, P.F))
+        assert sorted(dec) == sorted(L for L, _ in chosen)
+
+
+@pytest.mark.parametrize("family,n,q", [
+    ("Q", 4, 2), ("Q", 4, 3), ("Q", 4, 4), ("W", 3, 2), ("W", 3, 3),
+    ("W", 3, 4), ("Qplus", 5, 2), ("Qminus", 5, 2)])
+def test_find_spread_matches_reference(family, n, q):
+    P = get_space(family, n, q)
+    assert find_spread(P) == references.find_spread(P)
+
+
+def test_find_spread_refuses_indivisible_point_count(monkeypatch):
+    # 35 points of Q+(5,2) are no union of disjoint 3-point lines
+    P = get_space("Qplus", 5, 2)
+    monkeypatch.setattr(verify, "decompose_sum_of_lines", None)
+    assert find_spread(P) is None
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_extract_matches_restart_greedies(q):
+    P = get_space("Q", 4, q)
+    rng = random.Random(100 + q)
+    lines = [L for L, _ in P.singular_kspaces_with_supports(1)]
+    spread = find_spread(P)
+    pool = [L for L in lines if L not in spread]
+    ovoid = elliptic_hyperplane_section(P)
+    outside = [i for i in range(len(P.points)) if i not in ovoid]
+    found = {"spread": 0, "ovoid": 0}
+    for case in range(60):
+        if case % 2:  # a spread plus extra lines, in shuffled order
+            cover = spread + rng.sample(pool, rng.randint(0, 2 * q))
+            rng.shuffle(cover)
+        else:  # random lines, a cover or not
+            cover = rng.sample(lines, rng.randint(q * q + 1, len(lines)))
+        want = references.extract_spread(P, cover)
+        assert extract_spread(P, cover) == want
+        found["spread"] += want is not None
+        if case % 2:  # an ovoid plus extra points
+            B = list(ovoid) + rng.sample(outside, rng.randint(0, 2 * q))
+            rng.shuffle(B)
+        else:  # random points, as tuples in every fourth case
+            B = rng.sample(range(len(P.points)),
+                           rng.randint(q * q + 1, len(P.points)))
+            if case % 4 == 0:
+                B = [P.points[i] for i in B]
+        want = references.extract_ovoid(P, B)
+        assert extract_ovoid(P, B) == want
+        found["ovoid"] += want is not None
+    # both outcomes are compared
+    assert all(0 < hits < 60 for hits in found.values())
