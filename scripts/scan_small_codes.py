@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Exhaustive dual-weight distributions for every small polar-space code
-whose nullspace fits a full scan.
+whose nullspace fits a full scan, of at most 2^gfcode.FULL_SCAN_BITS
+dual words; the others are listed as refused.
 
-Usage: python3 scripts/scan_small_codes.py [--max-nullity-bits N]
+Usage: python3 scripts/scan_small_codes.py
 """
 
-import argparse
 import sys
 
 from polarlab.polarspace import get_space
@@ -23,19 +23,14 @@ SPACES = [
 ]
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--max-nullity-bits", type=int, default=24,
-                    help="refuse full scans beyond 2^N dual words")
-    args = ap.parse_args(argv)
+def main() -> int:
     for family, n, order, ks in SPACES:
         P = get_space(family, n, order)
         for k in ks:
             A = build_incidence(P, k)
             label = f"{P!r} k={k}"
             try:
-                rep = scan_dual_weights(
-                    A, max_nullity_for_full_scan=args.max_nullity_bits)
+                rep = scan_dual_weights(A)
             except ScanRefused as e:
                 print(f"{label}: refused ({e})")
                 continue

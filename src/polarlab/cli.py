@@ -116,11 +116,13 @@ def cmd_construct(cfg: RunConfig) -> int:
 def cmd_scan(cfg: RunConfig) -> int:
     P = _space(cfg.family, cfg.n, cfg.q)
     A = build_incidence(P, cfg.k)
-    report = scan_dual_weights(A, weight_window=cfg.window,
-                               allow_partial=cfg.partial)
+    report = scan_dual_weights(A, allow_partial=cfg.partial)
     print(f"mode: {report['mode']}")
     print(f"rank: {report['rank']}, nullity: {report['nullity']}")
     weights = report["weights"]
+    if cfg.window:
+        lo, hi = cfg.window
+        weights = {w: m for w, m in weights.items() if lo <= w <= hi}
     nonzero = sorted(w for w in weights if w > 0)
     # a PARTIAL count covers only the words that were enumerated
     label = "weight" if report["mode"] == "FULL" else "enumerated weight"

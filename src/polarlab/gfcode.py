@@ -22,9 +22,11 @@ from itertools import combinations, product
 import numpy as np
 
 from .polarspace import PolarSpace
+from .projspace import POINT_CAP, ResourceError
 
 ROW_CAP = 10 ** 6
-DEFAULT_FULL_SCAN_NULLITY = 24
+# a full scan enumerates at most 2^FULL_SCAN_BITS dual words
+FULL_SCAN_BITS = 24
 # a PARTIAL scan counts the words of at most this many dual generator rows
 PARTIAL_SUPPORT_BOUND = 3
 
@@ -90,7 +92,7 @@ class CodewordVec:
 def build_incidence(P: PolarSpace, k: int) -> IncidenceMatrix:
     count = P.kspace_count(k)
     if count > ROW_CAP:
-        raise CodeError(f"{count} rows exceeds cap {ROW_CAP}")
+        raise ResourceError(f"{count} rows exceeds cap {ROW_CAP}")
     spaces = P.singular_kspaces_with_supports(k)
     return IncidenceMatrix(
         supports=tuple(sup for _S, sup in spaces),
@@ -116,32 +118,23 @@ def is_dual_codeword(c: CodewordVec, A: IncidenceMatrix):
 
 def _rref_gf2(A: np.ndarray):
     """Row reduction over GF(2): (reduced nonzero rows, pivot columns).
-    Rows are Python ints, bit c = column c, XOR-reduced into an echelon
-    basis keyed by lowest set bit, which is then back-substituted."""
+    The pivot loop of `_rref_mod_p` on rows packed into uint64 words:
+    each pivot clears its column from all rows it hits with one XOR."""
     n = A.shape[1]
-    basis = {}
-    for packed in np.packbits(A % 2, axis=1, bitorder="little"):
-        r = int.from_bytes(packed.tobytes(), "little")
-        while r:
-            low = (r & -r).bit_length() - 1
-            b = basis.get(low)
-            if b is None:
-                basis[low] = r
-                break
-            r ^= b
-    pivots = sorted(basis)
-    pivot_bits = sum(1 << c for c in pivots)
-    for c in reversed(pivots):
-        above = basis[c] & pivot_bits & ~(1 << c)  # rows already reduced
-        while above:
-            low = above & -above
-            basis[c] ^= basis[low.bit_length() - 1]
-            above ^= low
-    nb = (n + 7) // 8
-    rows = b"".join(basis[c].to_bytes(nb, "little") for c in pivots)
-    M = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(len(pivots), nb),
-                      axis=1, count=n, bitorder="little")
-    return M, pivots
+    M = _words(A % 2)
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        nz = np.flatnonzero(M[r:, c >> 6] >> (c & 63) & 1)
+        if not nz.size:
+            continue
+        M[[r, r + nz[0]]] = M[[r + nz[0], r]]
+        hit = np.flatnonzero(M[:, c >> 6] >> (c & 63) & 1)
+        hit = hit[hit != r]
+        M[hit] ^= M[r]
+        pivots.append(c)
+    return np.unpackbits(M[:len(pivots)].view(np.uint8), axis=1, count=n,
+                         bitorder="little"), pivots
 
 
 def _rref_mod_p(A: np.ndarray, p: int):
@@ -169,6 +162,11 @@ def rank_and_nullspace(A: IncidenceMatrix):
     code: row j of D is 1 at the j-th free column, minus that column of
     the RREF at the pivots, and 0 elsewhere."""
     p = A.p
+    size, budget = A.n_rows * A.n_cols, 8 * POINT_CAP
+    if size > budget:
+        raise ResourceError(
+            f"{A.n_rows}x{A.n_cols} incidence matrix: dense elimination "
+            f"needs {size} bytes, over the budget of {budget}")
     M, pivots = _rref_gf2(A.dense()) if p == 2 else _rref_mod_p(A.dense(), p)
     free = np.setdiff1d(np.arange(A.n_cols), pivots)
     D = np.zeros((free.size, A.n_cols), dtype=np.int64)
@@ -272,37 +270,29 @@ def _scan_partial(D: np.ndarray, p: int, bound: int) -> np.ndarray:
     return zeros[::-1]  # a word with z zero columns has weight n - z
 
 
-def scan_dual_weights(A: IncidenceMatrix,
-                      max_nullity_for_full_scan: int = DEFAULT_FULL_SCAN_NULLITY,
-                      weight_window: tuple[int, int] | None = None,
-                      allow_partial: bool = False) -> dict:
+def scan_dual_weights(A: IncidenceMatrix, allow_partial: bool = False) -> dict:
     """Weight multiset of the dual code.
 
-    Full scan when p^nullity <= 2^max_nullity_for_full_scan.  Otherwise a
-    partial report over combinations of at most PARTIAL_SUPPORT_BOUND
-    rows of the dual generator, but only when explicitly allowed."""
+    Full scan when p^nullity <= 2^FULL_SCAN_BITS.  Otherwise a partial
+    report over combinations of at most PARTIAL_SUPPORT_BOUND rows of the
+    dual generator, but only when explicitly allowed."""
     rank, D = rank_and_nullspace(A)
     nullity = len(D)
     p = A.p
-    full = p ** nullity <= 2 ** max_nullity_for_full_scan
+    full = p ** nullity <= 2 ** FULL_SCAN_BITS
     if not full and not allow_partial:
         raise ScanRefused(
             f"dual has nullity {nullity} over GF({p}); full scan needs "
-            f"p^nullity <= 2^{max_nullity_for_full_scan}")
+            f"p^nullity <= 2^{FULL_SCAN_BITS}")
     if full:
         counts = _scan_gf2(D) if p == 2 else _scan_mod_p(D, p)
     else:
         counts = _scan_partial(D, p, PARTIAL_SUPPORT_BOUND)
-    weights = Counter({w: int(m) for w, m in enumerate(counts) if m})
-    if weight_window is not None:
-        lo, hi = weight_window
-        weights = Counter({w: m for w, m in weights.items() if lo <= w <= hi})
     return {
         "mode": "FULL" if full else "PARTIAL",
         "rank": rank,
         "nullity": nullity,
-        "weights": weights,
-        "window": weight_window,
+        "weights": Counter({w: int(m) for w, m in enumerate(counts) if m}),
     }
 
 

@@ -47,7 +47,6 @@ from .projspace import (
     combine,
     enumerate_points,
     form_values,
-    normalize_point,
     nullspace,
     span,
     subspace_points,
@@ -288,20 +287,22 @@ class PolarSpace:
         need more than a budget of one 64-bit word per point the point cap
         admits for its supports or, for k >= 1, its point masks, or when
         the adjacency would.  A level below k holds a candidate mask per
-        subspace; level k is charged as much for each output row."""
+        subspace; level k is charged as much for each output row.  The
+        refusal names the level that needs the most."""
         N = len(self.points)
         counts = [self.kspace_count(m) for m in range(k + 1)]
         item = np.min_scalar_type(N).itemsize
-        need = {"supports": max(c * theta(m, self.F.order) * item
-                                for m, c in enumerate(counts))}
+        need = [max((c * theta(m, self.F.order) * item, m, "supports")
+                    for m, c in enumerate(counts))]
         if k:
-            need["adjacency"] = N * N // 8
-            need["point masks"] = max(counts) * -(-N // 8)
+            need.append((N * N // 8, k, "adjacency"))
+            need.append(max((c * -(-N // 8), m, "point masks")
+                            for m, c in enumerate(counts)))
         budget = 8 * POINT_CAP
-        for what, size in need.items():
+        for size, m, what in need:
             if size > budget:
                 raise ResourceError(
-                    f"{counts[k]} singular {k}-spaces of {self!r}: {what} needs "
+                    f"{counts[m]} singular {m}-spaces of {self!r}: {what} needs "
                     f"{size} bytes, over the budget of {budget}")
 
     def singular_kspaces_with_supports(self, k: int):
@@ -404,24 +405,14 @@ def polar_image(P: PolarSpace, S: Subspace) -> Subspace:
     F = P.F
     if P.family == "parabolic" and F.p == 2:
         raise GeometryError(
-            "parabolic quadric in even characteristic has no polarity; "
-            "use nucleus()")
+            "parabolic quadric in even characteristic has no polarity: "
+            "its polarized form has a radical point")
     # row r holds y -> b(y, x_r) for the basis vector x_r: a linear form
     # with the same zeros as b(x_r, .), whose kernel is the perp
     unit = np.eye(P.n + 1, dtype=np.int64)
     rows = P.form.pair(unit[None], np.array(S.basis)[:, None])
     basis = nullspace(rows.tolist(), P.n + 1, F)
     return Subspace(P.n, basis)
-
-
-def nucleus(P: PolarSpace):
-    """The radical point of the polarized form of an even-order parabolic
-    quadric; lies on every tangent hyperplane."""
-    if P.family != "parabolic" or P.F.p != 2:
-        raise GeometryError("nucleus is defined for parabolic quadrics, q even")
-    rad = nullspace(P.form.bilinear_matrix, P.n + 1, P.F)
-    assert len(rad) == 1
-    return normalize_point(rad[0], P.F)
 
 
 def classify_plane_section(H: PolarSpace, plane: Subspace) -> str:

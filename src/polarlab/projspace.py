@@ -65,7 +65,7 @@ def enumerate_points(n: int, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(pts)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Subspace:
     ambient: int
     basis: tuple[tuple[int, ...], ...]  # RREF rows

@@ -1,13 +1,14 @@
 """Reference implementations that the tests compare the library against:
 scalar subspace membership and intersection, brute-force k-space counts,
-a blocking-set predicate, exact-cover ovoid and spread searches, and the
-spread and ovoid greedies that recount after every removal."""
+a blocking-set predicate, the nucleus of an even-order parabolic quadric,
+exact-cover ovoid and spread searches, and the spread and ovoid greedies
+that recount after every removal."""
 
 from bisect import bisect_left, bisect_right
 
 from polarlab.gf import FieldSpec
 from polarlab.polarspace import PolarSpace, bit_indices
-from polarlab.projspace import GeometryError, Subspace, nullspace
+from polarlab.projspace import GeometryError, Subspace, normalize_point, nullspace
 from polarlab.verify import _as_index_set, _line_supports, is_ovoid, is_spread
 
 
@@ -61,6 +62,16 @@ def is_blocking_set(P: PolarSpace, B, k: int):
         if idx.isdisjoint(sup):
             return False, S
     return True, None
+
+
+def nucleus(P: PolarSpace):
+    """The radical point of the polarized form of an even-order parabolic
+    quadric; lies on every tangent hyperplane."""
+    if P.family != "parabolic" or P.F.p != 2:
+        raise GeometryError("nucleus is defined for parabolic quadrics, q even")
+    rad = nullspace(P.form.bilinear_matrix, P.n + 1, P.F)
+    assert len(rad) == 1
+    return normalize_point(rad[0], P.F)
 
 
 def find_ovoid(P: PolarSpace):

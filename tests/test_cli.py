@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polarlab import cli, polarspace
+from polarlab import cli, gfcode, polarspace
 from polarlab.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -93,6 +93,25 @@ def test_scan_q42(capsys):
     assert "mode: FULL" in out
     assert "min nonzero weight: 6" in out
     assert "max weight: 10" in out
+
+
+def test_scan_window(capsys):
+    code, out, _ = run(capsys, "scan", "--family", "Q", "--n", "4",
+                       "--q", "2", "--window", "6", "6")
+    assert code == EXIT_OK
+    assert [ln for ln in out.splitlines() if ln.startswith("weight")] == [
+        "weight 6: 10"]
+
+
+def test_scan_over_row_cap_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "get_space", lambda family, n, order:
+                        polarspace.standard_polar_space(family, n, field_of_order(order)))
+    monkeypatch.setattr(gfcode, "ROW_CAP", 14)
+    code, out, err = run(capsys, "scan", "--family", "Q", "--n", "4",
+                         "--q", "2")
+    assert code == EXIT_REFUSED
+    assert out == ""
+    assert err == "refused: 15 rows exceeds cap 14\n"
 
 
 def test_scan_partial_labels_bounds(capsys):

@@ -4,9 +4,11 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from polarlab import gfcode
 from polarlab.polarspace import get_space
+from polarlab.projspace import ResourceError
 from polarlab.gfcode import (
     CodewordVec,
     IncidenceMatrix,
@@ -82,13 +84,6 @@ def test_full_scan_q42():
     rep = scan_dual_weights(A)
     assert rep["mode"] == "FULL"
     assert rep["weights"] == {0: 1, 6: 10, 8: 15, 10: 6}
-
-
-def test_scan_window():
-    P = get_space("Q", 4, 2)
-    A = build_incidence(P, 1)
-    rep = scan_dual_weights(A, weight_window=(6, 6))
-    assert set(rep["weights"]) == {6} and rep["weights"][6] == 10
 
 
 def test_scan_odd_characteristic():
@@ -208,7 +203,19 @@ def _matrices(draw):
     return p, np.array(entries, dtype=np.int64).reshape(rows, cols)
 
 
+def _seeded_matrix(p, rows, cols, rank, seed):
+    """A sparse product of rank at most `rank`: pivots are seldom in their
+    own row, so rows must be swapped, and some rows reduce to zero."""
+    rng = np.random.default_rng(seed)
+    B = rng.integers(0, p, size=(rows, rank)) * (rng.random((rows, rank)) < 0.05)
+    return p, B @ rng.integers(0, p, size=(rank, cols)) % p
+
+
+@settings(deadline=None)  # the seeded examples take about 0.4 s each
 @given(_matrices())
+@example(_seeded_matrix(2, 200, 150, 150, 1))  # tall: three words per row
+@example(_seeded_matrix(2, 140, 260, 90, 2))   # wide, rank <= 90
+@example(_seeded_matrix(3, 90, 140, 60, 3))
 def test_rref_matches_scalar_reference(pA):
     p, A = pA
     M, pivots = _rref(A, p)
@@ -222,6 +229,16 @@ def test_rref_matches_scalar_reference(pA):
     assert rank == len(_reference_rref((A != 0).tolist(), p)[1])
     assert rank + len(D) == A.shape[1]
     _assert_dual_generator(I, D)
+
+
+def test_elimination_refused_before_allocating(monkeypatch):
+    A = build_incidence(get_space("Q", 4, 2), 1)
+    monkeypatch.setattr(gfcode, "POINT_CAP", A.n_rows * A.n_cols // 8 - 1)
+    monkeypatch.setattr(IncidenceMatrix, "dense", lambda self: pytest.fail())
+    with pytest.raises(ResourceError, match="over the budget"):
+        rank_and_nullspace(A)
+    with pytest.raises(ResourceError):
+        scan_dual_weights(A)
 
 
 def _brute_force_weights(D, p):
@@ -265,7 +282,9 @@ def test_partial_scans_match_scalar_reference(pA, bound):
     counts = _scan_partial(D, p, bound)
     weights = Counter({w: int(m) for w, m in enumerate(counts) if m})
     assert weights == _reference_partial_weights(D, p, bound)
-    rep = scan_dual_weights(I, max_nullity_for_full_scan=0, allow_partial=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gfcode, "FULL_SCAN_BITS", 0)
+        rep = scan_dual_weights(I, allow_partial=True)
     assert rep["mode"] == ("FULL" if len(D) == 0 else "PARTIAL")
     if len(D):
         assert rep["weights"] == _reference_partial_weights(

@@ -27,7 +27,6 @@ from polarlab.polarspace import (
     generator_dimension,
     get_space,
     make_cone,
-    nucleus,
     polar_image,
     polar_space_order,
     prop_counts,
@@ -35,7 +34,7 @@ from polarlab.polarspace import (
     tanner_bound_elliptic_5,
     tanner_bound_hermitian_4,
 )
-from references import count_kspaces_through
+from references import count_kspaces_through, nucleus
 
 # (family, ambient n, field order, points, generators, gen_dim)
 CASES = [
@@ -355,7 +354,7 @@ def test_refused_before_allocating(monkeypatch):
         P.singular_kspaces_with_supports(1)
     monkeypatch.undo()
     monkeypatch.setattr(gfcode, "ROW_CAP", P.kspace_count(1) - 1)
-    with pytest.raises(gfcode.CodeError):
+    with pytest.raises(ResourceError):
         gfcode.build_incidence(P, 1)
     assert P._adj is None and P._kspace_cache == {}
 
@@ -365,7 +364,7 @@ def test_largest_level_refused_before_allocating(monkeypatch):
     P = standard_polar_space("Qplus", 7, field_of_order(2))
     assert P.kspace_count(3) * theta(3, 2) < 8000 < P.kspace_count(2) * theta(2, 2)
     monkeypatch.setattr(polarspace, "POINT_CAP", 1000)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match=f"^{P.kspace_count(2)} singular 2-spaces"):
         P.singular_kspaces_with_supports(3)
     assert P._adj is None and P._kspace_cache == {}
 
