@@ -17,7 +17,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class IncidenceMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.supports)
-
-    def dense(self) -> np.ndarray:
-        A = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        for i, sup in enumerate(self.supports):
-            A[i, list(sup)] = 1
-        return A
 
 
 @dataclass
@@ -116,32 +110,87 @@ def is_dual_codeword(c: CodewordVec, A: IncidenceMatrix):
     return True, None
 
 
-def _rref_gf2(A: np.ndarray):
-    """Row reduction over GF(2): (reduced nonzero rows, pivot columns).
-    The pivot loop of `_rref_mod_p` on rows packed into uint64 words:
-    each pivot clears its column from all rows it hits with one XOR."""
-    n = A.shape[1]
-    M = _words(A % 2)
+def _coordinates(A: IncidenceMatrix):
+    """Row and column index of every 1 of A, row by row."""
+    sizes = np.fromiter(map(len, A.supports), dtype=np.intp, count=A.n_rows)
+    cols = np.fromiter(chain.from_iterable(A.supports), dtype=np.intp,
+                       count=int(sizes.sum()))
+    return np.repeat(np.arange(A.n_rows), sizes), cols
+
+
+def _packed(A: IncidenceMatrix) -> np.ndarray:
+    """The rows of A packed into uint64 words, as `_words` packs them,
+    ORed in straight from the supports."""
+    rows, cols = _coordinates(A)
+    out = np.zeros((A.n_rows, -(-A.n_cols // 64) * 8), dtype=np.uint8)
+    np.bitwise_or.at(out, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
+    return out.view("<u8")
+
+
+def _byte_basis(S: np.ndarray):
+    """A basis in RREF of the span of the bytes S of the rows, bit j being
+    column j: (pivot bits, ascending; for each basis byte, the rows whose
+    XOR it is)."""
+    rep = np.zeros(256, dtype=np.intp)
+    rep[S] = np.arange(len(S))  # a row holding each byte value
+    present = np.bincount(S, minlength=256)
+    present[0] = 0
+    basis = []  # [byte, its lowest bit, its rows as a set]
+    for v in np.flatnonzero(present).tolist():
+        comb = {int(rep[v])}
+        for b in basis:
+            if v & b[1]:
+                v ^= b[0]
+                comb ^= b[2]
+        if v:
+            low = v & -v
+            for b in basis:
+                if b[0] & low:
+                    b[0] ^= v
+                    b[2] = b[2] ^ comb
+            basis.append([v, low, comb])
+            if len(basis) == 8:
+                break
+    basis.sort(key=lambda b: b[1])
+    return [b[1] for b in basis], [sorted(b[2]) for b in basis]
+
+
+def _rref_gf2(M: np.ndarray, n: int):
+    """Row reduction over GF(2) of n columns packed into uint64 words M
+    (consumed): (reduced nonzero rows as uint8, pivot columns).  Each
+    pass eliminates one byte of columns, as the table step of the Method
+    of Four Russians does: the new pivot rows of that byte and the 2^m
+    XOR table T of them are formed once, and every row, the earlier
+    pivot rows too, is cleared with one lookup T[lut[its byte]]."""
+    W = M.shape[1]
+    R = np.zeros((0, W), dtype=M.dtype)  # the pivot rows so far
     pivots = []
-    for c in range(n):
-        r = len(pivots)
-        nz = np.flatnonzero(M[r:, c >> 6] >> (c & 63) & 1)
-        if not nz.size:
+    values = np.arange(256)
+    for byte in range((n + 7) // 8):
+        bits, combs = _byte_basis(M.view(np.uint8)[:, byte])
+        if not bits:
             continue
-        M[[r, r + nz[0]]] = M[[r + nz[0], r]]
-        hit = np.flatnonzero(M[:, c >> 6] >> (c & 63) & 1)
-        hit = hit[hit != r]
-        M[hit] ^= M[r]
-        pivots.append(c)
-    return np.unpackbits(M[:len(pivots)].view(np.uint8), axis=1, count=n,
+        w0 = byte >> 3  # the rows of M are zero before this word
+        T = np.zeros((1, W - w0), dtype=M.dtype)
+        for comb in combs:
+            T = np.concatenate([T, T ^ np.bitwise_xor.reduce(M[comb, w0:])])
+        # the row of T with the same bits as a byte at the pivots
+        lut = sum((values & b != 0) << j for j, b in enumerate(bits))
+        for rows in (M, R):
+            rows[:, w0:] ^= T[lut[rows.view(np.uint8)[:, byte]]]
+        new = np.zeros((len(bits), W), dtype=M.dtype)
+        new[:, w0:] = T[1 << np.arange(len(bits))]
+        R = np.concatenate([R, new])
+        pivots += [8 * byte + b.bit_length() - 1 for b in bits]
+    return np.unpackbits(R.view(np.uint8), axis=1, count=n,
                          bitorder="little"), pivots
 
 
-def _rref_mod_p(A: np.ndarray, p: int):
-    """Row reduction over odd GF(p); returns (reduced nonzero rows, pivot
-    columns).  Each pivot updates all rows it hits in one numpy step, on
-    the narrowest dtype that holds -(p-1)^2."""
-    M = (A % p).astype(np.min_scalar_type(-(p - 1) ** 2))
+def _rref_mod_p(M: np.ndarray, p: int):
+    """Row reduction over odd GF(p) of M (consumed), with entries in
+    0..p-1 on a signed dtype that holds -(p-1)^2: (reduced nonzero rows,
+    pivot columns).  Each pivot updates all rows it hits in one numpy
+    step."""
     pivots = []
     for c in range(M.shape[1]):
         r = len(pivots)
@@ -157,19 +206,39 @@ def _rref_mod_p(A: np.ndarray, p: int):
     return M[:len(pivots)], pivots
 
 
+def _refuse_over_budget(A: IncidenceMatrix, size: int, what: str):
+    """ResourceError when `what` for A needs more than 8 * POINT_CAP bytes."""
+    budget = 8 * POINT_CAP
+    if size > budget:
+        raise ResourceError(
+            f"{A.n_rows}x{A.n_cols} incidence matrix: {what} needs {size} "
+            f"bytes, over the budget of {budget}")
+
+
 def rank_and_nullspace(A: IncidenceMatrix):
     """Rank of A over GF(p) and the systematic generator D of the dual
     code: row j of D is 1 at the j-th free column, minus that column of
-    the RREF at the pivots, and 0 elsewhere."""
-    p = A.p
-    size, budget = A.n_rows * A.n_cols, 8 * POINT_CAP
-    if size > budget:
-        raise ResourceError(
-            f"{A.n_rows}x{A.n_cols} incidence matrix: dense elimination "
-            f"needs {size} bytes, over the budget of {budget}")
-    M, pivots = _rref_gf2(A.dense()) if p == 2 else _rref_mod_p(A.dense(), p)
-    free = np.setdiff1d(np.arange(A.n_cols), pivots)
-    D = np.zeros((free.size, A.n_cols), dtype=np.int64)
+    the RREF at the pivots, and 0 elsewhere.  Refused before allocating
+    when the rows to reduce, or D, would exceed the byte budget."""
+    p, n = A.p, A.n_cols
+    if p == 2:  # the packed rows and an XOR table of at most 256 of them
+        size = (A.n_rows + 256) * -(-n // 64) * 8
+    else:
+        dtype = np.min_scalar_type(-(p - 1) ** 2)
+        size = A.n_rows * n * dtype.itemsize
+    # D has an int64 row for each free column, at least n - n_rows of them
+    _refuse_over_budget(A, size + max(n - A.n_rows, 0) * n * 8, "elimination")
+    if p == 2:
+        M, pivots = _rref_gf2(_packed(A), n)
+    else:
+        M = np.zeros((A.n_rows, n), dtype=dtype)
+        M[_coordinates(A)] = 1
+        M, pivots = _rref_mod_p(M, p)
+    _refuse_over_budget(A, (n - len(pivots)) * n * 8, "dual generator")
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    D = np.zeros((free.size, n), dtype=np.int64)
     D[:, pivots] = -M[:, free].T.astype(np.int64) % p  # widen, then negate
     D[np.arange(free.size), free] = 1
     return len(pivots), D

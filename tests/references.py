@@ -1,12 +1,16 @@
 """Reference implementations that the tests compare the library against:
 scalar subspace membership and intersection, brute-force k-space counts,
 a blocking-set predicate, the nucleus of an even-order parabolic quadric,
-exact-cover ovoid and spread searches, and the spread and ovoid greedies
-that recount after every removal."""
+exact-cover ovoid and spread searches, the spread and ovoid greedies
+that recount after every removal, the dense form of an incidence matrix,
+and GF(2) row reduction one pivot column at a time."""
 
 from bisect import bisect_left, bisect_right
 
+import numpy as np
+
 from polarlab.gf import FieldSpec
+from polarlab.gfcode import IncidenceMatrix
 from polarlab.polarspace import PolarSpace, bit_indices
 from polarlab.projspace import GeometryError, Subspace, normalize_point, nullspace
 from polarlab.verify import _as_index_set, _line_supports, is_ovoid, is_spread
@@ -171,3 +175,31 @@ def extract_ovoid(P: PolarSpace, blocking):
     if len(pts) == P.q ** 2 + 1 and is_ovoid(P, pts):
         return pts
     return None
+
+
+def dense(A: IncidenceMatrix) -> np.ndarray:
+    """The incidence matrix A as a dense uint8 0/1 array."""
+    out = np.zeros((A.n_rows, A.n_cols), dtype=np.uint8)
+    for i, sup in enumerate(A.supports):
+        out[i, list(sup)] = 1
+    return out
+
+
+def rref_gf2_by_column(M: np.ndarray, n: int):
+    """`gfcode._rref_gf2` one pivot column at a time, on the same packed
+    uint64 rows M (consumed): each pivot is swapped into place and clears
+    its column from every row it hits with one XOR.  Fast enough for the
+    large codes that the scalar reference cannot reach."""
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        nz = np.flatnonzero(M[r:, c >> 6] >> (c & 63) & 1)
+        if not nz.size:
+            continue
+        M[[r, r + nz[0]]] = M[[r + nz[0], r]]
+        hit = np.flatnonzero(M[:, c >> 6] >> (c & 63) & 1)
+        hit = hit[hit != r]
+        M[hit] ^= M[r]
+        pivots.append(c)
+    return np.unpackbits(M[:len(pivots)].view(np.uint8), axis=1, count=n,
+                         bitorder="little"), pivots

@@ -23,7 +23,7 @@ from polarlab.gfcode import build_incidence, rank_and_nullspace, scan_dual_weigh
 from polarlab.kleinmap import inverse_klein_point, klein_point
 from polarlab import constructions as C
 from polarlab import verify
-from references import contains_point, count_kspaces_through, intersect
+from references import contains_point, count_kspaces_through, dense, intersect
 
 
 def report(capsys, n, ok, msg):
@@ -155,7 +155,7 @@ def test_criterion_5_full_scan_q42(capsys):
     A = build_incidence(P, 1)
     rank, D = rank_and_nullspace(A)
     ok = rank == 10 and len(D) == 5  # regression constants
-    ok &= not (A.dense() @ D.T % 2).any()
+    ok &= not (dense(A) @ D.T % 2).any()
     rep = scan_dual_weights(A)
     ok &= rep["mode"] == "FULL"
     nz = sorted(w for w in rep["weights"] if w)
@@ -183,7 +183,7 @@ def test_criterion_6_even_weights(capsys):
     P = get_space("Qplus", 5, 2)
     A = build_incidence(P, 2)
     _rank, D = rank_and_nullspace(A)
-    ok = not (A.dense() @ D.T % 2).any()
+    ok = not (dense(A) @ D.T % 2).any()
     ok &= all(np.count_nonzero(row) % 2 == 0 for row in D)
     packed = [sum(1 << int(i) for i in np.flatnonzero(row)) for row in D]
     rng = random.Random(0)

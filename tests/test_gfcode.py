@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from references import dense, rref_gf2_by_column
 
 from polarlab import gfcode
 from polarlab.polarspace import get_space
@@ -14,10 +17,12 @@ from polarlab.gfcode import (
     IncidenceMatrix,
     PARTIAL_SUPPORT_BOUND,
     ScanRefused,
+    _packed,
     _rref_gf2,
     _rref_mod_p,
     _scan_partial,
     _tail_size,
+    _words,
     build_incidence,
     codeword_payload,
     export_alist,
@@ -33,9 +38,9 @@ def test_incidence_shape_and_row_weights():
     P = get_space("Q", 4, 2)
     A = build_incidence(P, 1)
     assert A.n_cols == 15 and len(A.supports) == 15
-    dense = A.dense()
-    assert dense.shape == (15, 15)
-    assert all(dense[i].sum() == 3 for i in range(15))
+    M = dense(A)
+    assert M.shape == (15, 15)
+    assert all(M[i].sum() == 3 for i in range(15))
 
 
 def test_incidence_is_cached():
@@ -157,10 +162,10 @@ def test_codeword_payload_roundtrip(tmp_path):
 def _assert_dual_generator(A, D):
     """D is the systematic generator of the dual of A: the identity at the
     non-pivot columns of A, and A D^T = 0 over GF(p)."""
-    free = np.setdiff1d(np.arange(A.n_cols), _rref(A.dense(), A.p)[1])
+    free = np.setdiff1d(np.arange(A.n_cols), _rref(dense(A), A.p)[1])
     assert D.shape == (free.size, A.n_cols)
     assert (D[:, free] == np.eye(free.size)).all()
-    assert not (A.dense().astype(np.int64) @ D.T % A.p).any()
+    assert not (dense(A).astype(np.int64) @ D.T % A.p).any()
 
 
 def _reference_rref(rows, p):
@@ -185,7 +190,9 @@ def _reference_rref(rows, p):
 
 
 def _rref(A, p):
-    return _rref_gf2(A) if p == 2 else _rref_mod_p(A, p)
+    if p == 2:
+        return _rref_gf2(_words(A % 2), A.shape[1])
+    return _rref_mod_p((A % p).astype(np.min_scalar_type(-(p - 1) ** 2)), p)
 
 
 def _incidence(A, p):
@@ -211,11 +218,40 @@ def _seeded_matrix(p, rows, cols, rank, seed):
     return p, B @ rng.integers(0, p, size=(rank, cols)) % p
 
 
-@settings(deadline=None)  # the seeded examples take about 0.4 s each
+def _with_blocks(seed):
+    """Random GF(2) rows whose column block 8..15 is zero, so it has no
+    pivot, and whose block 16..23 holds an identity, so all eight of its
+    columns are pivots."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, 2, size=(40, 70))
+    A[:, 8:16] = 0
+    A[:8, :24] = 0
+    A[:8, 16:24] = np.eye(8, dtype=np.int64)
+    return 2, A
+
+
+def _all_bytes(seed):
+    """512 random GF(2) rows whose first byte runs through each of the 256
+    values twice."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, 2, size=(512, 24))
+    A[:, :8] = np.unpackbits(np.arange(512).astype(np.uint8)[:, None],
+                             axis=1, bitorder="little")
+    return 2, A
+
+
+@settings(deadline=None)  # the seeded examples take up to a second each
 @given(_matrices())
 @example(_seeded_matrix(2, 200, 150, 150, 1))  # tall: three words per row
 @example(_seeded_matrix(2, 140, 260, 90, 2))   # wide, rank <= 90
 @example(_seeded_matrix(3, 90, 140, 60, 3))
+@example(_seeded_matrix(2, 100, 65, 65, 4))    # one column past a word
+@example(_seeded_matrix(2, 90, 129, 60, 5))
+@example(_seeded_matrix(2, 150, 135, 150, 6))  # 135: not a multiple of 8
+@example(_with_blocks(7))
+@example(_all_bytes(8))
+@example((2, np.zeros((0, 20), dtype=np.int64)))
+@example((2, np.ones((5, 1), dtype=np.int64)))
 def test_rref_matches_scalar_reference(pA):
     p, A = pA
     M, pivots = _rref(A, p)
@@ -231,14 +267,49 @@ def test_rref_matches_scalar_reference(pA):
     _assert_dual_generator(I, D)
 
 
-def test_elimination_refused_before_allocating(monkeypatch):
-    A = build_incidence(get_space("Q", 4, 2), 1)
-    monkeypatch.setattr(gfcode, "POINT_CAP", A.n_rows * A.n_cols // 8 - 1)
-    monkeypatch.setattr(IncidenceMatrix, "dense", lambda self: pytest.fail())
-    with pytest.raises(ResourceError, match="over the budget"):
-        rank_and_nullspace(A)
-    with pytest.raises(ResourceError):
-        scan_dual_weights(A)
+# (family, n, q, k, bytes charged before the elimination, bytes of D):
+# Q(4,2) k=1 holds 15 rows of one word and a table of at most 256 such
+# rows; Q+(5,2) k=2 30 + 256 rows of one word and D has at least 35 - 30
+# int64 rows of 35 symbols (it has 20); Q(4,3) k=1 40 x 40 int8 symbols,
+# and D 15 x 40 int64
+CHARGES = [("Q", 4, 2, 1, (15 + 256) * 8, 5 * 15 * 8),
+           ("Qplus", 5, 2, 2, (30 + 256) * 8 + 5 * 35 * 8, 20 * 35 * 8),
+           ("Q", 4, 3, 1, 40 * 40, 15 * 40 * 8)]
+
+
+def test_elimination_refused_before_allocating():
+    for family, n, q, k, charge, d_bytes in CHARGES:
+        A = build_incidence(get_space(family, n, q), k)
+        with pytest.MonkeyPatch.context() as mp:  # budget = 8 * POINT_CAP
+            mp.setattr(gfcode, "POINT_CAP", charge // 8 - 1)
+            mp.setattr(gfcode, "_packed", lambda A: pytest.fail())
+            mp.setattr(gfcode, "_coordinates", lambda A: pytest.fail())
+            with pytest.raises(ResourceError,
+                               match=f"elimination needs {charge} bytes"):
+                rank_and_nullspace(A)
+            with pytest.raises(ResourceError):
+                scan_dual_weights(A)
+        if d_bytes > charge:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gfcode, "POINT_CAP", charge // 8)
+                with pytest.raises(ResourceError, match=f"dual generator "
+                                   f"needs {d_bytes} bytes"):
+                    rank_and_nullspace(A)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gfcode, "POINT_CAP", max(charge, d_bytes) // 8)
+            rank, D = rank_and_nullspace(A)
+        assert D.nbytes == d_bytes and rank + len(D) == A.n_cols
+
+
+def test_scan_keeps_numpy_ma_unloaded():
+    code = ("import sys\n"
+            "from polarlab.gfcode import build_incidence, scan_dual_weights\n"
+            "from polarlab.polarspace import get_space\n"
+            "scan_dual_weights(build_incidence(get_space('Q', 4, 2), 1))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def _brute_force_weights(D, p):
@@ -343,6 +414,17 @@ SCAN_LADDER = [
      "28:3602880, 30:1017648, 31:1296000, 33:193680, 34:174960, "
      "36:11580, 37:8640, 39:720, 40:324"),
 ]
+
+
+@pytest.mark.parametrize("family,n,order,k", [c[:4] for c in SCAN_LADDER
+                                             if c[:3] != ("Q", 4, 3)])
+def test_binary_ladder_rref_pinned(family, n, order, k):
+    A = build_incidence(get_space(family, n, order), k)
+    assert (_packed(A) == _words(dense(A))).all()
+    M, pivots = _rref_gf2(_packed(A), A.n_cols)
+    want_M, want_pivots = rref_gf2_by_column(_packed(A), A.n_cols)
+    assert pivots == want_pivots
+    assert M.dtype == want_M.dtype and (M == want_M).all()
 
 
 @pytest.mark.parametrize("family,n,order,k,rank,nullity,dist", SCAN_LADDER)
