@@ -123,7 +123,11 @@ def _packed(A: IncidenceMatrix) -> np.ndarray:
     ORed in straight from the supports."""
     rows, cols = _coordinates(A)
     out = np.zeros((A.n_rows, -(-A.n_cols // 64) * 8), dtype=np.uint8)
-    np.bitwise_or.at(out, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
+    bits = cols.astype(np.uint8)  # in place from here on: one byte per 1
+    bits &= 7
+    np.left_shift(1, bits, out=bits)
+    cols >>= 3
+    np.bitwise_or.at(out, (rows, cols), bits)
     return out.view("<u8")
 
 
@@ -215,33 +219,59 @@ def _refuse_over_budget(A: IncidenceMatrix, size: int, what: str):
             f"bytes, over the budget of {budget}")
 
 
+def _elimination_bytes(A: IncidenceMatrix, item: int) -> int:
+    """Bytes that the elimination of A holds at its peak, with `item`
+    bytes per entry of the unpacked rows.  The rows to reduce, over GF(2)
+    packed 64 columns to a word, are held throughout.  While they are
+    filled: the column and row index of every 1, one byte for each 1 and
+    two indices per row.  Over GF(2), per pass: a copy of the rows with its
+    index, the XOR table and the pivot rows twice while they grow, and at
+    the end the pivot rows unpacked too.  Over GF(p), p odd, per pivot:
+    the rows it hits, their product with the pivot row and the
+    difference, and four indices into the rows."""
+    n, r = A.n_cols, A.n_rows
+    fill = 17 * sum(map(len, A.supports)) + 16 * r
+    if A.p == 2:
+        w, m = -(-n // 64) * 8, min(r, n)  # bytes per packed row, pivots
+        rows = r * w
+        step = max(rows + 8 * r + 256 * w + 2 * m * w, m * w + m * n)
+    else:
+        rows = r * n * item
+        step = 3 * rows + 32 * r
+    return rows + max(fill, step)
+
+
 def rank_and_nullspace(A: IncidenceMatrix):
     """Rank of A over GF(p) and the systematic generator D of the dual
     code: row j of D is 1 at the j-th free column, minus that column of
     the RREF at the pivots, and 0 elsewhere.  Refused before allocating
-    when the rows to reduce, or D, would exceed the byte budget."""
-    p, n = A.p, A.n_cols
-    if p == 2:  # the packed rows and an XOR table of at most 256 of them
-        size = (A.n_rows + 256) * -(-n // 64) * 8
-    else:
-        dtype = np.min_scalar_type(-(p - 1) ** 2)
-        size = A.n_rows * n * dtype.itemsize
+    when the elimination, or forming D, would hold more than the byte
+    budget at its peak."""
+    p, n, r = A.p, A.n_cols, A.n_rows
+    dtype = np.dtype(np.uint8) if p == 2 else np.min_scalar_type(-(p - 1) ** 2)
     # D has an int64 row for each free column, at least n - n_rows of them
-    _refuse_over_budget(A, size + max(n - A.n_rows, 0) * n * 8, "elimination")
+    _refuse_over_budget(A, max(_elimination_bytes(A, dtype.itemsize),
+                               max(n - r, 0) * n * 8), "elimination")
     if p == 2:
         M, pivots = _rref_gf2(_packed(A), n)
+        held = M.nbytes
     else:
-        M = np.zeros((A.n_rows, n), dtype=dtype)
+        M = np.zeros((r, n), dtype=dtype)
         M[_coordinates(A)] = 1
+        held = M.nbytes  # the reduced rows are a view of all of M
         M, pivots = _rref_mod_p(M, p)
-    _refuse_over_budget(A, (n - len(pivots)) * n * 8, "dual generator")
+    rank = len(pivots)
+    # D, the reduced rows, two arrays of their free columns and the
+    # indices of the pivot and free columns
+    _refuse_over_budget(A, held + (n - rank) * n * 8 + 32 * n
+                        + 2 * rank * (n - rank) * dtype.itemsize, "dual generator")
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
     D = np.zeros((free.size, n), dtype=np.int64)
-    D[:, pivots] = -M[:, free].T.astype(np.int64) % p  # widen, then negate
+    D[:, pivots] = (p - M[:, free].T) % p
     D[np.arange(free.size), free] = 1
-    return len(pivots), D
+    return rank, D
 
 
 def _words(bits: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import ceil, isqrt
 
 import numpy as np
@@ -314,7 +315,6 @@ class PolarSpace:
         self.kspace_count(k)  # refuses a k out of range
         self._check_budget(k)
         out = self._kspaces(k)
-        out.sort(key=lambda t: t[1])
         self._kspace_cache[k] = out
         return out
 
@@ -322,8 +322,9 @@ class PolarSpace:
         """Singular k-spaces as (Subspace, support), grown from the points
         by the pivot rule of the module docstring.  Per level, `rows`
         holds the point indices of each node's RREF rows and `cands` the
-        points that extend it; the supports are formed at level k only.
-        Each level's count is checked against the closed form."""
+        points that extend it; the supports are formed at level k only,
+        and the output is in support order.  Each level's count is checked
+        against the closed form."""
         X = np.array(self.points, dtype=np.intp)
         (N, width), F = X.shape, self.F
         weights = F.order ** np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -367,9 +368,15 @@ class PolarSpace:
         for lo in range(0, len(rows), step):
             V = combine(coeffs[~unit], X[rows[lo:lo + step]][:, None], F)
             sup[lo:lo + step, ~unit] = np.searchsorted(codes, V @ weights)
-        pts = self.points
-        return [(Subspace(self.n, tuple(pts[i] for i in rows[r].tolist())),
-                 tuple(sup[r].tolist())) for r in range(len(sup))]
+        # the output in support order, equal-length distinct supports making
+        # lexsort's order the tuple order, formed a column at a time: each
+        # point tuple and each index int is one object shared by every row
+        order = np.lexsort(sup.T[::-1])
+        pts = np.fromiter(self.points, dtype=object, count=N)
+        idx = np.arange(N).astype(object)
+        bases = zip(*pts[rows[order]].T.tolist())
+        sups = zip(*idx[sup[order]].T.tolist())
+        return list(zip(map(Subspace, repeat(self.n), bases), sups))
 
 
 def bit_indices(mask: int) -> list[int]:

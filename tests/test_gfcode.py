@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -267,21 +268,28 @@ def test_rref_matches_scalar_reference(pA):
     _assert_dual_generator(I, D)
 
 
-# (family, n, q, k, bytes charged before the elimination, bytes of D):
-# Q(4,2) k=1 holds 15 rows of one word and a table of at most 256 such
-# rows; Q+(5,2) k=2 30 + 256 rows of one word and D has at least 35 - 30
-# int64 rows of 35 symbols (it has 20); Q(4,3) k=1 40 x 40 int8 symbols,
-# and D 15 x 40 int64
-CHARGES = [("Q", 4, 2, 1, (15 + 256) * 8, 5 * 15 * 8),
-           ("Qplus", 5, 2, 2, (30 + 256) * 8 + 5 * 35 * 8, 20 * 35 * 8),
-           ("Q", 4, 3, 1, 40 * 40, 15 * 40 * 8)]
+# (family, n, q, k, bytes charged before the elimination, bytes charged
+# before D, rows of D).  Q(4,2) k=1: 15 rows of one word; its peak is a
+# pass, holding a copy of them with an index, a table of 256 rows and
+# twice at most 15 pivot rows.  Then 10 reduced rows of 15 bytes, D of 5
+# int64 rows, two 10 x 5 arrays of their free columns and 32 bytes of
+# indices per column.  Q+(5,2) k=2: 30 rows of one word; its peak is
+# filling them from 30 x 7 ones.  Q(4,3) k=1: 40 x 40 int8 symbols, and
+# per pivot three arrays as large and four indices into the 40 rows; D
+# is formed beside all 40 rows.
+CHARGES = [("Q", 4, 2, 1, 15 * 8 + 15 * 8 + 15 * 8 + 256 * 8 + 2 * 15 * 8,
+            10 * 15 + 5 * 15 * 8 + 32 * 15 + 2 * 10 * 5, 5),
+           ("Qplus", 5, 2, 2, 30 * 8 + 17 * 30 * 7 + 16 * 30,
+            15 * 35 + 20 * 35 * 8 + 32 * 35 + 2 * 15 * 20, 20),
+           ("Q", 4, 3, 1, 4 * 40 * 40 + 32 * 40,
+            40 * 40 + 15 * 40 * 8 + 32 * 40 + 2 * 25 * 15, 15)]
 
 
 def test_elimination_refused_before_allocating():
-    for family, n, q, k, charge, d_bytes in CHARGES:
+    for family, n, q, k, charge, d_charge, d_rows in CHARGES:
         A = build_incidence(get_space(family, n, q), k)
         with pytest.MonkeyPatch.context() as mp:  # budget = 8 * POINT_CAP
-            mp.setattr(gfcode, "POINT_CAP", charge // 8 - 1)
+            mp.setattr(gfcode, "POINT_CAP", -(-charge // 8) - 1)
             mp.setattr(gfcode, "_packed", lambda A: pytest.fail())
             mp.setattr(gfcode, "_coordinates", lambda A: pytest.fail())
             with pytest.raises(ResourceError,
@@ -289,16 +297,37 @@ def test_elimination_refused_before_allocating():
                 rank_and_nullspace(A)
             with pytest.raises(ResourceError):
                 scan_dual_weights(A)
-        if d_bytes > charge:
+        if d_charge > charge:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(gfcode, "POINT_CAP", charge // 8)
+                mp.setattr(gfcode, "POINT_CAP", -(-charge // 8))
                 with pytest.raises(ResourceError, match=f"dual generator "
-                                   f"needs {d_bytes} bytes"):
+                                   f"needs {d_charge} bytes"):
                     rank_and_nullspace(A)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gfcode, "POINT_CAP", max(charge, d_bytes) // 8)
+            mp.setattr(gfcode, "POINT_CAP", -(-max(charge, d_charge) // 8))
             rank, D = rank_and_nullspace(A)
-        assert D.nbytes == d_bytes and rank + len(D) == A.n_cols
+        assert D.shape == (d_rows, A.n_cols) and rank + d_rows == A.n_cols
+
+
+# codes whose arrays outweigh the fixed costs of the elimination: over
+# GF(2) the peak is a pass over the packed rows of H(5,4) and Q(6,4),
+# over GF(3) a pivot step of the 3640 x 364 int8 rows of Q(6,3)
+@pytest.mark.parametrize("family,n,q,k", [("H", 5, 4, 1), ("Q", 6, 4, 1),
+                                          ("Q", 6, 3, 1)])
+def test_elimination_peak_within_charge(family, n, q, k, monkeypatch):
+    A = build_incidence(get_space(family, n, q), k)
+    charges = []
+    refuse = gfcode._refuse_over_budget
+    monkeypatch.setattr(gfcode, "_refuse_over_budget", lambda A, size, what:
+                        charges.append(size) or refuse(A, size, what))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rank_and_nullspace(A)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(charges) == 2 and peak <= max(charges)
 
 
 def test_scan_keeps_numpy_ma_unloaded():

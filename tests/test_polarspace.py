@@ -327,6 +327,28 @@ def test_kspace_enum_supports_pinned(family, n, order, k, sha):
     assert hashlib.sha256(json.dumps(supports).encode()).hexdigest() == sha
 
 
+# sha256 of the RREF bases of the same instances, in the same order
+@pytest.mark.parametrize("family,n,order,k,sha", [
+    ("Q", 6, 4, 2, "64df2a234be8a528d6a00660636074745bf60bb5b46f216d8f02e6018e8d67bd"),
+    ("H", 5, 4, 2, "e4be4342e2978662b6197c711c21b1911302c6273ea4355b5a1990bedd291cc6"),
+    ("Q", 8, 2, 3, "9fd31380417d49358e51ebda494725a9e9258d8a475252db84daab4e11145aca"),
+    ("Qplus", 7, 3, 1, "6328957c6c4af899a6faec04c88169f0ea4d60f48ff32f378481199df3e990c2"),
+    ("Qplus", 7, 3, 3, "e9c0ec29b886a98cdfedebba331071020d272eb2ddf98b637919d3548ab005ec"),
+    ("Qplus", 9, 2, 4, "bcbc73e3347b2031465d755456242d771a03a279d4c73e1d7026b7aeb82a84fa"),
+])
+def test_kspace_enum_bases_pinned(family, n, order, k, sha):
+    P = get_space(family, n, order)
+    spaces = P.singular_kspaces_with_supports(k)
+    bases = [[list(v) for v in S.basis] for S, _sup in spaces]
+    assert hashlib.sha256(json.dumps(bases).encode()).hexdigest() == sha
+    # the rows share the point tuples and the index ints: one object each
+    index = {}
+    for S, sup in spaces:
+        assert type(S) is Subspace and S.ambient == P.n
+        assert all(v is P.points[P.index[v]] for v in S.basis)
+        assert all(type(i) is int and index.setdefault(i, i) is i for i in sup)
+
+
 @pytest.mark.parametrize("family,n,order", [("Q", 6, 2), ("Qplus", 5, 3)])
 def test_each_basis_is_an_rref_over_its_canonical_parent(family, n, order):
     P = get_space(family, n, order)
