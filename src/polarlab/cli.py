@@ -219,10 +219,17 @@ _VARIANT_ALIASES = {
 
 def _construct_config(ns) -> RunConfig:
     """The keyword arguments of the construction's signature that the
-    parser defines; one without a default must be given (--q always is)."""
+    parser defines; one without a default must be given (--q always is),
+    and a flag outside the signature must not be."""
     name = ns.name
+    signature = inspect.signature(CONSTRUCTIONS[name]).parameters
+    taken = {"subcommand", "name", "out", *signature}
+    for key, val in vars(ns).items():
+        if val is not None and key not in taken:
+            flag = "--" + key.replace("_", "-")
+            raise SystemExit(f"polarlab construct {name}: takes no {flag}")
     params = {}
-    for key, par in inspect.signature(CONSTRUCTIONS[name]).parameters.items():
+    for key, par in signature.items():
         if key not in vars(ns):
             continue
         val = getattr(ns, key)

@@ -34,12 +34,9 @@ from .polarspace import (
 from .gfcode import CodewordVec, IncidenceMatrix, build_incidence, is_dual_codeword
 from .kleinmap import (
     klein_point,
-    klein_preimage,
     lineset_to_codeword,
-    opposite_regulus,
     regular_spread,
     reguli_partition_through,
-    regulus_through,
 )
 from . import verify
 
@@ -89,13 +86,6 @@ def _complement(P: PolarSpace, removed) -> CodewordVec:
     return CodewordVec(support, len(P.points), 2)
 
 
-def _regulus_pair(R, O, a: int, P: PolarSpace) -> CodewordVec:
-    """+a on the Klein images of the lines of R and -a on those of O."""
-    symbols = {L: a for L in R}
-    symbols.update({L: -a for L in O})
-    return lineset_to_codeword(symbols, P)
-
-
 def _section_pair(P: PolarSpace, pi: Subspace, a: int) -> CodewordVec:
     """+a on the points of P in pi and -a on those in its polar image,
     the points on both dropped."""
@@ -106,7 +96,10 @@ def _section_pair(P: PolarSpace, pi: Subspace, a: int) -> CodewordVec:
     return _points_to_codeword(P, symbols)
 
 
-# --- line sets on the Klein quadric -----------------------------------
+# --- reguli and pencils on the Klein quadric --------------------------
+#
+# A regulus of PG(3,q) is the conic that Q+(5,q) cuts from a plane, and
+# its opposite regulus is the conic in the polar plane.
 
 
 def _canonical_skew_triple(F: FieldSpec):
@@ -122,9 +115,9 @@ def cw_two_reguli(q: int, alpha: int = 1) -> ConstructionResult:
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
     a = _symbol(alpha, F.p)
-    R = regulus_through(*_canonical_skew_triple(F), F)
+    plane = span([klein_point(L, F) for L in _canonical_skew_triple(F)], F)
     return ConstructionResult(
-        _regulus_pair(R, opposite_regulus(R, F), a, P), 2 * q + 2, P, 2,
+        _section_pair(P, plane, a), 2 * q + 2, P, 2,
         "regulus/opposite-regulus pair of a hyperbolic quadric in PG(3,q)")
 
 
@@ -175,11 +168,11 @@ class _Replay:
 
 @lru_cache(maxsize=None)
 def _hyperbolic_quadrics(q: int) -> _Replay:
-    """Hyperbolic quadrics of PG(3,q) as (regulus, opposite regulus)
-    pairs, each found from its first skew line triple in canonical order;
-    the regulus is the one through that triple.  Lines are skew when
-    their Klein points are not collinear, and a quadric is the plane of
-    its regulus's Klein points together with the polar plane."""
+    """Hyperbolic quadrics of PG(3,q) as (plane, polar plane, indices of
+    the points of Q+(5,q) on both), each found from its first skew line
+    triple in canonical order: the plane is that of the triple's Klein
+    points, so its conic is the regulus through the triple.  Lines are
+    skew when their Klein points are not collinear."""
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
     at = [P.index[klein_point(L, F)] for L in enumerate_lines(3, F)]
@@ -194,27 +187,29 @@ def _hyperbolic_quadrics(q: int) -> _Replay:
             if plane not in seen:
                 perp = polar_image(P, plane)
                 seen.update((plane, perp))
-                yield klein_preimage(P, plane), klein_preimage(P, perp)
+                yield plane, perp, frozenset(
+                    P.index[x] for x in _on(P, plane) + _on(P, perp))
     return _Replay(quadrics())
 
 
 def cw_regulus_combination(q: int, common_lines: int, orientation: int = 1,
                            alpha: int = 1):
     """Sum of two regulus-pair codewords whose quadrics share the given
-    number of lines; None when no such pair of quadrics is found.  The
-    pairs are searched in combinations order, listing quadrics only as
-    far as the search reaches."""
+    number of lines, that is of Klein points; None when no such pair of
+    quadrics is found.  A negative orientation puts +a on the opposite
+    regulus of the second quadric.  The pairs are searched in
+    combinations order, listing quadrics only as far as the search
+    reaches."""
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
     a = _symbol(alpha, F.p)
     quadrics = _hyperbolic_quadrics(q)
-    for i, (R1, O1) in enumerate(quadrics):
-        for R2, O2 in islice(quadrics, i + 1, None):
-            if len(set(R1 + O1) & set(R2 + O2)) != common_lines:
+    for i, (pi1, _perp1, on1) in enumerate(quadrics):
+        for pi2, perp2, on2 in islice(quadrics, i + 1, None):
+            if len(on1 & on2) != common_lines:
                 continue
-            if orientation < 0:
-                R2, O2 = O2, R2
-            c = _regulus_pair(R1, O1, a, P) + _regulus_pair(R2, O2, a, P)
+            pi2 = perp2 if orientation < 0 else pi2
+            c = _section_pair(P, pi1, a) + _section_pair(P, pi2, a)
             return ConstructionResult(
                 c, c.weight, P, 2,
                 f"sum of two regulus-pair codewords sharing {common_lines} lines")
@@ -231,27 +226,17 @@ def cw_regulus_switch(q: int, i: int) -> ConstructionResult:
         raise GeometryError(f"i={i} out of range [0, {q // 2}]")
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
-    switched = switched_line_set(q, i)
+    T = regular_spread(q)
+    switched = {klein_point(L, F) for L in T}
+    for reg in reguli_partition_through(T[0], q)[:2 * i]:
+        conic = [klein_point(L, F) for L in reg]
+        switched.difference_update(conic)
+        switched.update(_on(P, polar_image(P, span(conic, F))))
+    switched.add(klein_point(T[0], F))
     assert len(switched) == q * q + 1 + 2 * i
     return ConstructionResult(
-        _complement(P, [klein_point(M, F) for M in switched]),
-        (1 + q * q) * (q * q + q) - 2 * i, P, 2,
+        _complement(P, switched), (1 + q * q) * (q * q + q) - 2 * i, P, 2,
         f"complement of a regular spread image with {2 * i} reguli switched")
-
-
-def switched_line_set(q: int, i: int) -> dict:
-    """The switched spread line set itself, with unit symbols; satisfies
-    the odd-count plane and point conditions."""
-    F = field_of_order(q)
-    T = regular_spread(q)
-    L = T[0]
-    regs = reguli_partition_through(L, q)
-    switched = set(T)
-    for reg in regs[:2 * i]:
-        switched.difference_update(reg)
-        switched.update(opposite_regulus(reg, F))
-    switched.add(L)
-    return {M: 1 for M in switched}
 
 
 # --- complements of ovoids and W(q) examples --------------------------

@@ -2,10 +2,11 @@
 
 The code of a polar space is spanned by the rows of its point/k-space
 incidence matrix over the prime field; its dual is the right nullspace,
-passed around as one systematic generator array D (nullity x n_cols).
-Weight scans enumerate the span of D exhaustively when the nullity is
-small enough and otherwise refuse, or, when asked, count the words of
-at most a few rows of D, whose extreme weights are then only bounds.
+passed around as one systematic generator array D (nullity x n_cols) in
+the dtype of the eliminated rows.  Weight scans enumerate the span of D
+exhaustively when the nullity is small enough and otherwise refuse, or,
+when asked, count the words of at most a few rows of D, whose extreme
+weights are then only bounds.
 `CodewordVec` is the sparse form of single words: constructions,
 witnesses and `--out` payloads.
 """
@@ -47,7 +48,6 @@ class IncidenceMatrix:
     supports: tuple[tuple[int, ...], ...]
     n_cols: int
     p: int
-    k: int
 
     @property
     def n_rows(self) -> int:
@@ -92,7 +92,6 @@ def build_incidence(P: PolarSpace, k: int) -> IncidenceMatrix:
         supports=tuple(sup for _S, sup in spaces),
         n_cols=len(P.points),
         p=P.F.p,
-        k=k,
     )
 
 
@@ -249,9 +248,9 @@ def rank_and_nullspace(A: IncidenceMatrix):
     budget at its peak."""
     p, n, r = A.p, A.n_cols, A.n_rows
     dtype = np.dtype(np.uint8) if p == 2 else np.min_scalar_type(-(p - 1) ** 2)
-    # D has an int64 row for each free column, at least n - n_rows of them
+    # D has a row for each free column, at least n - n_rows of them
     _refuse_over_budget(A, max(_elimination_bytes(A, dtype.itemsize),
-                               max(n - r, 0) * n * 8), "elimination")
+                               max(n - r, 0) * n * dtype.itemsize), "elimination")
     if p == 2:
         M, pivots = _rref_gf2(_packed(A), n)
         held = M.nbytes
@@ -263,12 +262,12 @@ def rank_and_nullspace(A: IncidenceMatrix):
     rank = len(pivots)
     # D, the reduced rows, two arrays of their free columns and the
     # indices of the pivot and free columns
-    _refuse_over_budget(A, held + (n - rank) * n * 8 + 32 * n
+    _refuse_over_budget(A, held + (n - rank) * n * dtype.itemsize + 32 * n
                         + 2 * rank * (n - rank) * dtype.itemsize, "dual generator")
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    D = np.zeros((free.size, n), dtype=np.int64)
+    D = np.zeros((free.size, n), dtype=dtype)
     D[:, pivots] = (p - M[:, free].T) % p
     D[np.arange(free.size), free] = 1
     return rank, D

@@ -1,16 +1,16 @@
-"""Klein correspondence: lines of PG(3,q) <-> points of Q+(5,q).
+"""Klein correspondence: lines of PG(3,q) -> points of Q+(5,q).
 
 Plucker coordinates are taken in the order (p01,p02,p03,p23,p31,p12), on
 which the quadric relation reads p01*p23 + p02*p31 + p03*p12 = 0.  The
 fixed permutation to (p01,p23,p02,p31,p03,p12) carries the image onto the
-standard hyperbolic form x0x1 + x2x3 + x4x5.  The inverse map is one
-table from Klein points to lines.
+standard hyperbolic form x0x1 + x2x3 + x4x5.  The map is used in this
+direction only: what a line set means is read off its Klein points.
 
-Line geometry is read off the quadric: two lines meet iff their Klein
-points are collinear on Q+(5,q).  The regulus through three pairwise skew
-lines is the conic that Q+(5,q) cuts from the plane of their Klein
-points, and its opposite regulus, the lines meeting all of them, is the
-conic in the polar plane.
+Two lines meet iff their Klein points are collinear on Q+(5,q).  The
+regulus through three pairwise skew lines is the conic that Q+(5,q) cuts
+from the plane of their Klein points, and its opposite regulus, the lines
+meeting all of them, is the conic in the polar plane; the constructions
+build reguli as these plane sections.
 
 The regular spread is PG(1,q^2) read over GF(q), with GF(q) arithmetic
 only: xi, a root of the least irreducible t^2 + bt + c, multiplies each
@@ -22,24 +22,10 @@ spread line are the Baer sublines through it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from .gf import FieldSpec, field_of_order
-from .projspace import (
-    GeometryError,
-    Subspace,
-    combine,
-    enumerate_lines,
-    normalize_point,
-    span,
-    subspace_points,
-)
-from .polarspace import (
-    PolarSpace,
-    get_space,
-    least_irreducible_binary_quadratic,
-    polar_image,
-)
+from .projspace import GeometryError, Subspace, combine, normalize_point, span
+from .polarspace import PolarSpace, least_irreducible_binary_quadratic
 from .gfcode import CodewordVec
 
 # plucker index -> coordinate pair, in the fixed output order
@@ -70,49 +56,6 @@ def to_quadric_point(pt, F: FieldSpec) -> tuple[int, ...]:
 def klein_point(L: Subspace, F: FieldSpec) -> tuple[int, ...]:
     """Image of a line on the standard hyperbolic quadric Q+(5,q)."""
     return to_quadric_point(plucker(L, F), F)
-
-
-@lru_cache(maxsize=None)
-def _klein_table(F: FieldSpec) -> dict:
-    return {klein_point(L, F): L for L in enumerate_lines(3, F)}
-
-
-def inverse_klein_point(pt, F: FieldSpec) -> Subspace:
-    L = _klein_table(F).get(normalize_point(pt, F))
-    if L is None:
-        raise GeometryError(f"{pt} is not on the Klein quadric")
-    return L
-
-
-def klein_preimage(P: PolarSpace, S: Subspace) -> list[Subspace]:
-    """The lines of PG(3,q) whose Klein points lie in the subspace S of
-    PG(5,q), sorted; P is the standard Q+(5,q)."""
-    return sorted(inverse_klein_point(x, P.F)
-                  for x in subspace_points(S, P.F) if x in P.index)
-
-
-def _regulus_plane(L1: Subspace, L2: Subspace, L3: Subspace, F: FieldSpec):
-    """Q+(5,q) and the plane of the Klein points of three pairwise skew
-    lines of PG(3,q)."""
-    P = get_space("Qplus", 5, F.order)
-    pts = [klein_point(L, F) for L in (L1, L2, L3)]
-    if any(P.collinear(x, y) for x, y in combinations(pts, 2)):
-        raise GeometryError("lines are not pairwise skew")
-    return P, span(pts, F)
-
-
-def regulus_through(L1: Subspace, L2: Subspace, L3: Subspace,
-                    F: FieldSpec) -> list[Subspace]:
-    """The q+1 pairwise skew lines through every common transversal of
-    three pairwise skew lines: a conic section of Q+(5,q)."""
-    return klein_preimage(*_regulus_plane(L1, L2, L3, F))
-
-
-def opposite_regulus(R, F: FieldSpec) -> list[Subspace]:
-    """The q+1 lines meeting every line of a regulus: the conic in the
-    polar plane."""
-    P, plane = _regulus_plane(*R[:3], F)
-    return klein_preimage(P, polar_image(P, plane))
 
 
 def _times_xi(v, F: FieldSpec) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from polarlab.polarspace import (
     tanner_bound_hermitian_4,
 )
 from polarlab.gfcode import build_incidence, rank_and_nullspace, scan_dual_weights
-from polarlab.kleinmap import inverse_klein_point, klein_point
+from polarlab.kleinmap import klein_point
 from polarlab import constructions as C
 from polarlab import verify
 from references import contains_point, count_kspaces_through, dense, intersect
@@ -54,10 +54,8 @@ def test_criterion_2_klein_correspondence(capsys):
         P = get_space("Qplus", 5, q)
         from polarlab.projspace import enumerate_lines
         lines = enumerate_lines(3, F)
-        images = {klein_point(L, F) for L in lines}
-        ok &= images == set(P.points)
-        ok &= all(inverse_klein_point(klein_point(L, F), F) == L
-                  for L in lines)
+        line_of = {klein_point(L, F): L for L in lines}
+        ok &= len(line_of) == len(lines) and set(line_of) == set(P.points)
         for L1 in lines[:10]:
             for L2 in lines[:10]:
                 if L1 is L2:
@@ -68,7 +66,7 @@ def test_criterion_2_klein_correspondence(capsys):
         # or all lines inside one plane
         stars = planes = 0
         for S, sup in P.singular_kspaces_with_supports(2):
-            pre = [inverse_klein_point(P.points[i], F) for i in sup]
+            pre = [line_of[P.points[i]] for i in sup]
             meet = pre[0]
             for L in pre[1:]:
                 meet = meet if meet is None else intersect(meet, L, F)

@@ -69,6 +69,22 @@ def test_construct_missing_required_flag(capsys):
     assert "--i is required" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("two-reguli", "--q", "2", "--family", "H", "--n", "9"), "--family"),
+    (("two-reguli", "--q", "2", "--n", "9"), "--n"),
+    (("polar-pair", "--family", "Qplus", "--n", "2", "--q", "2", "--k", "3"),
+     "--k"),
+    (("regulus-switch", "--q", "4", "--i", "1", "--common-lines", "0"),
+     "--common-lines"),
+])
+def test_construct_refuses_flags_it_does_not_take(capsys, tmp_path, argv, flag):
+    out_path = tmp_path / "cw.json"
+    code, out, err = run(capsys, "construct", *argv, "--out", str(out_path))
+    assert code == EXIT_USAGE
+    assert out == "" and not out_path.exists()
+    assert err == f"polarlab construct {argv[0]}: takes no {flag}\n"
+
+
 def test_construct_unknown_name(capsys):
     code, _, _ = run(capsys, "construct", "bogus", "--q", "2")
     assert code == EXIT_USAGE

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from polarlab.projspace import GeometryError
-from polarlab.polarspace import bound_min_weight_dual
+from polarlab.gf import field_of_order
+from polarlab.kleinmap import klein_point
+from polarlab.projspace import GeometryError, enumerate_lines
+from polarlab.polarspace import bound_min_weight_dual, get_space
 from polarlab import constructions as C
 
 
@@ -162,6 +164,16 @@ def test_regulus_combination_reports_outcome():
     assert r1.codeword.weight == 10  # one shared line cancels twice
 
 
+def test_regulus_combination_orientation():
+    # over GF(3) a negative orientation puts +1 on the opposite regulus of
+    # the second quadric, so the shared Klein point cancels only then;
+    # 0 swaps nothing
+    r, r0, r_neg = (check(C.cw_regulus_combination(3, 1, orientation=o))
+                    for o in (1, 0, -1))
+    assert r.codeword.support == r0.codeword.support
+    assert (r.codeword.weight, r_neg.codeword.weight) == (15, 14)
+
+
 def test_regulus_combination_lists_quadrics_lazily():
     C._hyperbolic_quadrics.cache_clear()
     assert C.cw_regulus_combination(2, 0).codeword.weight == 12
@@ -175,9 +187,17 @@ def test_regulus_combination_lists_quadrics_lazily():
 
 def test_hyperbolic_quadrics_pinned():
     # the (regulus, opposite regulus) bases of all 280 quadrics of PG(3,2),
-    # in listing order
-    pairs = [(tuple(L.basis for L in R), tuple(L.basis for L in O))
-             for R, O in C._hyperbolic_quadrics(2)]
+    # in listing order: the lines of the conics in each plane and its
+    # polar plane, sorted; the indices cover both conics, 2(q+1) points
+    F = field_of_order(2)
+    P = get_space("Qplus", 5, 2)
+    line = {klein_point(L, F): L for L in enumerate_lines(3, F)}
+    pairs = []
+    for plane, perp, on in C._hyperbolic_quadrics(2):
+        R, O = (sorted(line[x] for x in C._on(P, S)) for S in (plane, perp))
+        assert on == {P.index[klein_point(L, F)] for L in R + O}
+        assert len(on) == 6
+        pairs.append((tuple(L.basis for L in R), tuple(L.basis for L in O)))
     assert len(pairs) == 280
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
         "4dc7e99f6fd0825b580f422e7585bc3bb312b16ad110d71c439706713afe9236")

@@ -103,7 +103,7 @@ def test_scan_odd_characteristic():
     from polarlab.projspace import subspace_points
     supports = tuple(tuple(sorted(idx[x] for x in subspace_points(L, F)))
                      for L in enumerate_lines(2, F))
-    A = IncidenceMatrix(supports, 13, 3, 1)
+    A = IncidenceMatrix(supports, 13, 3)
     rep = scan_dual_weights(A)
     assert rep["mode"] == "FULL"
     assert rep["rank"] + rep["nullity"] == 13
@@ -198,7 +198,7 @@ def _rref(A, p):
 
 def _incidence(A, p):
     supports = tuple(tuple(int(c) for c in np.flatnonzero(row)) for row in A)
-    return IncidenceMatrix(supports, A.shape[1], p, 1)
+    return IncidenceMatrix(supports, A.shape[1], p)
 
 
 @st.composite
@@ -272,17 +272,21 @@ def test_rref_matches_scalar_reference(pA):
 # before D, rows of D).  Q(4,2) k=1: 15 rows of one word; its peak is a
 # pass, holding a copy of them with an index, a table of 256 rows and
 # twice at most 15 pivot rows.  Then 10 reduced rows of 15 bytes, D of 5
-# int64 rows, two 10 x 5 arrays of their free columns and 32 bytes of
+# uint8 rows, two 10 x 5 arrays of their free columns and 32 bytes of
 # indices per column.  Q+(5,2) k=2: 30 rows of one word; its peak is
 # filling them from 30 x 7 ones.  Q(4,3) k=1: 40 x 40 int8 symbols, and
 # per pivot three arrays as large and four indices into the 40 rows; D
-# is formed beside all 40 rows.
+# is formed in int8 beside all 40 rows.  H(5,4) k=2: 891 rows of 11 words;
+# its peak is their end, at most 693 pivot rows packed and unpacked.  Then
+# 251 reduced rows and D of 442 rows outweigh the elimination.
 CHARGES = [("Q", 4, 2, 1, 15 * 8 + 15 * 8 + 15 * 8 + 256 * 8 + 2 * 15 * 8,
-            10 * 15 + 5 * 15 * 8 + 32 * 15 + 2 * 10 * 5, 5),
+            10 * 15 + 5 * 15 + 32 * 15 + 2 * 10 * 5, 5),
            ("Qplus", 5, 2, 2, 30 * 8 + 17 * 30 * 7 + 16 * 30,
-            15 * 35 + 20 * 35 * 8 + 32 * 35 + 2 * 15 * 20, 20),
+            15 * 35 + 20 * 35 + 32 * 35 + 2 * 15 * 20, 20),
            ("Q", 4, 3, 1, 4 * 40 * 40 + 32 * 40,
-            40 * 40 + 15 * 40 * 8 + 32 * 40 + 2 * 25 * 15, 15)]
+            40 * 40 + 15 * 40 + 32 * 40 + 2 * 25 * 15, 15),
+           ("H", 5, 4, 2, 891 * 88 + 693 * 88 + 693 * 693,
+            251 * 693 + 442 * 693 + 32 * 693 + 2 * 251 * 442, 442)]
 
 
 def test_elimination_refused_before_allocating():
@@ -470,3 +474,22 @@ def test_scan_ladder_pinned(family, n, order, k, rank, nullity, dist):
     w = rep["weights"]
     assert (rep["mode"], rep["rank"], rep["nullity"]) == ("FULL", rank, nullity)
     assert ", ".join(f"{x}:{w[x]}" for x in sorted(w)) == dist
+
+
+def _sastry_sin_rank(q):
+    """1 + s_{2e} for q = 2^e, with s_0 = 2, s_1 = 1 and
+    s_m = s_{m-1} + 4 s_{m-2}: the 2-rank of the point-line incidence of
+    W(3,q) (N. S. N. Sastry and P. Sin), equal to that of Q(4,q)."""
+    s = [2, 1]
+    while len(s) <= 2 * (q.bit_length() - 1):
+        s.append(s[-1] + 4 * s[-2])
+    return 1 + s[2 * (q.bit_length() - 1)]
+
+
+@pytest.mark.parametrize("family,n", [("W", 3), ("Q", 4)])
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_two_rank_is_sastry_sin(family, n, q):
+    A = build_incidence(get_space(family, n, q), 1)
+    rank, D = rank_and_nullspace(A)
+    assert rank == _sastry_sin_rank(q) == {2: 10, 4: 50, 8: 298, 16: 1890}[q]
+    assert D.shape == (A.n_cols - rank, A.n_cols) and D.dtype == np.uint8

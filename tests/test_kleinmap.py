@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from polarlab.gf import field_of_order
@@ -7,20 +8,20 @@ from polarlab.gfcode import CodewordVec, build_incidence, is_dual_codeword
 from polarlab.projspace import (
     GeometryError,
     enumerate_lines,
+    enumerate_points,
+    incidence_with_hyperplanes,
     span,
     subspace_points,
 )
-from polarlab.polarspace import get_space
+from polarlab.polarspace import get_space, polar_image
 from references import intersect
+from polarlab import constructions as C
 from polarlab.kleinmap import (
-    inverse_klein_point,
     klein_point,
     lineset_to_codeword,
-    opposite_regulus,
     plucker,
     reguli_partition_through,
     regular_spread,
-    regulus_through,
     to_quadric_point,
 )
 
@@ -32,6 +33,19 @@ def skew_triple(F):
     return L1, L2, L3
 
 
+def transversals(L, F):
+    """The lines of PG(3,q) meeting every line of L, by intersect."""
+    return [M for M in enumerate_lines(3, F)
+            if all(intersect(M, A, F) is not None for A in L)]
+
+
+def conic(L, F):
+    """The points of Q+(5,q) in the plane of the Klein points of three
+    pairwise skew lines: the Klein image of the regulus through them."""
+    P = get_space("Qplus", 5, F.order)
+    return C._on(P, span([klein_point(M, F) for M in L], F))
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_klein_correspondence_is_a_bijection(q):
     F = field_of_order(q)
@@ -40,8 +54,6 @@ def test_klein_correspondence_is_a_bijection(q):
     images = {klein_point(L, F) for L in lines}
     assert len(images) == len(lines) == len(P.points)
     assert images == set(P.points)
-    for L in lines:
-        assert inverse_klein_point(klein_point(L, F), F) == L
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -59,6 +71,7 @@ def test_klein_transfers_incidence(q):
 
 def test_plucker_relation_and_inverse():
     F = field_of_order(3)
+    P = get_space("Qplus", 5, 3)
     for L in enumerate_lines(3, F)[:25]:
         c = plucker(L, F)
         # p01 p23 + p02 p31 + p03 p12 = 0
@@ -66,34 +79,46 @@ def test_plucker_relation_and_inverse():
         terms = F.add(terms, F.mul(c[1], c[4]))
         terms = F.add(terms, F.mul(c[2], c[5]))
         assert terms == 0
-        assert inverse_klein_point(to_quadric_point(c, F), F) == L
-    # x0 x1 = 1: not a Klein point
-    with pytest.raises(GeometryError):
-        inverse_klein_point((1, 1, 0, 0, 0, 0), F)
+        assert to_quadric_point(c, F) == klein_point(L, F) in P.index
+        # the line is recovered from its plucker point: the rows of the
+        # skew matrix x y^T - y x^T span it
+        m = [[0] * 4 for _ in range(4)]
+        for (i, j), v in zip(((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)), c):
+            m[i][j], m[j][i] = v, F.neg(v)
+        assert span([row for row in m if any(row)], F) == L
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_regulus_and_opposite(q):
+    # the support of cw_two_reguli read as lines: +1 on the regulus through
+    # the canonical triple and -1 on its opposite
     F = field_of_order(q)
-    L1, L2, L3 = skew_triple(F)
-    R = regulus_through(L1, L2, L3, F)
-    assert len(R) == q + 1 and {L1, L2, L3} <= set(R)
-    O = opposite_regulus(R, F)
-    assert len(O) == q + 1
+    P = get_space("Qplus", 5, q)
+    line = {klein_point(L, F): L for L in enumerate_lines(3, F)}
+    triple = skew_triple(F)
+    regulus = conic(triple, F)
+    support = C.cw_two_reguli(q).codeword.support
+    assert all(support[P.index[x]] == 1 for x in regulus)
+    R = [line[x] for x in regulus]
+    O = [line[P.points[j]] for j, s in support.items()
+         if P.points[j] not in regulus and s == F.p - 1]
+    assert len(R) == len(O) == q + 1 and set(triple) <= set(R)
+    assert len(support) == 2 * q + 2
     for A in R:
         for B in O:
             assert intersect(A, B, F) is not None
     # the 2(q+1) lines cover the (q+1)^2 points of a hyperbolic quadric
     pts = set()
-    for A in list(R) + list(O):
+    for A in R + O:
         pts.update(subspace_points(A, F))
     assert len(pts) == (q + 1) ** 2
 
 
 def test_common_transversals_count():
     F = field_of_order(3)
-    T = opposite_regulus(regulus_through(*skew_triple(F), F), F)
-    assert len(T) == 4  # q+1 transversals to three pairwise skew lines
+    minus = [j for j, s in C.cw_two_reguli(3).codeword.support.items() if s == 2]
+    # q+1 transversals to three pairwise skew lines
+    assert len(transversals(skew_triple(F), F)) == len(minus) == 4
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -101,20 +126,19 @@ def test_common_transversals_count():
 def test_opposite_regulus_is_the_transversals(q, triple):
     # reference: the lines of PG(3,q) that meet all three, by intersect
     F = field_of_order(q)
+    P = get_space("Qplus", 5, q)
     L = skew_triple(F) if triple == "canonical" else regular_spread(q)[:3]
-    meeting = [M for M in enumerate_lines(3, F)
-               if all(intersect(M, A, F) is not None for A in L)]
-    assert opposite_regulus(regulus_through(*L, F), F) == meeting
-
-
-def test_regulus_through_meeting_lines_is_refused():
-    F = field_of_order(3)
-    L1, L2, L3 = skew_triple(F)
-    meets_L1 = span([(1, 0, 0, 0), (0, 0, 1, 0)], F)
-    with pytest.raises(GeometryError):
-        regulus_through(L1, meets_L1, L2, F)
-    with pytest.raises(GeometryError):
-        regulus_through(L1, L2, L2, F)
+    meeting = {klein_point(M, F) for M in transversals(L, F)}
+    regulus = conic(L, F)
+    assert len(regulus) == q + 1
+    if triple == "canonical":
+        # the -a support of cw_two_reguli
+        support = C.cw_two_reguli(q).codeword.support
+        opposite = {P.points[j] for j in support} - set(regulus)
+    else:
+        # the conic in the polar plane, as cw_regulus_switch takes it
+        opposite = set(C._on(P, polar_image(P, span(regulus, F))))
+    assert opposite == meeting
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8])
@@ -129,8 +153,7 @@ def test_regular_spread(q):
         seen.update(pts)
     assert len(seen) == (q * q + 1) * (q + 1)
     # regularity: the regulus of any three spread lines stays inside
-    R = regulus_through(T[0], T[1], T[2], F)
-    assert set(R) <= set(T)
+    assert set(conic(T[:3], F)) <= {klein_point(L, F) for L in T}
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
@@ -196,14 +219,18 @@ def test_klein_spread_image_is_an_ovoid_cap(q=3):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_line_conditions_for_regulus_pair(q):
+    # the regulus and its opposite by intersect: the transversals of the
+    # canonical triple and the transversals of three of those
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
-    R = regulus_through(*skew_triple(F), F)
-    O = opposite_regulus(R, F)
+    O = transversals(skew_triple(F), F)
+    R = transversals(O[:3], F)
     symbols = {L: 1 for L in R}
     symbols.update({L: q - 1 for L in O})
-    ok, row = is_dual_codeword(lineset_to_codeword(symbols, P), build_incidence(P, 2))
+    c = lineset_to_codeword(symbols, P)
+    ok, row = is_dual_codeword(c, build_incidence(P, 2))
     assert ok, row
+    assert c.support == C.cw_two_reguli(q).codeword.support
 
 
 def test_line_conditions_reject_unbalanced_set():
@@ -216,18 +243,36 @@ def test_line_conditions_reject_unbalanced_set():
     assert row is not None
 
 
-@pytest.mark.parametrize("q", [2])
+@pytest.mark.parametrize("q", [2, 4])
 def test_switched_spread_satisfies_odd_conditions(q):
-    # every point and plane of PG(3,q) sees an odd number of the lines:
-    # q^2+q+1 is odd, so the complement of the image is a dual codeword
-    from polarlab.constructions import switched_line_set
+    # the spread with two reguli switched on the line side, each opposite
+    # regulus by intersect: every point and plane of PG(3,q) sees an odd
+    # number of its lines, and as q^2+q+1 is odd, the complement of its
+    # Klein image is a dual codeword, the one cw_regulus_switch builds
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
-    image = {P.index[klein_point(L, F)] for L in switched_line_set(q, 1)}
+    T = regular_spread(q)
+    switched = set(T)
+    for reg in reguli_partition_through(T[0], q)[:2]:
+        switched.difference_update(reg)
+        switched.update(transversals(reg[:3], F))
+    switched.add(T[0])
+    points = enumerate_points(3, F)
+    at = {x: i for i, x in enumerate(points)}
+    on = incidence_with_hyperplanes(points, 3, F)
+    through = np.zeros(len(points), dtype=int)
+    inside = np.zeros(on.shape[1], dtype=int)
+    for L in switched:
+        rows = [at[x] for x in subspace_points(L, F)]
+        through[rows] += 1
+        inside += on[rows].all(axis=0)
+    assert (through % 2).all() and (inside % 2).all()
+    image = {P.index[klein_point(L, F)] for L in switched}
     rest = CodewordVec({j: 1 for j in range(len(P.points)) if j not in image},
                        len(P.points), 2)
     ok, row = is_dual_codeword(rest, build_incidence(P, 2))
     assert ok, row
+    assert rest.support == C.cw_regulus_switch(q, 1).codeword.support
 
 
 def test_lineset_to_codeword_support():

@@ -10,6 +10,9 @@ count.  Dunder names are exempt.
 Every name a module of src/polarlab imports is also read in that module,
 so deleting a caller cannot leave a stale import behind.
 
+Every function and constant of the test helpers in tests/references.py
+occurs in some tests/test_*.py module or in another helper there.
+
 GF(q) vector arithmetic has one implementation: only projspace reads the
 field tables `_tables`.
 """
@@ -56,22 +59,34 @@ def occurrences(path: Path) -> Counter:
     return words
 
 
-def unreferenced(root: Path = ROOT) -> list[str]:
-    """Qualified names, as module:name, whose name occurs no more often
-    than it is defined in the package."""
-    package = root / "src" / "polarlab"
-    defs = {path: definitions(path) for path in sorted(package.glob("*.py"))}
+def uncalled(modules, searched) -> list[str]:
+    """Qualified names, as module:name, defined in the modules whose name
+    occurs in the searched files no more often than it is defined."""
+    defs = {path: definitions(path) for path in modules}
     times_defined = Counter(name for found in defs.values() for _q, name in found)
     words = Counter()
-    for top in SEARCHED:
-        for path in (root / top).rglob("*.py"):
-            words += occurrences(path)
+    for path in searched:
+        words += occurrences(path)
     return [f"{path.stem}:{q}" for path, found in defs.items()
             for q, name in found if words[name] <= times_defined[name]]
 
 
+def unreferenced(root: Path = ROOT) -> list[str]:
+    """The names of the package without a caller in src/, scripts/ or
+    perfbench/."""
+    package = root / "src" / "polarlab"
+    return uncalled(sorted(package.glob("*.py")),
+                    [path for top in SEARCHED for path in (root / top).rglob("*.py")])
+
+
 def test_every_definition_has_a_caller():
     assert unreferenced() == []
+
+
+def test_every_reference_has_a_caller():
+    tests = ROOT / "tests"
+    helpers = tests / "references.py"
+    assert uncalled([helpers], [helpers, *sorted(tests.glob("test_*.py"))]) == []
 
 
 def test_a_name_used_only_by_tests_has_no_caller(tmp_path):
