@@ -193,7 +193,7 @@ def _rref_mod_p(M: np.ndarray, p: int):
     """Row reduction over odd GF(p) of M (consumed), with entries in
     0..p-1 on a signed dtype that holds -(p-1)^2: (reduced nonzero rows,
     pivot columns).  Each pivot updates all rows it hits in one numpy
-    step."""
+    step on a copy of the rows it hits."""
     pivots = []
     for c in range(M.shape[1]):
         r = len(pivots)
@@ -204,7 +204,10 @@ def _rref_mod_p(M: np.ndarray, p: int):
         M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
         hit = np.flatnonzero(M[:, c])
         hit = hit[hit != r]
-        M[hit] = (M[hit] - np.outer(M[hit, c], M[r])) % p
+        rows = M[hit]  # a copy, updated in place beside one product
+        rows -= np.outer(rows[:, c], M[r])
+        rows %= p
+        M[hit] = rows
         pivots.append(c)
     return M[:len(pivots)], pivots
 
@@ -226,8 +229,8 @@ def _elimination_bytes(A: IncidenceMatrix, item: int) -> int:
     two indices per row.  Over GF(2), per pass: a copy of the rows with its
     index, the XOR table and the pivot rows twice while they grow, and at
     the end the pivot rows unpacked too.  Over GF(p), p odd, per pivot:
-    the rows it hits, their product with the pivot row and the
-    difference, and four indices into the rows."""
+    a copy of the rows it hits, their product with the pivot row, and
+    four indices into the rows."""
     n, r = A.n_cols, A.n_rows
     fill = 17 * sum(map(len, A.supports)) + 16 * r
     if A.p == 2:
@@ -236,7 +239,7 @@ def _elimination_bytes(A: IncidenceMatrix, item: int) -> int:
         step = max(rows + 8 * r + 256 * w + 2 * m * w, m * w + m * n)
     else:
         rows = r * n * item
-        step = 3 * rows + 32 * r
+        step = 2 * rows + 32 * r
     return rows + max(fill, step)
 
 
@@ -281,10 +284,19 @@ def _words(bits: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def _popcounts(words: np.ndarray, n: int) -> np.ndarray:
-    """How many rows of uint64 words have each popcount 0..n."""
-    w = np.bitwise_count(words).sum(axis=-1, dtype=np.intp)
-    return np.bincount(w, minlength=n + 1)
+def _popcount_histogram(rows: int, n: int):
+    """The histogram step of the scans, on buffers allocated once: a
+    function adding to counts[w] how many of at most `rows` rows of uint64
+    words over n columns have popcount w.  The per-row sums take a dtype
+    that holds n."""
+    bits = np.empty((rows, -(-n // 64)), dtype=np.uint8)
+    weights = np.empty(rows, dtype=np.min_scalar_type(n))
+
+    def add(counts: np.ndarray, words: np.ndarray):
+        b = np.bitwise_count(words, out=bits[:len(words)])
+        w = b.sum(axis=1, dtype=weights.dtype, out=weights[:len(words)])
+        counts += np.bincount(w, minlength=n + 1)
+    return add
 
 
 def _tail_size(p: int, nullity: int, n_cols: int, word_bytes: int) -> int:
@@ -303,23 +315,28 @@ def _scan_gf2(D: np.ndarray) -> np.ndarray:
     nullity, n = D.shape
     words = _words(D != 0)
     t = _tail_size(2, nullity, n, words.shape[1] * 8)
-    block = np.zeros((1, words.shape[1]), dtype=np.uint64)
-    for b in words[:t]:
-        block = np.concatenate([block, block ^ b])
+    block = np.zeros((1 << t, words.shape[1]), dtype=np.uint64)
+    for i, b in enumerate(words[:t]):
+        np.bitwise_xor(block[:1 << i], b, out=block[1 << i:2 << i])
     head = np.zeros_like(block[0])
-    counts = _popcounts(block, n)
+    word = np.empty_like(block)
+    add = _popcount_histogram(len(block), n)
+    counts = np.zeros(n + 1, dtype=np.intp)
+    add(counts, block)
     for x in range(1, 1 << (nullity - t)):
         head ^= words[t + (x & -x).bit_length() - 1]  # Gray code step x
-        counts += _popcounts(block ^ head, n)
+        add(counts, np.bitwise_xor(block, head, out=word))
     return counts
 
 
-def _sum_mask(R: np.ndarray, B: np.ndarray, c: int, s: int, p: int):
+def _sum_mask(R: np.ndarray, B: np.ndarray, c: int, s: int, p: int,
+              out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Mask of the columns where u + c*b = s, for words u and b with residue
-    masks R and B (R[v] = the columns where u = v)."""
-    out = R[s] & B[0]
+    masks R and B (R[v] = the columns where u = v), written into out; tmp
+    is scratch of the same shape."""
+    np.bitwise_and(R[s], B[0], out=out)
     for v in range(1, p):
-        out |= R[(s - c * v) % p] & B[v]
+        out |= np.bitwise_and(R[(s - c * v) % p], B[v], out=tmp)
     return out
 
 
@@ -331,19 +348,29 @@ def _scan_mod_p(D: np.ndarray, p: int) -> np.ndarray:
     = block + a*h and weight(a*w) = weight(w)."""
     nullity, n = D.shape
     values = np.arange(p)[:, None]
-    masks = _words(D[:, None, :] == values)
-    t = _tail_size(p, nullity, n, p * masks.shape[-1] * 8)
-    block = _words(np.zeros(n) == values)[:, None]
-    for B in masks[:t]:
-        block = np.concatenate([np.stack([_sum_mask(block, B, c, s, p)
-                                          for s in range(p)])
-                                for c in range(p)], axis=1)
-    zeros = _popcounts(block[0], n)
-    for j in range(t, nullity):
-        for coeffs in product(range(p), repeat=j - t):
-            h = (np.array(coeffs, dtype=np.int64) @ D[t:j] + D[j]) % p
-            zeros += (p - 1) * _popcounts(
-                _sum_mask(block, _words(h == values), 1, 0, p), n)
+    W = -(-n // 64)
+    t = _tail_size(p, nullity, n, p * W * 8)
+    block = np.empty((p, p ** t, W), dtype=np.uint64)
+    block[:, :1] = _words(np.zeros(n) == values)[:, None]
+    tmp = np.empty_like(block[0])
+    for i, B in enumerate(_words(D[:t, None, :] == values)):
+        u, size = block[:, :p ** i], p ** i  # u + c*b fills the c-th part
+        for c, s in product(range(1, p), range(p)):
+            _sum_mask(u, B, c, s, p, block[s, c * size:(c + 1) * size],
+                      tmp[:size])
+    # x in [p^j, 2p^j): the heads over rows t.. with last coefficient 1
+    x = np.fromiter(chain.from_iterable(range(p ** j, 2 * p ** j)
+                                        for j in range(nullity - t)),
+                    dtype=np.intp)
+    heads = (x[:, None] // p ** np.arange(nullity - t) % p) @ D[t:] % p
+    add = _popcount_histogram(p ** t, n)
+    zeros = np.zeros(n + 1, dtype=np.intp)
+    add(zeros, block[0])
+    head_zeros = np.zeros_like(zeros)
+    zero = np.empty_like(tmp)
+    for B in _words(heads[:, None, :] == values):
+        add(head_zeros, _sum_mask(block, B, 1, 0, p, zero, tmp))
+    zeros += (p - 1) * head_zeros
     return zeros[::-1]  # a word with z zero columns has weight n - z
 
 
@@ -355,16 +382,19 @@ def _scan_partial(D: np.ndarray, p: int, bound: int) -> np.ndarray:
     nullity, n = D.shape
     values = np.arange(p)[:, None]
     masks = _words(D == values[:, :, None])  # masks[v, j]: where D[j] = v
+    zero, tmp = np.empty_like(masks[0]), np.empty_like(masks[0])
+    add = _popcount_histogram(nullity, n)
     zeros = np.zeros(n + 1, dtype=np.intp)
     zeros[n] = 1
     for size in range(bound):
         for idxs in combinations(range(nullity), size):
             later = masks[:, idxs[-1] + 1 if idxs else 0:]
+            m = later.shape[1]
             for coeffs in product(range(1, p), repeat=size):
                 u = np.array(coeffs, dtype=np.int64) @ D[list(idxs)] % p
                 R = _words(u == values)
                 for c in range(1, p):
-                    zeros += _popcounts(_sum_mask(R, later, c, 0, p), n)
+                    add(zeros, _sum_mask(R, later, c, 0, p, zero[:m], tmp[:m]))
     return zeros[::-1]  # a word with z zero columns has weight n - z
 
 
@@ -394,35 +424,55 @@ def scan_dual_weights(A: IncidenceMatrix, allow_partial: bool = False) -> dict:
     }
 
 
+def _padded(keys: np.ndarray, values: np.ndarray, deg: np.ndarray):
+    """Row j: the values whose key is j, in their order, then zeros to the
+    longest row; keys nondecreasing, deg[j] of them equal to j."""
+    out = np.zeros((len(deg), deg.max(initial=0)), dtype=values.dtype)
+    pos = np.arange(len(keys))
+    pos -= (np.cumsum(deg) - deg)[keys]
+    out[keys, pos] = values
+    return out
+
+
+def _alist_tables(A: IncidenceMatrix) -> list[np.ndarray]:
+    """The numbers of the alist lines of A, one table row per line."""
+    dtype = np.min_scalar_type(max(A.n_rows, A.n_cols))
+    rows, cols = (x.astype(dtype) for x in _coordinates(A))
+    col_deg = np.bincount(cols, minlength=A.n_cols)
+    row_deg = np.bincount(rows, minlength=A.n_rows)
+    by_row = _padded(rows, cols + 1, row_deg)
+    order = np.argsort(cols, kind="stable")  # by column, rows ascending
+    by_col = _padded(cols[order], rows[order] + 1, col_deg)
+    head = [[A.n_cols, A.n_rows], [by_col.shape[1], by_row.shape[1]]]
+    return [np.array(head), col_deg[None], row_deg[None], by_col, by_row]
+
+
 def export_alist(A: IncidenceMatrix, path: str) -> str:
-    """Sparse parity-check text format; rows of A are the checks."""
+    """Sparse parity-check text format; rows of A are the checks.  The
+    lines are formed from index tables and written a block at a time,
+    each number looked up in one table of decimal strings."""
     if A.p != 2:
         raise CodeError("alist export is defined for binary codes only")
-    col_deg = [0] * A.n_cols
-    for sup in A.supports:
-        for c in sup:
-            col_deg[c] += 1
-    cols = [[] for _ in range(A.n_cols)]
-    for i, sup in enumerate(A.supports):
-        for c in sup:
-            cols[c].append(i + 1)
-    max_col = max(col_deg) if col_deg else 0
-    max_row = max((len(s) for s in A.supports), default=0)
-    lines = [
-        f"{A.n_cols} {A.n_rows}",
-        f"{max_col} {max_row}",
-        " ".join(map(str, col_deg)),
-        " ".join(str(len(s)) for s in A.supports),
-    ]
-    for cl in cols:
-        lines.append(" ".join(map(str, cl + [0] * (max_col - len(cl)))))
-    for sup in A.supports:
-        row = [c + 1 for c in sup]
-        lines.append(" ".join(map(str, row + [0] * (max_row - len(row)))))
-    data = "\n".join(lines) + "\n"
+    tables = _alist_tables(A)  # their index temporaries freed by now
+    # token v is the decimal v, v + top that decimal after a space, and
+    # 2 * top the end of a line
+    top = max(A.n_rows, A.n_cols) + 1
+    decimal = list(map(str, range(top)))
+    tokens = np.array(decimal + [" " + d for d in decimal] + ["\n"],
+                      dtype=object)
+    sha = hashlib.sha256()
     with open(path, "w") as fh:
-        fh.write(data)
-    return hashlib.sha256(data.encode()).hexdigest()
+        for table in tables:
+            w = table.shape[1]
+            for i in range(0, len(table), 1024):
+                block = table[i:i + 1024]
+                idx = np.full((len(block), w + 1), 2 * top)
+                idx[:, :w] = block
+                idx[:, 1:w] += top
+                text = "".join(tokens[idx].ravel().tolist())
+                fh.write(text)
+                sha.update(text.encode())
+    return sha.hexdigest()
 
 
 def geometry_payload(P: PolarSpace, k: int) -> dict:

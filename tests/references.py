@@ -3,8 +3,10 @@ scalar subspace membership and intersection, brute-force k-space counts,
 a blocking-set predicate, the nucleus of an even-order parabolic quadric,
 exact-cover ovoid and spread searches, the spread and ovoid greedies
 that recount after every removal, the dense form of an incidence matrix,
-and GF(2) row reduction one pivot column at a time."""
+GF(2) row reduction one pivot column at a time, and the alist export
+formed line by line."""
 
+import hashlib
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -203,3 +205,33 @@ def rref_gf2_by_column(M: np.ndarray, n: int):
         pivots.append(c)
     return np.unpackbits(M[:len(pivots)].view(np.uint8), axis=1, count=n,
                          bitorder="little"), pivots
+
+
+def export_alist_by_line(A: IncidenceMatrix, path: str) -> str:
+    """`gfcode.export_alist` one line at a time from Python lists: the
+    column degrees and lists, then the rows, each padded with zeros."""
+    col_deg = [0] * A.n_cols
+    for sup in A.supports:
+        for c in sup:
+            col_deg[c] += 1
+    cols = [[] for _ in range(A.n_cols)]
+    for i, sup in enumerate(A.supports):
+        for c in sup:
+            cols[c].append(i + 1)
+    max_col = max(col_deg) if col_deg else 0
+    max_row = max((len(s) for s in A.supports), default=0)
+    lines = [
+        f"{A.n_cols} {A.n_rows}",
+        f"{max_col} {max_row}",
+        " ".join(map(str, col_deg)),
+        " ".join(str(len(s)) for s in A.supports),
+    ]
+    for cl in cols:
+        lines.append(" ".join(map(str, cl + [0] * (max_col - len(cl)))))
+    for sup in A.supports:
+        row = [c + 1 for c in sup]
+        lines.append(" ".join(map(str, row + [0] * (max_row - len(row)))))
+    data = "\n".join(lines) + "\n"
+    with open(path, "w") as fh:
+        fh.write(data)
+    return hashlib.sha256(data.encode()).hexdigest()

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from references import dense, rref_gf2_by_column
+from references import dense, export_alist_by_line, rref_gf2_by_column
 
 from polarlab import gfcode
 from polarlab.polarspace import get_space
@@ -19,6 +19,7 @@ from polarlab.gfcode import (
     PARTIAL_SUPPORT_BOUND,
     ScanRefused,
     _packed,
+    _popcount_histogram,
     _rref_gf2,
     _rref_mod_p,
     _scan_partial,
@@ -134,6 +135,38 @@ def test_alist_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "15 15"
     assert lines[1] == "3 3"
+
+
+def _assert_alist_matches_reference(A, tmp_path):
+    sha = export_alist(A, str(tmp_path / "new.alist"))
+    want = export_alist_by_line(A, str(tmp_path / "ref.alist"))
+    assert (tmp_path / "new.alist").read_bytes() == \
+        (tmp_path / "ref.alist").read_bytes()
+    assert sha == want
+
+
+@st.composite
+def _irregular_incidences(draw):
+    """Binary incidences with uneven row and column degrees, supports in
+    any order and one column, `empty`, of degree 0."""
+    n_cols = draw(st.integers(1, 30))
+    empty = draw(st.integers(0, n_cols - 1))
+    others = [c for c in range(n_cols) if c != empty]
+    row = (st.lists(st.sampled_from(others), unique=True) if others
+           else st.just([]))
+    supports = draw(st.lists(row, max_size=25))
+    return IncidenceMatrix(tuple(map(tuple, supports)), n_cols, 2)
+
+
+@settings(deadline=None)
+@given(_irregular_incidences())
+@example(IncidenceMatrix((), 3, 2))
+@example(IncidenceMatrix(((), ()), 2, 2))
+@example(IncidenceMatrix(((11, 0, 4), (4,), ()), 12, 2))
+def test_alist_matches_line_reference(tmp_path_factory, A):
+    assert 0 in np.bincount([c for sup in A.supports for c in sup],
+                            minlength=A.n_cols)
+    _assert_alist_matches_reference(A, tmp_path_factory.mktemp("alist"))
 
 
 def test_json_roundtrip(tmp_path):
@@ -275,7 +308,7 @@ def test_rref_matches_scalar_reference(pA):
 # uint8 rows, two 10 x 5 arrays of their free columns and 32 bytes of
 # indices per column.  Q+(5,2) k=2: 30 rows of one word; its peak is
 # filling them from 30 x 7 ones.  Q(4,3) k=1: 40 x 40 int8 symbols, and
-# per pivot three arrays as large and four indices into the 40 rows; D
+# per pivot two arrays as large and four indices into the 40 rows; D
 # is formed in int8 beside all 40 rows.  H(5,4) k=2: 891 rows of 11 words;
 # its peak is their end, at most 693 pivot rows packed and unpacked.  Then
 # 251 reduced rows and D of 442 rows outweigh the elimination.
@@ -283,7 +316,7 @@ CHARGES = [("Q", 4, 2, 1, 15 * 8 + 15 * 8 + 15 * 8 + 256 * 8 + 2 * 15 * 8,
             10 * 15 + 5 * 15 + 32 * 15 + 2 * 10 * 5, 5),
            ("Qplus", 5, 2, 2, 30 * 8 + 17 * 30 * 7 + 16 * 30,
             15 * 35 + 20 * 35 + 32 * 35 + 2 * 15 * 20, 20),
-           ("Q", 4, 3, 1, 4 * 40 * 40 + 32 * 40,
+           ("Q", 4, 3, 1, 3 * 40 * 40 + 32 * 40,
             40 * 40 + 15 * 40 + 32 * 40 + 2 * 25 * 15, 15),
            ("H", 5, 4, 2, 891 * 88 + 693 * 88 + 693 * 693,
             251 * 693 + 442 * 693 + 32 * 693 + 2 * 251 * 442, 442)]
@@ -399,6 +432,7 @@ def test_partial_scans_match_scalar_reference(pA, bound):
     (2, 2, 20, 1),   # nullity 18: the Gray walk takes three steps
     (3, 1, 13, 2),   # nullity 12, two head vectors and a scalar factor 2
     (5, 1, 9, 3),    # nullity 8, a smaller tail, scalar factor 4
+    (5, 61, 68, 4),  # nullity 7, two words per mask
 ])
 def test_scans_with_a_head_match_brute_force(p, rows, cols, seed):
     rng = np.random.default_rng(seed)
@@ -412,6 +446,20 @@ def test_scans_with_a_head_match_brute_force(p, rows, cols, seed):
     assert rep["weights"] == _brute_force_weights(D, p)
     if p > 2:
         assert all(m % (p - 1) == 0 for w, m in rep["weights"].items() if w)
+
+
+@pytest.mark.parametrize("n", [1, 64, 255, 256, 300, 1000])
+def test_popcount_histogram_counts_past_255(n):
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2, size=(50, n)).astype(bool)
+    bits[0], bits[1] = True, False
+    counts = np.zeros(n + 1, dtype=np.intp)
+    add = _popcount_histogram(60, n)
+    add(counts, _words(bits))
+    add(counts, _words(bits[:7]))  # fewer rows than the buffers hold
+    want = np.bincount(bits.sum(axis=1), minlength=n + 1)
+    want += np.bincount(bits[:7].sum(axis=1), minlength=n + 1)
+    assert counts[n] >= 2 and (counts == want).all()
 
 
 @pytest.mark.parametrize("p,n_cols,word_bytes", [
@@ -449,8 +497,10 @@ SCAN_LADDER = [
 ]
 
 
-@pytest.mark.parametrize("family,n,order,k", [c[:4] for c in SCAN_LADDER
-                                             if c[:3] != ("Q", 4, 3)])
+BINARY_LADDER = [c[:4] for c in SCAN_LADDER if c[2] % 2 == 0]
+
+
+@pytest.mark.parametrize("family,n,order,k", BINARY_LADDER)
 def test_binary_ladder_rref_pinned(family, n, order, k):
     A = build_incidence(get_space(family, n, order), k)
     assert (_packed(A) == _words(dense(A))).all()
@@ -458,6 +508,13 @@ def test_binary_ladder_rref_pinned(family, n, order, k):
     want_M, want_pivots = rref_gf2_by_column(_packed(A), A.n_cols)
     assert pivots == want_pivots
     assert M.dtype == want_M.dtype and (M == want_M).all()
+
+
+@pytest.mark.parametrize("family,n,order,k", BINARY_LADDER)
+def test_binary_ladder_alist_matches_line_reference(family, n, order, k,
+                                                     tmp_path):
+    A = build_incidence(get_space(family, n, order), k)
+    _assert_alist_matches_reference(A, tmp_path)
 
 
 @pytest.mark.parametrize("family,n,order,k,rank,nullity,dist", SCAN_LADDER)
