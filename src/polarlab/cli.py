@@ -71,6 +71,9 @@ _KSPACE_NAMES = {0: "points", 1: "lines", 2: "planes", 3: "solids"}
 
 def cmd_geometry(cfg: RunConfig) -> int:
     P = _space(cfg.family, cfg.n, cfg.q)
+    k = cfg.k if cfg.k is not None else 1
+    if cfg.out or cfg.k is not None:
+        P.kspace_count(k)  # a k out of range is refused before any output
     # one enumeration up to the generators checks every level's count
     P.singular_kspaces_with_supports(P.gen_dim)
     parts = [f"points: {len(P.points)}"]
@@ -80,7 +83,6 @@ def cmd_geometry(cfg: RunConfig) -> int:
     print(", ".join(parts))
     print(f"generator dimension: {P.gen_dim}")
     if cfg.out:
-        k = cfg.k if cfg.k is not None else 1
         sha = export_json(geometry_payload(P, k), cfg.out)
         print(f"wrote {cfg.out} sha256={sha}")
     return EXIT_OK

@@ -191,9 +191,9 @@ def _rref_gf2(M: np.ndarray, n: int):
 
 def _rref_mod_p(M: np.ndarray, p: int):
     """Row reduction over odd GF(p) of M (consumed), with entries in
-    0..p-1 on a signed dtype that holds -(p-1)^2: (reduced nonzero rows,
-    pivot columns).  Each pivot updates all rows it hits in one numpy
-    step on a copy of the rows it hits."""
+    0..p-1 on a signed dtype that holds -(p-1)^2: (a copy of the reduced
+    nonzero rows, pivot columns).  Each pivot updates all rows it hits in
+    one numpy step on a copy of the rows it hits."""
     pivots = []
     for c in range(M.shape[1]):
         r = len(pivots)
@@ -209,7 +209,7 @@ def _rref_mod_p(M: np.ndarray, p: int):
         rows %= p
         M[hit] = rows
         pivots.append(c)
-    return M[:len(pivots)], pivots
+    return M[:len(pivots)].copy(), pivots  # frees the rest of M
 
 
 def _refuse_over_budget(A: IncidenceMatrix, size: int, what: str):
@@ -230,7 +230,7 @@ def _elimination_bytes(A: IncidenceMatrix, item: int) -> int:
     index, the XOR table and the pivot rows twice while they grow, and at
     the end the pivot rows unpacked too.  Over GF(p), p odd, per pivot:
     a copy of the rows it hits, their product with the pivot row, and
-    four indices into the rows."""
+    four indices into the rows; at the end a copy of the reduced rows."""
     n, r = A.n_cols, A.n_rows
     fill = 17 * sum(map(len, A.supports)) + 16 * r
     if A.p == 2:
@@ -256,13 +256,11 @@ def rank_and_nullspace(A: IncidenceMatrix):
                                max(n - r, 0) * n * dtype.itemsize), "elimination")
     if p == 2:
         M, pivots = _rref_gf2(_packed(A), n)
-        held = M.nbytes
     else:
         M = np.zeros((r, n), dtype=dtype)
         M[_coordinates(A)] = 1
-        held = M.nbytes  # the reduced rows are a view of all of M
         M, pivots = _rref_mod_p(M, p)
-    rank = len(pivots)
+    rank, held = len(pivots), M.nbytes
     # D, the reduced rows, two arrays of their free columns and the
     # indices of the pivot and free columns
     _refuse_over_budget(A, held + (n - rank) * n * dtype.itemsize + 32 * n
@@ -299,34 +297,14 @@ def _popcount_histogram(rows: int, n: int):
     return add
 
 
-def _tail_size(p: int, nullity: int, n_cols: int, word_bytes: int) -> int:
-    """The t for a scan block of p^t words of word_bytes each: the largest
-    whose block takes no more bytes than p^t0 words of n_cols int16
-    symbols, t0 <= nullity the largest with p^t0 <= 2^16."""
+def _tail_size(p: int, nullity: int, n_cols: int) -> int:
+    """The t for a scan block of p^t words of p residue masks each: the
+    largest whose block takes no more bytes than p^t0 words of n_cols
+    int16 symbols, t0 <= nullity the largest with p^t0 <= 2^16."""
+    word_bytes = p * -(-n_cols // 64) * 8
     t0 = max(t for t in range(nullity + 1) if p ** t <= 1 << 16)
     return max(t for t in range(t0 + 1)
                if t == 0 or p ** t * word_bytes <= p ** t0 * 2 * n_cols)
-
-
-def _scan_gf2(D: np.ndarray) -> np.ndarray:
-    """Weight counts of the GF(2) span of the rows of D: the span of the
-    first t rows is a block of uint64 words built by XOR doubling, and
-    the other rows are walked in Gray order as a head added to it."""
-    nullity, n = D.shape
-    words = _words(D != 0)
-    t = _tail_size(2, nullity, n, words.shape[1] * 8)
-    block = np.zeros((1 << t, words.shape[1]), dtype=np.uint64)
-    for i, b in enumerate(words[:t]):
-        np.bitwise_xor(block[:1 << i], b, out=block[1 << i:2 << i])
-    head = np.zeros_like(block[0])
-    word = np.empty_like(block)
-    add = _popcount_histogram(len(block), n)
-    counts = np.zeros(n + 1, dtype=np.intp)
-    add(counts, block)
-    for x in range(1, 1 << (nullity - t)):
-        head ^= words[t + (x & -x).bit_length() - 1]  # Gray code step x
-        add(counts, np.bitwise_xor(block, head, out=word))
-    return counts
 
 
 def _sum_mask(R: np.ndarray, B: np.ndarray, c: int, s: int, p: int,
@@ -341,15 +319,15 @@ def _sum_mask(R: np.ndarray, B: np.ndarray, c: int, s: int, p: int,
 
 
 def _scan_mod_p(D: np.ndarray, p: int) -> np.ndarray:
-    """Weight counts of the GF(p) span of the rows of D, p odd: the span of
-    the first t rows is a block of residue masks, and a head h of the other
+    """Weight counts of the GF(p) span of the rows of D: the span of the
+    first t rows is a block of residue masks, and a head h of the other
     rows is zero with u at OR_v (u = -v) & (h = v).  Only heads with last
     nonzero coefficient 1 are visited, counted p-1 times, as a*(block + h)
     = block + a*h and weight(a*w) = weight(w)."""
     nullity, n = D.shape
     values = np.arange(p)[:, None]
     W = -(-n // 64)
-    t = _tail_size(p, nullity, n, p * W * 8)
+    t = _tail_size(p, nullity, n)
     block = np.empty((p, p ** t, W), dtype=np.uint64)
     block[:, :1] = _words(np.zeros(n) == values)[:, None]
     tmp = np.empty_like(block[0])
@@ -413,7 +391,7 @@ def scan_dual_weights(A: IncidenceMatrix, allow_partial: bool = False) -> dict:
             f"dual has nullity {nullity} over GF({p}); full scan needs "
             f"p^nullity <= 2^{FULL_SCAN_BITS}")
     if full:
-        counts = _scan_gf2(D) if p == 2 else _scan_mod_p(D, p)
+        counts = _scan_mod_p(D, p)
     else:
         counts = _scan_partial(D, p, PARTIAL_SUPPORT_BOUND)
     return {

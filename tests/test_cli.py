@@ -42,6 +42,22 @@ def test_geometry_bad_family(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("args,with_out", [
+    (("--family", "Q", "--n", "4", "--q", "2", "--k", "9"), True),
+    (("--family", "Q", "--n", "4", "--q", "2", "--k", "9"), False),
+    (("--family", "Q", "--n", "4", "--q", "2", "--k", "-1"), False),
+    (("--family", "Qminus", "--n", "3", "--q", "2"), True),  # default k = 1
+])
+def test_geometry_bad_k_is_refused_before_output(capsys, tmp_path, args,
+                                                 with_out):
+    path = tmp_path / "geometry.json"
+    out_args = ("--out", str(path)) if with_out else ()
+    code, out, err = run(capsys, "geometry", *args, *out_args)
+    assert code == EXIT_USAGE
+    assert out == "" and "out of range" in err
+    assert not path.exists()
+
+
 def test_construct_two_reguli(capsys):
     code, out, _ = run(capsys, "construct", "two-reguli", "--q", "2")
     assert code == EXIT_OK

@@ -309,15 +309,16 @@ def test_rref_matches_scalar_reference(pA):
 # indices per column.  Q+(5,2) k=2: 30 rows of one word; its peak is
 # filling them from 30 x 7 ones.  Q(4,3) k=1: 40 x 40 int8 symbols, and
 # per pivot two arrays as large and four indices into the 40 rows; D
-# is formed in int8 beside all 40 rows.  H(5,4) k=2: 891 rows of 11 words;
-# its peak is their end, at most 693 pivot rows packed and unpacked.  Then
-# 251 reduced rows and D of 442 rows outweigh the elimination.
+# is formed in int8 beside a copy of the 25 reduced rows.  H(5,4) k=2:
+# 891 rows of 11 words; its peak is their end, at most 693 pivot rows
+# packed and unpacked.  Then 251 reduced rows and D of 442 rows outweigh
+# the elimination.
 CHARGES = [("Q", 4, 2, 1, 15 * 8 + 15 * 8 + 15 * 8 + 256 * 8 + 2 * 15 * 8,
             10 * 15 + 5 * 15 + 32 * 15 + 2 * 10 * 5, 5),
            ("Qplus", 5, 2, 2, 30 * 8 + 17 * 30 * 7 + 16 * 30,
             15 * 35 + 20 * 35 + 32 * 35 + 2 * 15 * 20, 20),
            ("Q", 4, 3, 1, 3 * 40 * 40 + 32 * 40,
-            40 * 40 + 15 * 40 + 32 * 40 + 2 * 25 * 15, 15),
+            25 * 40 + 15 * 40 + 32 * 40 + 2 * 25 * 15, 15),
            ("H", 5, 4, 2, 891 * 88 + 693 * 88 + 693 * 693,
             251 * 693 + 442 * 693 + 32 * 693 + 2 * 251 * 442, 442)]
 
@@ -429,7 +430,8 @@ def test_partial_scans_match_scalar_reference(pA, bound):
 
 
 @pytest.mark.parametrize("p,rows,cols,seed", [
-    (2, 2, 20, 1),   # nullity 18: the Gray walk takes three steps
+    (2, 2, 20, 1),   # nullity 18: three heads beside the block
+    (2, 50, 67, 1),  # nullity 17, two words per mask
     (3, 1, 13, 2),   # nullity 12, two head vectors and a scalar factor 2
     (5, 1, 9, 3),    # nullity 8, a smaller tail, scalar factor 4
     (5, 61, 68, 4),  # nullity 7, two words per mask
@@ -462,12 +464,14 @@ def test_popcount_histogram_counts_past_255(n):
     assert counts[n] >= 2 and (counts == want).all()
 
 
+# word_bytes: one word of a scan block, p residue masks of uint64 words
 @pytest.mark.parametrize("p,n_cols,word_bytes", [
-    (2, 35, 8), (2, 3, 8), (3, 40, 24), (5, 9, 40), (7, 5, 56)])
+    (2, 35, 16), (2, 3, 16), (2, 67, 32), (3, 40, 24), (5, 9, 40),
+    (7, 5, 56)])
 def test_scan_blocks_are_no_larger_than_int16_blocks(p, n_cols, word_bytes):
     for nullity in range(12):
         t0 = max(t for t in range(nullity + 1) if p ** t <= 1 << 16)
-        t = _tail_size(p, nullity, n_cols, word_bytes)
+        t = _tail_size(p, nullity, n_cols)
         assert t <= t0
         assert t == 0 or p ** t * word_bytes <= p ** t0 * 2 * n_cols
         assert t == t0 or p ** (t + 1) * word_bytes > p ** t0 * 2 * n_cols
