@@ -77,9 +77,9 @@ def cmd_geometry(cfg: RunConfig) -> int:
     # one enumeration up to the generators checks every level's count
     P.singular_kspaces_with_supports(P.gen_dim)
     parts = [f"points: {len(P.points)}"]
-    for k in range(1, P.gen_dim + 1):
-        name = _KSPACE_NAMES.get(k, f"{k}-spaces")
-        parts.append(f"{name}: {P.kspace_count(k)}")
+    for m in range(1, P.gen_dim + 1):
+        name = _KSPACE_NAMES.get(m, f"{m}-spaces")
+        parts.append(f"{name}: {P.kspace_count(m)}")
     print(", ".join(parts))
     print(f"generator dimension: {P.gen_dim}")
     if cfg.out:

@@ -58,6 +58,22 @@ def test_geometry_bad_k_is_refused_before_output(capsys, tmp_path, args,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("k_args", [("--k", "1"), ()])
+def test_geometry_out_exports_the_requested_k(capsys, tmp_path, k_args):
+    # Q+(5,2) has lines and planes: the summary of both levels must not
+    # change which k is exported
+    path = tmp_path / "geometry.json"
+    code, out, _ = run(capsys, "geometry", "--family", "Qplus", "--n", "5",
+                       "--q", "2", *k_args, "--out", str(path))
+    assert code == EXIT_OK
+    assert "lines: 105, planes: 30" in out
+    assert json.loads(path.read_text())["geometry"]["k"] == 1
+    want = gfcode.export_json(
+        gfcode.geometry_payload(polarspace.get_space("Qplus", 5, 2), 1),
+        str(tmp_path / "want.json"))
+    assert f"sha256={want}" in out
+
+
 def test_construct_two_reguli(capsys):
     code, out, _ = run(capsys, "construct", "two-reguli", "--q", "2")
     assert code == EXIT_OK
