@@ -19,6 +19,7 @@ from .projspace import (
     Subspace,
     enumerate_lines,
     incidence_with_hyperplanes,
+    nullspace,
     span,
     subspace_points,
     theta,
@@ -28,16 +29,12 @@ from .polarspace import (
     canonical_family,
     classify_plane_section,
     get_space,
+    least_irreducible_binary_quadratic,
     make_cone,
     polar_image,
 )
 from .gfcode import CodewordVec, IncidenceMatrix, build_incidence, is_dual_codeword
-from .kleinmap import (
-    klein_point,
-    lineset_to_codeword,
-    regular_spread,
-    reguli_partition_through,
-)
+from .kleinmap import klein_point
 from . import verify
 
 
@@ -96,56 +93,65 @@ def _section_pair(P: PolarSpace, pi: Subspace, a: int) -> CodewordVec:
     return _points_to_codeword(P, symbols)
 
 
-# --- reguli and pencils on the Klein quadric --------------------------
+# --- reguli, pencils and the regular spread on the Klein quadric -----
 #
 # A regulus of PG(3,q) is the conic that Q+(5,q) cuts from a plane, and
-# its opposite regulus is the conic in the polar plane.
+# its opposite regulus is the conic in the polar plane.  A pencil of
+# lines is a singular line of Q+(5,q), and a spread is an ovoid.  With
+# (b, c) = least_irreducible_binary_quadratic(F), the regular spread,
+# PG(1,q^2) read over GF(q), is the elliptic quadric that the solid
+# x2 + c x3 = 0 = x4 + x5 + b x3 cuts from Q+(5,q); e0 is the Klein point
+# of its first line.
 
 
-def _canonical_skew_triple(F: FieldSpec):
-    L1 = span([(1, 0, 0, 0), (0, 1, 0, 0)], F)
-    L2 = span([(0, 0, 1, 0), (0, 0, 0, 1)], F)
-    L3 = span([(1, 0, 1, 0), (0, 1, 0, 1)], F)
-    return L1, L2, L3
+def _tangent_direction(F: FieldSpec) -> tuple[int, ...]:
+    """e4 - e5: with e0 it spans a line meeting Q+(5,q) only in e0."""
+    return (0, 0, 0, 0, 1, F.neg(1))
+
+
+def _spread_solid(F: FieldSpec) -> Subspace:
+    b, c = least_irreducible_binary_quadratic(F)
+    return span(nullspace([(0, 0, 1, c, 0, 0), (0, 0, 0, b, 1, 1)], 6, F), F)
+
+
+def _spread_regulus_planes(F: FieldSpec) -> list[Subspace]:
+    """The q planes of the spread solid through the tangent line
+    <e0, e4 - e5> other than the tangent plane, one per a in
+    F.elements() order: their conics are the q reguli of the regular
+    spread through its line e0, pairwise sharing only e0."""
+    b, c = least_irreducible_binary_quadratic(F)
+    e0, t = _unit(0, 6), _tangent_direction(F)
+    return [span([e0, t, (0, 1, F.mul(c, a), F.neg(a), 0, F.mul(b, a))], F)
+            for a in F.elements()]
 
 
 def cw_two_reguli(q: int, alpha: int = 1) -> ConstructionResult:
-    """Symbols +a on one regulus of a hyperbolic quadric of PG(3,q) and
-    -a on the opposite regulus; weight 2q+2 on the Klein quadric."""
+    """Symbols +a on the conic that Q+(5,q) cuts from the plane
+    <e0, e1, e4 - e5> and -a on the conic in its polar plane: a regulus
+    of PG(3,q) and its opposite; weight 2q+2."""
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
     a = _symbol(alpha, F.p)
-    plane = span([klein_point(L, F) for L in _canonical_skew_triple(F)], F)
+    plane = span([_unit(0, 6), _unit(1, 6), _tangent_direction(F)], F)
     return ConstructionResult(
         _section_pair(P, plane, a), 2 * q + 2, P, 2,
         "regulus/opposite-regulus pair of a hyperbolic quadric in PG(3,q)")
 
 
 def cw_two_pencils(q: int, beta: int = 1) -> ConstructionResult:
-    """The 4q lines through two points in two planes through their join,
-    the join excluded; weight 4q."""
+    """Symbols +b on the singular lines <e0, e2> and <e0, e3> and -b on
+    <e0, e4> and <e0, e5>, their common point e0 excluded: the lines
+    through two points of PG(3,q) in two planes through their join, the
+    join excluded; weight 4q."""
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
     b = _symbol(beta, F.p)
-    A = (1, 0, 0, 0)
-    B = (0, 1, 0, 0)
-    join = span([A, B], F)
-    pi1 = span([A, B, (0, 0, 1, 0)], F)
-    pi2 = span([A, B, (0, 0, 0, 1)], F)
-
-    def pencil(vertex, plane):
-        out = []
-        for x in subspace_points(plane, F):
-            L = span([vertex, x], F)
-            if L.dim == 1 and L != join and L not in out:
-                out.append(L)
-        return out
-
-    symbols = {L: b for L in pencil(A, pi1) + pencil(B, pi2)}
-    symbols.update({L: -b for L in pencil(A, pi2) + pencil(B, pi1)})
-    assert len(symbols) == 4 * q and join not in symbols
+    e0 = _unit(0, 6)
+    symbols = {x: s for j, s in ((2, b), (3, b), (4, -b), (5, -b))
+               for x in subspace_points(span([e0, _unit(j, 6)], F), F)}
+    del symbols[e0]
     return ConstructionResult(
-        lineset_to_codeword(symbols, P), 4 * q, P, 2,
+        _points_to_codeword(P, symbols), 4 * q, P, 2,
         "two pencils of lines through two points in two planes")
 
 
@@ -217,22 +223,22 @@ def cw_regulus_combination(q: int, common_lines: int, orientation: int = 1,
 
 
 def cw_regulus_switch(q: int, i: int) -> ConstructionResult:
-    """Switch 2i reguli of a regular spread to their opposites, restore
-    the shared line, and take the complement of the Klein image; weight
-    (1+q^2)(q^2+q)-2i, for even q and 0 <= i <= q/2."""
+    """All-ones off the elliptic quadric of the regular spread with 2i of
+    its conics through e0 swapped for the conics in their polar planes,
+    e0 kept: the complement of the Klein image of a regular spread with
+    2i reguli switched to their opposites; weight (1+q^2)(q^2+q)-2i, for
+    even q and 0 <= i <= q/2."""
     if q % 2:
         raise GeometryError("regulus switching needs even q")
     if not 0 <= i <= q // 2:
         raise GeometryError(f"i={i} out of range [0, {q // 2}]")
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
-    T = regular_spread(q)
-    switched = {klein_point(L, F) for L in T}
-    for reg in reguli_partition_through(T[0], q)[:2 * i]:
-        conic = [klein_point(L, F) for L in reg]
-        switched.difference_update(conic)
-        switched.update(_on(P, polar_image(P, span(conic, F))))
-    switched.add(klein_point(T[0], F))
+    switched = set(_on(P, _spread_solid(F)))
+    for plane in _spread_regulus_planes(F)[:2 * i]:
+        switched.difference_update(_on(P, plane))
+        switched.update(_on(P, polar_image(P, plane)))
+    switched.add(_unit(0, 6))
     assert len(switched) == q * q + 1 + 2 * i
     return ConstructionResult(
         _complement(P, switched), (1 + q * q) * (q * q + q) - 2 * i, P, 2,
@@ -261,9 +267,9 @@ def elliptic_hyperplane_section(P: PolarSpace) -> list:
 
 
 def klein_spread_ovoid(P: PolarSpace) -> list:
-    """Ovoid of the standard Q+(5,q): Klein image of the regular spread."""
-    F = P.F
-    return sorted(P.index[klein_point(L, F)] for L in regular_spread(F.order))
+    """Point indices of the ovoid of the standard Q+(5,q) cut out by the
+    spread solid: the Klein image of the regular spread."""
+    return sorted(P.index[x] for x in _on(P, _spread_solid(P.F)))
 
 
 def cw_complement_ovoid(family: str, q: int) -> ConstructionResult:
@@ -410,10 +416,8 @@ def cw_disjoint_perp_cones(family: str, q: int, alpha: int = 1) -> ConstructionR
     base = _on(P, perp)
     symbols = {}
     for vertex, s in ((P1, a), (P2, -a)):
-        for x in make_cone(span([vertex], F), base, F, truncated=True):
-            if x not in base:
-                symbols[x] = s
-        symbols[vertex] = s
+        cone = set(make_cone(span([vertex], F), base, F)) - set(base)
+        symbols.update(dict.fromkeys(cone, s))
     return ConstructionResult(
         _points_to_codeword(P, symbols), weight, P, 1,
         "disjoint truncated cones over the common perp section")

@@ -441,14 +441,12 @@ def classify_plane_section(H: PolarSpace, plane: Subspace) -> str:
     return kinds[count]
 
 
-def make_cone(vertex: Subspace, base, F: FieldSpec,
-              truncated: bool = False) -> tuple[tuple[int, ...], ...]:
+def make_cone(vertex: Subspace, base, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
     """The points, sorted, of the union of the lines joining vertex points
     to base points.
 
-    The truncated cone omits the vertex.  Size must come out to
-    q^(v+1)*|B| (+ theta_v when the vertex is kept); anything else means
-    the base meets the vertex span badly."""
+    Outside the vertex the size must come out to q^(v+1)*|B|; anything
+    else means the base meets the vertex span badly."""
     vertex_pts = set(subspace_points(vertex, F))
     pts = set()
     for b in base:
@@ -458,9 +456,7 @@ def make_cone(vertex: Subspace, base, F: FieldSpec,
     if len(pts) != expected:
         raise GeometryError(
             f"degenerate cone: {len(pts)} points, expected {expected}")
-    if not truncated:
-        pts |= vertex_pts
-    return tuple(sorted(pts))
+    return tuple(sorted(pts | vertex_pts))
 
 
 def prop_counts(family: str, n: int, k: int, q: int) -> tuple[Fraction, Fraction]:

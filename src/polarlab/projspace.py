@@ -144,11 +144,6 @@ def enumerate_lines(n: int, F: FieldSpec) -> tuple[Subspace, ...]:
                  for b, lb in zip(pts, lead) if la < lb and not a[lb])
 
 
-def hyperplanes(n: int, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    """Hyperplanes as normalized dual coefficient vectors."""
-    return enumerate_points(n, F)
-
-
 @lru_cache(maxsize=None)
 def _tables(F: FieldSpec):
     """numpy mul, add and conjugation tables of F (conj None when F has
@@ -271,13 +266,15 @@ class Pairing:
 
 @lru_cache(maxsize=None)
 def _hyperplane_pairing(n: int, F: FieldSpec) -> Pairing:
+    """The points of PG(n,q) read as dual coordinates of its hyperplanes."""
     unit = np.eye(n + 1, dtype=np.int64)
-    return Pairing(hyperplanes(n, F), unit.tolist(), F)
+    return Pairing(enumerate_points(n, F), unit.tolist(), F)
 
 
 def incidence_with_hyperplanes(points, n: int, F: FieldSpec) -> np.ndarray:
     """Boolean matrix [i,j] = point i lies on hyperplane j, the hyperplanes
-    in the canonical dual order of hyperplanes(n, F)."""
+    in the canonical dual order: that of their dual coordinates in
+    enumerate_points(n, F)."""
     pairing = _hyperplane_pairing(n, F)
     X = np.array(points, dtype=np.int64).reshape(-1, n + 1)
     on = np.empty((len(X), theta(n, F.order)), dtype=bool)

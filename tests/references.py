@@ -2,19 +2,32 @@
 scalar subspace membership and intersection, brute-force k-space counts,
 a blocking-set predicate, the nucleus of an even-order parabolic quadric,
 exact-cover ovoid and spread searches, the spread and ovoid greedies
-that recount after every removal, the dense form of an incidence matrix,
+that recount after every removal, the regular spread of PG(3,q) and its
+reguli built as lines, the dense form of an incidence matrix,
 GF(2) row reduction one pivot column at a time, and the alist export
 formed line by line."""
 
 import hashlib
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 
 import numpy as np
 
-from polarlab.gf import FieldSpec
+from polarlab.gf import FieldSpec, field_of_order
 from polarlab.gfcode import IncidenceMatrix
-from polarlab.polarspace import PolarSpace, bit_indices
-from polarlab.projspace import GeometryError, Subspace, normalize_point, nullspace
+from polarlab.polarspace import (
+    PolarSpace,
+    bit_indices,
+    least_irreducible_binary_quadratic,
+)
+from polarlab.projspace import (
+    GeometryError,
+    Subspace,
+    combine,
+    normalize_point,
+    nullspace,
+    span,
+)
 from polarlab.verify import _as_index_set, _line_supports, is_ovoid, is_spread
 
 
@@ -177,6 +190,54 @@ def extract_ovoid(P: PolarSpace, blocking):
     if len(pts) == P.q ** 2 + 1 and is_ovoid(P, pts):
         return pts
     return None
+
+
+# The regular spread is PG(1,q^2) read over GF(q), with GF(q) arithmetic
+# only: xi, a root of the least irreducible t^2 + bt + c, multiplies each
+# coordinate pair (x0, x1) = x0 + x1 xi of GF(q)^4 as (-c x1, x0 - b x1),
+# and each point of PG(1,q^2) is a line <v, xi v>.  Its reguli through a
+# spread line are the Baer sublines through it.
+
+
+def _times_xi(v, F: FieldSpec) -> tuple[int, ...]:
+    """Multiplication by xi on each coordinate pair (x0, x1) = x0 + x1 xi,
+    where xi is a root of the least irreducible t^2 + bt + c over F."""
+    b, c = least_irreducible_binary_quadratic(F)
+    out = []
+    for x0, x1 in zip(v[::2], v[1::2]):
+        out += [F.mul(F.neg(c), x1), F.sub(x0, F.mul(b, x1))]
+    return tuple(out)
+
+
+def _xi_line(v, F: FieldSpec) -> Subspace:
+    """The line <v, xi v>: the GF(q^2)-point of v as a line of PG(3,q)."""
+    return span([v, _times_xi(v, F)], F)
+
+
+@lru_cache(maxsize=None)
+def regular_spread(q: int) -> tuple[Subspace, ...]:
+    """The q^2+1 points of PG(1,q^2) as pairwise skew lines <v, xi v>:
+    v = (1, 0, b0, b1) in lexicographic order, then v = (0, 0, 1, 0)."""
+    F = field_of_order(q)
+    vs = [(1, 0, b0, b1) for b0 in F.elements() for b1 in F.elements()]
+    return tuple(_xi_line(v, F) for v in vs + [(0, 0, 1, 0)])
+
+
+def reguli_partition_through(L: Subspace, q: int) -> list[list[Subspace]]:
+    """q reguli of the regular spread through its line L, pairwise sharing
+    only L and jointly covering the spread.
+
+    With u = L.basis[0] and w not on L, the spread lines other than L
+    are those of z u + w for z in GF(q^2); the regulus for a1 takes the
+    coset z = x0 + a1 xi of GF(q), a Baer subline through L."""
+    if L not in regular_spread(q):
+        raise GeometryError("line is not in the regular spread")
+    F = field_of_order(q)
+    u = L.basis[0]
+    w = (1, 0, 0, 0) if u == (0, 0, 1, 0) else (0, 0, 1, 0)
+    coeffs = [(x0, a1, 1) for a1 in F.elements() for x0 in F.elements()]
+    V = combine(coeffs, [u, _times_xi(u, F), w], F).reshape(q, q, 4)
+    return [sorted([L] + [_xi_line(v, F) for v in vs]) for vs in V.tolist()]
 
 
 def dense(A: IncidenceMatrix) -> np.ndarray:

@@ -14,16 +14,9 @@ from polarlab.projspace import (
     subspace_points,
 )
 from polarlab.polarspace import get_space, polar_image
-from references import intersect
+from references import intersect, reguli_partition_through, regular_spread
 from polarlab import constructions as C
-from polarlab.kleinmap import (
-    klein_point,
-    lineset_to_codeword,
-    plucker,
-    reguli_partition_through,
-    regular_spread,
-    to_quadric_point,
-)
+from polarlab.kleinmap import klein_point, plucker, to_quadric_point
 
 
 def skew_triple(F):
@@ -201,6 +194,20 @@ def test_spread_and_partitions_pinned(q):
     assert tuple(shas) == SPREAD_PINS[q]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_spread_solid_and_regulus_planes_match_the_lines(q):
+    # the point-side spread and reguli of the constructions against the
+    # Klein images of the line-side reference, reguli in the same order
+    F = field_of_order(q)
+    P = get_space("Qplus", 5, q)
+    T = regular_spread(q)
+    assert C.klein_spread_ovoid(P) == sorted(P.index[klein_point(L, F)] for L in T)
+    planes = C._spread_regulus_planes(F)
+    regs = reguli_partition_through(T[0], q)
+    assert [sorted(C._on(P, pi)) for pi in planes] == \
+        [sorted(klein_point(L, F) for L in reg) for reg in regs]
+
+
 def test_klein_spread_image_is_an_ovoid_cap(q=3):
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
@@ -227,7 +234,8 @@ def test_line_conditions_for_regulus_pair(q):
     R = transversals(O[:3], F)
     symbols = {L: 1 for L in R}
     symbols.update({L: q - 1 for L in O})
-    c = lineset_to_codeword(symbols, P)
+    c = CodewordVec({P.index[klein_point(L, F)]: s for L, s in symbols.items()},
+                    len(P.points), F.p)
     ok, row = is_dual_codeword(c, build_incidence(P, 2))
     assert ok, row
     assert c.support == C.cw_two_reguli(q).codeword.support
@@ -236,9 +244,9 @@ def test_line_conditions_for_regulus_pair(q):
 def test_line_conditions_reject_unbalanced_set():
     F = field_of_order(2)
     P = get_space("Qplus", 5, 2)
-    lines = enumerate_lines(3, F)
-    ok, row = is_dual_codeword(lineset_to_codeword({lines[0]: 1}, P),
-                               build_incidence(P, 2))
+    L = enumerate_lines(3, F)[0]
+    c = CodewordVec({P.index[klein_point(L, F)]: 1}, len(P.points), F.p)
+    ok, row = is_dual_codeword(c, build_incidence(P, 2))
     assert not ok
     assert row is not None
 
@@ -279,6 +287,6 @@ def test_lineset_to_codeword_support():
     F = field_of_order(2)
     P = get_space("Qplus", 5, 2)
     T = regular_spread(2)
-    c = lineset_to_codeword({L: 1 for L in T}, P)
+    c = CodewordVec({P.index[klein_point(L, F)]: 1 for L in T}, len(P.points), F.p)
     assert c.weight == 5
     assert all(v == 1 for v in c.support.values())

@@ -15,6 +15,10 @@ occurs in some tests/test_*.py module or in another helper there.
 
 GF(q) vector arithmetic has one implementation: only projspace reads the
 field tables `_tables`.
+
+The modules form layers, gf < projspace < polarspace < {gfcode, kleinmap,
+verify} < constructions < cli, and every relative import points down
+them; kleinmap, the forward Klein map, imports only gf and projspace.
 """
 
 import ast
@@ -131,3 +135,45 @@ def test_only_projspace_reads_the_field_tables():
     readers = [path.name for path in sorted(package.glob("*.py"))
                if occurrences(path)["_tables"]]
     assert readers == ["projspace.py"]
+
+
+LAYERS = ("gf", "projspace", "polarspace", "gfcode kleinmap verify",
+          "constructions", "cli __init__")
+RANK = {name: i for i, layer in enumerate(LAYERS) for name in layer.split()}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The modules of the package that a module imports as `from .X` or
+    `from . import X`."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= ({node.module.split(".")[0]} if node.module
+                    else {alias.name for alias in node.names})
+    return out
+
+
+def layer_violations(package: Path) -> dict:
+    """module -> the modules it imports from its own layer or above;
+    every module must have a layer."""
+    found = {path.stem: package_imports(path) for path in sorted(package.glob("*.py"))}
+    assert set(found) == set(RANK)
+    upward = {name: sorted(m for m in imports if RANK[m] >= RANK[name])
+              for name, imports in found.items()}
+    return {name: up for name, up in upward.items() if up}
+
+
+def test_imports_point_down_the_layers():
+    package = ROOT / "src" / "polarlab"
+    assert layer_violations(package) == {}
+    assert package_imports(package / "kleinmap.py") == {"gf", "projspace"}
+
+
+def test_an_import_within_a_layer_is_a_violation(tmp_path):
+    for name in RANK:
+        (tmp_path / f"{name}.py").write_text("from .gf import FieldSpec\n")
+    (tmp_path / "gf.py").write_text("")
+    (tmp_path / "kleinmap.py").write_text("from .gfcode import CodewordVec\n")
+    (tmp_path / "verify.py").write_text("from . import constructions\n")
+    assert layer_violations(tmp_path) == {"kleinmap": ["gfcode"],
+                                          "verify": ["constructions"]}

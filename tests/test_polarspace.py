@@ -139,8 +139,6 @@ def test_make_cone_sizes():
     vertex = span([(1, 0, 0, 0, 0, 0)], F)
     cone = make_cone(vertex, base, F)
     assert len(cone) == P.q * len(base) + 1 and list(cone) == sorted(cone)
-    trunc = make_cone(vertex, base, F, truncated=True)
-    assert set(trunc) == set(cone) - {(1, 0, 0, 0, 0, 0)}
 
 
 def test_count_kspaces_through_point_and_pair():

@@ -15,7 +15,6 @@ from polarlab.projspace import (
     enumerate_lines,
     enumerate_points,
     form_values,
-    hyperplanes,
     incidence_with_hyperplanes,
     normalize_point,
     nullspace,
@@ -108,7 +107,7 @@ def test_hyperplane_incidence_counts(q):
     pts = enumerate_points(2, F)
     M = incidence_with_hyperplanes(pts, 2, F)
     # every line of PG(2,q) has q+1 points; every point lies on q+1 lines
-    assert M.shape == (len(pts), len(hyperplanes(2, F)))
+    assert M.shape == (len(pts), len(enumerate_points(2, F)))
     assert all(M[:, j].sum() == q + 1 for j in range(M.shape[1]))
     assert all(M[i, :].sum() == q + 1 for i in range(M.shape[0]))
 

@@ -6,7 +6,6 @@ from polarlab.gf import field_of_order
 from polarlab.projspace import (
     GeometryError,
     enumerate_points,
-    hyperplanes,
     span,
     subspace_points,
 )
@@ -155,7 +154,7 @@ def test_hyperplane_weights_match_dot_products(q):
     pts = rng.sample(enumerate_points(3, F), 12)
     W = WeightedPointSet({pt: rng.randint(1, 4) for pt in pts}, 3, F)
     want = []
-    for d in hyperplanes(3, F):
+    for d in enumerate_points(3, F):
         total = 0
         for pt, wt in W.weights.items():
             dot = 0
