@@ -122,10 +122,12 @@ def cmd_scan(cfg: RunConfig) -> int:
     print(f"mode: {report['mode']}")
     print(f"rank: {report['rank']}, nullity: {report['nullity']}")
     weights = report["weights"]
+    # the extremes are those of the whole distribution; the window selects
+    # only the weight lines and the --out weights
+    nonzero = sorted(w for w in weights if w > 0)
     if cfg.window:
         lo, hi = cfg.window
         weights = {w: m for w, m in weights.items() if lo <= w <= hi}
-    nonzero = sorted(w for w in weights if w > 0)
     # a PARTIAL count covers only the words that were enumerated
     label = "weight" if report["mode"] == "FULL" else "enumerated weight"
     for w in sorted(weights):
@@ -256,6 +258,8 @@ def parse_config(argv) -> RunConfig:
                     q=ns.q, out=ns.out)
     cfg.k = getattr(ns, "k", None)
     if ns.subcommand == "scan":
+        if ns.window and ns.window[0] > ns.window[1]:
+            raise SystemExit("polarlab scan: --window LO HI needs LO <= HI")
         cfg.window = tuple(ns.window) if ns.window else None
         cfg.partial = ns.partial
     if ns.subcommand == "export":

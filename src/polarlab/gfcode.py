@@ -3,7 +3,11 @@
 The code of a polar space is spanned by the rows of its point/k-space
 incidence matrix over the prime field; its dual is the right nullspace,
 passed around as one systematic generator array D (nullity x n_cols) in
-the dtype of the eliminated rows.  Weight scans enumerate the span of D
+the dtype of the eliminated rows.  These matrices are tall, so the
+elimination reduces a sample of the rows and certifies each of the others
+by its syndrome against D, taking those outside the span into a further
+round (Las Vegas rank by row compression, after Cheung, Kwok and Lau,
+J. ACM 60, 2013).  Weight scans enumerate the span of D
 exhaustively when the nullity is small enough and otherwise refuse, or,
 when asked, count the words of at most a few rows of D, whose extreme
 weights are then only bounds.
@@ -19,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
+from math import gcd
 
 import numpy as np
 
@@ -109,25 +114,78 @@ def is_dual_codeword(c: CodewordVec, A: IncidenceMatrix):
     return True, None
 
 
-def _coordinates(A: IncidenceMatrix):
-    """Row and column index of every 1 of A, row by row."""
-    sizes = np.fromiter(map(len, A.supports), dtype=np.intp, count=A.n_rows)
-    cols = np.fromiter(chain.from_iterable(A.supports), dtype=np.intp,
+def _coordinates(supports):
+    """Row and column index of every 1 of the rows with these supports."""
+    sizes = np.fromiter(map(len, supports), dtype=np.intp, count=len(supports))
+    cols = np.fromiter(chain.from_iterable(supports), dtype=np.intp,
                        count=int(sizes.sum()))
-    return np.repeat(np.arange(A.n_rows), sizes), cols
+    return np.repeat(np.arange(len(supports)), sizes), cols
 
 
-def _packed(A: IncidenceMatrix) -> np.ndarray:
-    """The rows of A packed into uint64 words, as `_words` packs them,
-    ORed in straight from the supports."""
-    rows, cols = _coordinates(A)
-    out = np.zeros((A.n_rows, -(-A.n_cols // 64) * 8), dtype=np.uint8)
+def _fill(supports, R: np.ndarray, p: int) -> np.ndarray:
+    """The rows of one round of elimination: the reduced rows R, then the
+    rows with these supports, ORed in straight from them.  Over GF(2) they
+    are packed into uint64 words as `_words` packs them, otherwise held in
+    the dtype of R."""
+    m, n = len(R) + len(supports), R.shape[1]
+    rows, cols = _coordinates(supports)
+    rows += len(R)
+    if p != 2:
+        out = np.zeros((m, n), dtype=R.dtype)
+        out[:len(R)] = R
+        out[rows, cols] = 1
+        return out
+    out = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
+    out[:len(R), :(n + 7) // 8] = np.packbits(R, axis=1, bitorder="little")
     bits = cols.astype(np.uint8)  # in place from here on: one byte per 1
     bits &= 7
     np.left_shift(1, bits, out=bits)
     cols >>= 3
     np.bitwise_or.at(out, (rows, cols), bits)
     return out.view("<u8")
+
+
+def _stride_order(r: int) -> np.ndarray:
+    """0..r-1 as i*s mod r, s the integer nearest 0.618 r that is prime to
+    r: rows taken in this order land far apart, as the golden-ratio points
+    do, so a round's sample is spread over rows that `build_incidence` lists
+    by support."""
+    s = round(0.6180339887498949 * r)
+    while gcd(s, r) != 1:
+        s += 1
+    order = np.arange(r)
+    order *= s
+    order %= r
+    return order
+
+
+def _outside_span(A: IncidenceMatrix, rows: np.ndarray, D: np.ndarray,
+                  block: int, longest: int) -> np.ndarray:
+    """For each of the rows `rows` of A, whether it lies outside the span of
+    the rows whose dual generator is D, that is, whether its syndrome, the
+    sum of the rows of D^T over its support, is nonzero (over a field the
+    span of a set of rows is the dual of their nullspace).  Over GF(2) the
+    rows of D^T are packed into words and summed by XOR, otherwise they are
+    summed in a dtype that holds p - 1 times the `longest` support.  The
+    rows go `block` at a time."""
+    n, p = A.n_cols, A.p
+    if p == 2:
+        DT, add = _words(D.T), np.bitwise_xor
+    else:
+        DT, add = D.T.astype(np.min_scalar_type(longest * (p - 1))), np.add
+    out = np.zeros(len(rows), dtype=bool)
+    for b in range(0, len(rows), block):
+        sups = [A.supports[i] for i in rows[b:b + block].tolist()]
+        sizes = np.fromiter(map(len, sups), dtype=np.intp, count=len(sups))
+        cols = np.fromiter(chain.from_iterable(sups), count=int(sizes.sum()),
+                           dtype=np.min_scalar_type(n))
+        full = sizes > 0  # an empty row is zero, so in every span
+        syndromes = add.reduceat(DT[cols], (np.cumsum(sizes) - sizes)[full],
+                                 dtype=DT.dtype)
+        if p != 2:
+            syndromes %= p
+        out[b:b + block][full] = syndromes.any(axis=1)
+    return out
 
 
 def _byte_basis(S: np.ndarray):
@@ -221,57 +279,120 @@ def _refuse_over_budget(A: IncidenceMatrix, size: int, what: str):
             f"bytes, over the budget of {budget}")
 
 
-def _elimination_bytes(A: IncidenceMatrix, item: int) -> int:
-    """Bytes that the elimination of A holds at its peak, with `item`
-    bytes per entry of the unpacked rows.  The rows to reduce, over GF(2)
-    packed 64 columns to a word, are held throughout.  While they are
-    filled: the column and row index of every 1, one byte for each 1 and
-    two indices per row.  Over GF(2), per pass: a copy of the rows with its
-    index, the XOR table and the pivot rows twice while they grow, and at
-    the end the pivot rows unpacked too.  Over GF(p), p odd, per pivot:
-    a copy of the rows it hits, their product with the pivot row, and
-    four indices into the rows; at the end a copy of the reduced rows."""
+def _round_size(n: int) -> int:
+    """The most rows of A that one round of elimination takes besides the
+    reduced rows so far: half as many again as A has columns, and 64."""
+    return 3 * n // 2 + 64
+
+
+def _elimination_bytes(A: IncidenceMatrix, item: int, longest: int) -> int:
+    """Bytes that one round of the elimination of A holds at its peak, with
+    `item` bytes per entry of the unpacked rows and at most `longest` 1s in
+    a row of A.  A round's rows, over GF(2) packed 64
+    columns to a word, are held throughout: at most `_round_size` rows of
+    A and, after the first round, fewer than n reduced rows.  While
+    they are filled: the column and row index of every 1, one byte for each
+    1 and two indices per row, and the reduced rows of the round before,
+    over GF(2) also packed.  Over GF(2), per pass: a copy of the rows with
+    its index, the XOR table and the pivot rows twice while they grow, and
+    at the end the pivot rows unpacked too.  Over GF(p), p odd, per pivot:
+    a copy of the rows it hits, their product with the pivot row, and four
+    indices into the rows; at the end a copy of the reduced rows.  When
+    there is more than one round, the stride order of the rows and the
+    supports of the round are held too."""
     n, r = A.n_cols, A.n_rows
-    fill = 17 * sum(map(len, A.supports)) + 16 * r
+    new = min(r, _round_size(n))
+    kept = n - 1 if r > new else 0  # r > n then
+    m = new + kept
+    fill = 17 * new * longest + 16 * new + kept * n * item
     if A.p == 2:
-        w, m = -(-n // 64) * 8, min(r, n)  # bytes per packed row, pivots
-        rows = r * w
-        step = max(rows + 8 * r + 256 * w + 2 * m * w, m * w + m * n)
+        w, piv = -(-n // 64) * 8, min(m, n)  # bytes per packed row, pivots
+        rows = m * w
+        fill += kept * ((n + 7) // 8)
+        step = max(rows + 8 * m + 256 * w + 2 * piv * w, piv * w + piv * n)
     else:
-        rows = r * n * item
-        step = 2 * rows + 32 * r
-    return rows + max(fill, step)
+        rows = m * n * item
+        step = 2 * rows + 32 * m
+    return rows + max(fill, step) + (8 * (r + new) if r > new else 0)
+
+
+def _check_bytes(A: IncidenceMatrix, nullity: int, longest: int) -> int:
+    """Bytes that `_outside_span` holds at its peak, besides the reduced
+    rows and D, checking rows of A against a D of `nullity` rows, at most
+    `longest` 1s in a row of A and blocks of `_round_size` rows: D^T as it
+    is summed, over GF(2) also packed by bytes; per block the index of
+    every 1 and the row of D^T it gathers, and per row its syndrome, a
+    reference to its support, its index as a Python int, four indices and
+    two flags; for each row of A at most its index, a flag and its index
+    once more if it stays pending."""
+    n, r = A.n_cols, A.n_rows
+    block = min(r, _round_size(n))
+    if A.p == 2:
+        row = -(-nullity // 64) * 8
+        DT = n * (row + (nullity + 7) // 8)
+    else:
+        row = nullity * np.min_scalar_type(longest * (A.p - 1)).itemsize
+        DT = n * row
+    col = np.min_scalar_type(n).itemsize
+    return DT + block * (longest * (col + row) + row + 74) + 17 * r
 
 
 def rank_and_nullspace(A: IncidenceMatrix):
     """Rank of A over GF(p) and the systematic generator D of the dual
     code: row j of D is 1 at the j-th free column, minus that column of
-    the RREF at the pivots, and 0 elsewhere.  Refused before allocating
-    when the elimination, or forming D, would hold more than the byte
-    budget at its peak."""
+    the RREF at the pivots, and 0 elsewhere.
+
+    The elimination runs in rounds, since the code of points and k-spaces
+    has far more rows than columns.  A round eliminates the reduced rows
+    kept so far together with at most `_round_size(n)` rows of A not yet
+    known to lie in their span, taken in `_stride_order`, and forms D from
+    the result; every row of A not yet eliminated whose syndrome against D
+    is nonzero goes into the next round, and the others are dropped.  When
+    none is left, the span of the reduced rows is that of A, so they are
+    its RREF.  With at most `_round_size(n)` rows, one round takes them all
+    and nothing is checked.  Refused before allocating when a round, or
+    forming D and checking the rows against it, would hold more than the
+    byte budget at its peak."""
     p, n, r = A.p, A.n_cols, A.n_rows
     dtype = np.dtype(np.uint8) if p == 2 else np.min_scalar_type(-(p - 1) ** 2)
+    item, size = dtype.itemsize, _round_size(n)
+    longest = max(map(len, A.supports), default=0)
     # D has a row for each free column, at least n - n_rows of them
-    _refuse_over_budget(A, max(_elimination_bytes(A, dtype.itemsize),
-                               max(n - r, 0) * n * dtype.itemsize), "elimination")
-    if p == 2:
-        M, pivots = _rref_gf2(_packed(A), n)
+    _refuse_over_budget(A, max(_elimination_bytes(A, item, longest),
+                               max(n - r, 0) * n * item), "elimination")
+    if r <= size:
+        take, pending = A.supports, np.zeros(0, dtype=np.intp)
     else:
-        M = np.zeros((r, n), dtype=dtype)
-        M[_coordinates(A)] = 1
-        M, pivots = _rref_mod_p(M, p)
-    rank, held = len(pivots), M.nbytes
-    # D, the reduced rows, two arrays of their free columns and the
-    # indices of the pivot and free columns
-    _refuse_over_budget(A, held + (n - rank) * n * dtype.itemsize + 32 * n
-                        + 2 * rank * (n - rank) * dtype.itemsize, "dual generator")
-    is_free = np.ones(n, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    D = np.zeros((free.size, n), dtype=dtype)
-    D[:, pivots] = (p - M[:, free].T) % p
-    D[np.arange(free.size), free] = 1
-    return rank, D
+        order = _stride_order(r)
+        take = [A.supports[i] for i in order[:size].tolist()]
+        pending = order[size:]
+    R = np.zeros((0, n), dtype=dtype)  # the reduced rows so far
+    while True:
+        M = _fill(take, R, p)
+        del take, R  # their rows are in M
+        R, pivots = _rref_gf2(M, n) if p == 2 else _rref_mod_p(M, p)
+        del M  # consumed by the elimination
+        rank, nullity = len(pivots), n - len(pivots)
+        # D beside the reduced rows, and either two arrays of their free
+        # columns and the indices of the pivot and free columns, or the
+        # check of the rows still pending against D
+        _refuse_over_budget(A, R.nbytes + nullity * n * item + max(
+            32 * n + 2 * rank * nullity * item,
+            _check_bytes(A, nullity, longest) if pending.size else 0),
+            "dual generator")
+        is_free = np.ones(n, dtype=bool)
+        is_free[pivots] = False
+        free = np.flatnonzero(is_free)
+        D = np.zeros((nullity, n), dtype=dtype)
+        D[:, pivots] = (p - R[:, free].T) % p
+        D[np.arange(nullity), free] = 1
+        if pending.size:
+            pending = pending[_outside_span(A, pending, D, size, longest)]
+        if not pending.size:
+            return rank, D
+        take = [A.supports[i] for i in pending[:size].tolist()]
+        pending = pending[size:]
+        del D  # superseded by the next round
 
 
 def _words(bits: np.ndarray) -> np.ndarray:
@@ -415,7 +536,7 @@ def _padded(keys: np.ndarray, values: np.ndarray, deg: np.ndarray):
 def _alist_tables(A: IncidenceMatrix) -> list[np.ndarray]:
     """The numbers of the alist lines of A, one table row per line."""
     dtype = np.min_scalar_type(max(A.n_rows, A.n_cols))
-    rows, cols = (x.astype(dtype) for x in _coordinates(A))
+    rows, cols = (x.astype(dtype) for x in _coordinates(A.supports))
     col_deg = np.bincount(cols, minlength=A.n_cols)
     row_deg = np.bincount(rows, minlength=A.n_rows)
     by_row = _padded(rows, cols + 1, row_deg)

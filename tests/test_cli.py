@@ -151,6 +151,34 @@ def test_scan_window(capsys):
         "weight 6: 10"]
 
 
+def test_scan_window_keeps_the_extremes_of_the_code(capsys):
+    code, out, _ = run(capsys, "scan", "--family", "Q", "--n", "4",
+                       "--q", "2", "--window", "8", "10")
+    assert code == EXIT_OK
+    assert [ln for ln in out.splitlines() if ln.startswith("weight")] == [
+        "weight 8: 15", "weight 10: 6"]
+    assert "min nonzero weight: 6\n" in out  # d, below the window
+    assert "max weight: 10\n" in out
+
+
+def test_scan_window_keeps_the_bounds_of_a_partial_scan(capsys):
+    code, out, _ = run(capsys, "scan", "--family", "Qplus", "--n", "7",
+                       "--q", "2", "--k", "2", "--partial", "--window", "40",
+                       "44")
+    assert code == EXIT_OK
+    assert "min nonzero weight <= 28 (upper bound on d)\n" in out
+    assert "max weight >= 76 (lower bound)\n" in out
+
+
+def test_scan_empty_window_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_incidence", lambda P, k: pytest.fail())
+    code, out, err = run(capsys, "scan", "--family", "Q", "--n", "4",
+                         "--q", "2", "--window", "10", "8")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--window" in err
+
+
 def test_scan_over_row_cap_is_refused(capsys, monkeypatch):
     monkeypatch.setattr(cli, "get_space", lambda family, n, order:
                         polarspace.standard_polar_space(family, n, field_of_order(order)))

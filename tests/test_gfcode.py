@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from polarlab.gfcode import (
     IncidenceMatrix,
     PARTIAL_SUPPORT_BOUND,
     ScanRefused,
-    _packed,
+    _fill,
     _popcount_histogram,
     _rref_gf2,
     _rref_mod_p,
@@ -301,18 +302,87 @@ def test_rref_matches_scalar_reference(pA):
     _assert_dual_generator(I, D)
 
 
+def _tall_incidence(p, seed):
+    """200 rows over 12 columns, so more than 3 * 12 // 2 + 64 = 82 and
+    eliminated in rounds: uneven supports drawn from a few base rows,
+    duplicates, every seventh row empty, and the only 1 of column 11 in
+    the row that the stride order takes last, outside the span of all the
+    others and so past the first round."""
+    rng = np.random.default_rng(seed)
+    n, r = 12, 200
+    base = [sorted(rng.choice(11, size=rng.integers(1, 9), replace=False))
+            for _ in range(9)]
+    supports = [tuple(map(int, base[i])) for i in rng.integers(0, 9, size=r)]
+    supports[::7] = [()] * len(supports[::7])
+    last = int(gfcode._stride_order(r)[-1])
+    supports[last] = tuple(map(int, base[0])) + (11,)
+    return IncidenceMatrix(tuple(supports), n, p)
+
+
+@pytest.mark.parametrize("p,seed", [(2, 1), (2, 2), (3, 3), (3, 4), (5, 5)])
+def test_rounds_match_scalar_reference(p, seed, monkeypatch):
+    A = _tall_incidence(p, seed)
+    rounds = []
+    for name in ("_rref_gf2", "_rref_mod_p"):
+        rref = getattr(gfcode, name)
+        monkeypatch.setattr(gfcode, name, lambda M, x, rref=rref:
+                            rounds.append(len(M)) or rref(M, x))
+    rank, D = rank_and_nullspace(A)
+    assert len(rounds) >= 2 and rounds[0] == 3 * 12 // 2 + 64
+    want_rows, pivots = _reference_rref(dense(A).tolist(), p)
+    free = [c for c in range(A.n_cols) if c not in pivots]
+    want = np.zeros((len(free), A.n_cols), dtype=np.int64)
+    want[:, pivots] = (-np.array(want_rows, dtype=np.int64)[:, free].T) % p
+    want[np.arange(len(free)), free] = 1
+    assert rank == len(pivots) and 11 in pivots
+    assert D.dtype == (np.uint8 if p == 2 else np.int8)
+    assert D.tolist() == want.tolist()
+
+
+# the sha256 of D.tobytes() for codes eliminated in rounds, with rank,
+# shape and dtype, as the elimination of every row gave them: Q(6,4) k=1
+# takes two rounds, the others one
+TALL_CODES = [
+    ("H", 5, 4, 1, 615, (78, 693), "uint8",
+     "7895c6466d14117282965e890a7bfa3045f27d30de7e7ffad46bb4c89bbfa8fe"),
+    ("Q", 6, 3, 1, 337, (27, 364), "int8",
+     "5e81d2a990ee718ffda3e8bdfe1bf85dbb3277613809bf207ce14f1972f2d54d"),
+    ("Q", 6, 4, 1, 1260, (105, 1365), "uint8",
+     "c7e79b6099b23f09513119f3818dc9f964d4469025349f533544fe4e21b4be72"),
+    ("Qplus", 9, 2, 2, 473, (54, 527), "uint8",
+     "7bc5c5aa02774a5dd23cb9c8864d6debbe9164408b53df76f4439d7a625d192a"),
+]
+
+
+@pytest.mark.parametrize("family,n,q,k,rank,shape,dtype,sha", TALL_CODES,
+                         ids=["-".join(map(str, c[:4])) for c in TALL_CODES])
+def test_tall_codes_pinned(family, n, q, k, rank, shape, dtype, sha):
+    got_rank, D = rank_and_nullspace(build_incidence(get_space(family, n, q), k))
+    assert (got_rank, D.shape, D.dtype.name) == (rank, shape, dtype)
+    assert hashlib.sha256(D.tobytes()).hexdigest() == sha
+
+
 # (family, n, q, k, bytes charged before the elimination, bytes charged
-# before D, rows of D).  Q(4,2) k=1: 15 rows of one word; its peak is a
-# pass, holding a copy of them with an index, a table of 256 rows and
-# twice at most 15 pivot rows.  Then 10 reduced rows of 15 bytes, D of 5
-# uint8 rows, two 10 x 5 arrays of their free columns and 32 bytes of
-# indices per column.  Q+(5,2) k=2: 30 rows of one word; its peak is
-# filling them from 30 x 7 ones.  Q(4,3) k=1: 40 x 40 int8 symbols, and
-# per pivot two arrays as large and four indices into the 40 rows; D
-# is formed in int8 beside a copy of the 25 reduced rows.  H(5,4) k=2:
-# 891 rows of 11 words; its peak is their end, at most 693 pivot rows
+# before the first D, rows of D).  The first four take one round, since
+# they have at most 3n/2 + 64 rows.  Q(4,2) k=1: 15 rows of one word; its
+# peak is a pass, holding a copy of them with an index, a table of 256
+# rows and twice at most 15 pivot rows.  Then 10 reduced rows of 15
+# bytes, D of 5 uint8 rows, two 10 x 5 arrays of their free columns and
+# 32 bytes of indices per column.  Q+(5,2) k=2: 30 rows of one word; its
+# peak is filling them from 30 x 7 ones.  Q(4,3) k=1: 40 x 40 int8
+# symbols, and per pivot two arrays as large and four indices into the 40
+# rows; D is formed in int8 beside a copy of the 25 reduced rows.  H(5,4)
+# k=2: 891 rows of 11 words; its peak is their end, at most 693 pivot rows
 # packed and unpacked.  Then 251 reduced rows and D of 442 rows outweigh
-# the elimination.
+# the elimination.  Q+(7,2) k=1: 1575 lines of 3 points on 135 columns,
+# more than 3 * 135 // 2 + 64 = 266, so it runs in rounds: a round holds
+# 266 lines beside at most 134 reduced rows, 400 rows of 3 words, and its
+# peak is their fill: 266 x 3 ones, the 134 reduced rows unpacked and
+# packed by bytes, the stride order of the 1575 rows and the round's 266
+# supports.  Then 127 reduced rows and D of 8 rows beside the check of the
+# other 1309 lines: D^T in one word and in one byte per column, a column
+# byte and a word for each of at most 266 x 3 ones, 8 + 74 bytes for each
+# of 266 rows of a block and 17 bytes for each of the 1575 rows.
 CHARGES = [("Q", 4, 2, 1, 15 * 8 + 15 * 8 + 15 * 8 + 256 * 8 + 2 * 15 * 8,
             10 * 15 + 5 * 15 + 32 * 15 + 2 * 10 * 5, 5),
            ("Qplus", 5, 2, 2, 30 * 8 + 17 * 30 * 7 + 16 * 30,
@@ -320,7 +390,11 @@ CHARGES = [("Q", 4, 2, 1, 15 * 8 + 15 * 8 + 15 * 8 + 256 * 8 + 2 * 15 * 8,
            ("Q", 4, 3, 1, 3 * 40 * 40 + 32 * 40,
             25 * 40 + 15 * 40 + 32 * 40 + 2 * 25 * 15, 15),
            ("H", 5, 4, 2, 891 * 88 + 693 * 88 + 693 * 693,
-            251 * 693 + 442 * 693 + 32 * 693 + 2 * 251 * 442, 442)]
+            251 * 693 + 442 * 693 + 32 * 693 + 2 * 251 * 442, 442),
+           ("Qplus", 7, 2, 1, 400 * 24 + 17 * 266 * 3 + 16 * 266
+            + 134 * 135 + 134 * 17 + 8 * (1575 + 266),
+            127 * 135 + 8 * 135 + 135 * (8 + 1) + 266 * 3 * (1 + 8)
+            + 266 * (8 + 74) + 17 * 1575, 8)]
 
 
 def test_elimination_refused_before_allocating():
@@ -328,8 +402,8 @@ def test_elimination_refused_before_allocating():
         A = build_incidence(get_space(family, n, q), k)
         with pytest.MonkeyPatch.context() as mp:  # budget = 8 * POINT_CAP
             mp.setattr(gfcode, "POINT_CAP", -(-charge // 8) - 1)
-            mp.setattr(gfcode, "_packed", lambda A: pytest.fail())
-            mp.setattr(gfcode, "_coordinates", lambda A: pytest.fail())
+            mp.setattr(gfcode, "_fill", lambda *a: pytest.fail())
+            mp.setattr(gfcode, "_coordinates", lambda *a: pytest.fail())
             with pytest.raises(ResourceError,
                                match=f"elimination needs {charge} bytes"):
                 rank_and_nullspace(A)
@@ -347,11 +421,13 @@ def test_elimination_refused_before_allocating():
         assert D.shape == (d_rows, A.n_cols) and rank + d_rows == A.n_cols
 
 
-# codes whose arrays outweigh the fixed costs of the elimination: over
-# GF(2) the peak is a pass over the packed rows of H(5,4) and Q(6,4),
-# over GF(3) a pivot step of the 3640 x 364 int8 rows of Q(6,3)
+# codes whose arrays outweigh the fixed costs of the elimination, all of
+# them eliminated in rounds: over GF(2) the peak is the check of the rows
+# that the first round leaves (5,134 lines of H(5,4), 117,721 planes of
+# Q+(9,2)) or a pass over the first of two rounds of Q(6,4), over GF(3) a
+# pivot step of the round of int8 rows of Q(6,3)
 @pytest.mark.parametrize("family,n,q,k", [("H", 5, 4, 1), ("Q", 6, 4, 1),
-                                          ("Q", 6, 3, 1)])
+                                          ("Q", 6, 3, 1), ("Qplus", 9, 2, 2)])
 def test_elimination_peak_within_charge(family, n, q, k, monkeypatch):
     A = build_incidence(get_space(family, n, q), k)
     charges = []
@@ -365,18 +441,21 @@ def test_elimination_peak_within_charge(family, n, q, k, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert len(charges) == 2 and peak <= max(charges)
+    # one charge before the elimination, then one for each round
+    assert len(charges) >= 2 and peak <= max(charges)
 
 
 def test_scan_keeps_numpy_ma_unloaded():
+    # Q+(7,2) k=1 is eliminated in rounds, on a sample of its rows
     code = ("import sys\n"
             "from polarlab.gfcode import build_incidence, scan_dual_weights\n"
             "from polarlab.polarspace import get_space\n"
             "scan_dual_weights(build_incidence(get_space('Q', 4, 2), 1))\n"
-            "print('numpy.ma' in sys.modules)\n")
+            "scan_dual_weights(build_incidence(get_space('Qplus', 7, 2), 1))\n"
+            "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out == "False\n"
+    assert out == "False False\n"
 
 
 def _brute_force_weights(D, p):
@@ -502,6 +581,11 @@ SCAN_LADDER = [
 
 
 BINARY_LADDER = [c[:4] for c in SCAN_LADDER if c[2] % 2 == 0]
+
+
+def _packed(A):
+    """All rows of a binary A as one round packs them."""
+    return _fill(A.supports, np.zeros((0, A.n_cols), dtype=np.uint8), 2)
 
 
 @pytest.mark.parametrize("family,n,order,k", BINARY_LADDER)
