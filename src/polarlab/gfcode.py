@@ -92,9 +92,9 @@ def build_incidence(P: PolarSpace, k: int) -> IncidenceMatrix:
     count = P.kspace_count(k)
     if count > ROW_CAP:
         raise ResourceError(f"{count} rows exceeds cap {ROW_CAP}")
-    spaces = P.singular_kspaces_with_supports(k)
+    sup = P.singular_kspaces_with_supports(k).supports
     return IncidenceMatrix(
-        supports=tuple(sup for _S, sup in spaces),
+        supports=tuple(map(tuple, sup.tolist())),
         n_cols=len(P.points),
         p=P.F.p,
     )
@@ -251,7 +251,8 @@ def _rref_mod_p(M: np.ndarray, p: int):
     """Row reduction over odd GF(p) of M (consumed), with entries in
     0..p-1 on a signed dtype that holds -(p-1)^2: (a copy of the reduced
     nonzero rows, pivot columns).  Each pivot updates all rows it hits in
-    one numpy step on a copy of the rows it hits."""
+    one numpy step on a copy of the rows it hits, from column c of the
+    pivot on: the pivot row is zero left of c."""
     pivots = []
     for c in range(M.shape[1]):
         r = len(pivots)
@@ -259,13 +260,13 @@ def _rref_mod_p(M: np.ndarray, p: int):
         if not nz.size:
             continue
         M[[r, r + nz[0]]] = M[[r + nz[0], r]]
-        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
+        M[r, c:] = M[r, c:] * pow(int(M[r, c]), -1, p) % p
         hit = np.flatnonzero(M[:, c])
         hit = hit[hit != r]
-        rows = M[hit]  # a copy, updated in place beside one product
-        rows -= np.outer(rows[:, c], M[r])
+        rows = M[hit, c:]  # a copy, updated in place beside one product
+        rows -= np.outer(rows[:, 0], M[r, c:])
         rows %= p
-        M[hit] = rows
+        M[hit, c:] = rows
         pivots.append(c)
     return M[:len(pivots)].copy(), pivots  # frees the rest of M
 

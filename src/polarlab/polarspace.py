@@ -25,10 +25,18 @@ PG(k,q), already normalised and in the point order.  The count is
 predicted from the closed forms first: a space whose largest level would
 not fit the budget is refused before anything is allocated, and a count
 that misses the prediction is an error.
+
+A space keeps its k-spaces as two arrays in support order, the point
+indices of the RREF rows and the supports (`KSpaces`); the pairs
+(Subspace, support) that callers walk are built from them on access and
+not kept, so one pass leaves no object behind for the collector to
+scan again.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -308,8 +316,12 @@ class PolarSpace:
 
     def singular_kspaces_with_supports(self, k: int):
         """All totally singular k-spaces with their point-index supports,
-        ordered by support tuple.  The number of subspaces at every level
-        up to k has been checked against `kspace_count`."""
+        ordered by support tuple, as a `KSpaces` sequence of (Subspace,
+        support) pairs.  The space keeps the sequence, the same object for
+        every call, and it keeps only the arrays of RREF rows and supports:
+        each pair is built when it is indexed or iterated over.  The number
+        of subspaces at every level up to k has been checked against
+        `kspace_count`."""
         if k in self._kspace_cache:
             return self._kspace_cache[k]
         self.kspace_count(k)  # refuses a k out of range
@@ -319,8 +331,8 @@ class PolarSpace:
         return out
 
     def _kspaces(self, k: int):
-        """Singular k-spaces as (Subspace, support), grown from the points
-        by the pivot rule of the module docstring.  Per level, `rows`
+        """Singular k-spaces as `KSpaces`, grown from the points by the
+        pivot rule of the module docstring.  Per level, `rows`
         holds the point indices of each node's RREF rows and `cands` the
         points that extend it; the supports are formed at level k only,
         and the output is in support order.  Each level's count is checked
@@ -369,14 +381,54 @@ class PolarSpace:
             V = combine(coeffs[~unit], X[rows[lo:lo + step]][:, None], F)
             sup[lo:lo + step, ~unit] = np.searchsorted(codes, V @ weights)
         # the output in support order, equal-length distinct supports making
-        # lexsort's order the tuple order, formed a column at a time: each
-        # point tuple and each index int is one object shared by every row
+        # lexsort's order the tuple order
         order = np.lexsort(sup.T[::-1])
-        pts = np.fromiter(self.points, dtype=object, count=N)
-        idx = np.arange(N).astype(object)
-        bases = zip(*pts[rows[order]].T.tolist())
-        sups = zip(*idx[sup[order]].T.tolist())
-        return list(zip(map(Subspace, repeat(self.n), bases), sups))
+        return KSpaces(self, rows[order], sup[order])
+
+
+# rows of pairs that one step of an iteration forms.  In fresh processes a
+# pass over the 36,400 lines of Q+(7,3) that keeps a list per support took
+# 0.03-0.04 s in blocks of 64 or 128 rows, 0.05 s in blocks of 256 and
+# 0.07 s in blocks of 1024: larger blocks hold more young objects through
+# each collection, and brought on a full one
+_CHUNK = 128
+
+
+class KSpaces(Sequence):
+    """The singular k-spaces of a polar space in support order, kept as two
+    read-only arrays: `rows`, the point indices of each k-space's RREF
+    rows, and `supports`, its sorted point indices.  An item is a pair
+    (Subspace, support tuple), built when it is asked for and not kept.
+    The pairs are formed a block of rows at a time, a column at a time:
+    each point tuple and each index int is one object shared by every
+    row."""
+
+    def __init__(self, P: PolarSpace, rows: np.ndarray, supports: np.ndarray):
+        rows.flags.writeable = supports.flags.writeable = False
+        self.rows, self.supports = rows, supports
+        self._ambient = P.n
+        self._pts = np.fromiter(P.points, dtype=object, count=len(P.points))
+        self._idx = np.arange(len(P.points)).astype(object)
+
+    def __len__(self):
+        return len(self.supports)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._pairs(self.rows[i], self.supports[i])
+        i = operator.index(i)
+        return (Subspace(self._ambient, tuple(self._pts[self.rows[i]].tolist())),
+                tuple(self._idx[self.supports[i]].tolist()))
+
+    def __iter__(self):
+        for lo in range(0, len(self), _CHUNK):
+            yield from self._pairs(self.rows[lo:lo + _CHUNK],
+                                   self.supports[lo:lo + _CHUNK])
+
+    def _pairs(self, rows: np.ndarray, supports: np.ndarray) -> list:
+        bases = zip(*self._pts[rows].T.tolist())
+        sups = zip(*self._idx[supports].T.tolist())
+        return list(zip(map(Subspace, repeat(self._ambient), bases), sups))
 
 
 def bit_indices(mask: int) -> list[int]:

@@ -1,7 +1,9 @@
 """Geometric predicates: ovoids, spreads, line covers and their excess,
 minihypers, and line-sum decompositions.  One backtracking search peels
 lines off a weight function at its lowest point (a spread decomposes the
-all-ones weight); one descending minimality pass serves both extractions."""
+all-ones weight); one descending minimality pass serves both extractions.
+Each space's lines, as {line: support}, and its generator supports are
+tabled once, on first use."""
 
 from __future__ import annotations
 
@@ -25,15 +27,27 @@ def _as_index_set(P: PolarSpace, pts):
     return out
 
 
+@lru_cache(maxsize=None)
+def _generator_supports(P: PolarSpace) -> tuple:
+    """The supports of the generators of P, in support order."""
+    gens = P.singular_kspaces_with_supports(P.gen_dim)
+    return tuple(map(tuple, gens.supports.tolist()))
+
+
+@lru_cache(maxsize=None)
+def _line_table(P: PolarSpace) -> dict:
+    """{line: support} of the singular lines of P, in support order."""
+    return dict(P.singular_kspaces_with_supports(1))
+
+
 def is_ovoid(P: PolarSpace, O) -> bool:
     """Every generator meets O exactly once."""
     idx = _as_index_set(P, O)
-    return all(len(idx.intersection(sup)) == 1
-               for _S, sup in P.singular_kspaces_with_supports(P.gen_dim))
+    return all(len(idx.intersection(sup)) == 1 for sup in _generator_supports(P))
 
 
 def _line_supports(P: PolarSpace, lines):
-    table = {S: sup for S, sup in P.singular_kspaces_with_supports(1)}
+    table = _line_table(P)
     out = []
     for L in lines:
         if L not in table:
@@ -65,7 +79,7 @@ def excess_profile(P: PolarSpace, cover):
         raise GeometryError("line set is not a cover")
     excess = {i: m - 1 for i, m in enumerate(mult)}
     line_excess = {S: sum(excess[i] for i in sup)
-                   for S, sup in P.singular_kspaces_with_supports(1)}
+                   for S, sup in _line_table(P).items()}
     return excess, line_excess, sum(excess.values())
 
 
@@ -77,7 +91,7 @@ def find_good_line(P: PolarSpace, cover):
         raise GeometryError(f"cover size {len(cover)} out of range")
     excess, _le, _tot = excess_profile(P, cover)
     in_cover = set(cover)
-    for S, sup in P.singular_kspaces_with_supports(1):
+    for S, sup in _line_table(P).items():
         if S not in in_cover and all(excess[i] == 0 for i in sup):
             return S
     return None
@@ -117,9 +131,9 @@ def extract_ovoid(P: PolarSpace, blocking):
     """Drop redundant points of a generator-blocking set, highest index
     first; an ovoid if minimality lands at q^2+1 points."""
     pts = sorted(_as_index_set(P, blocking))
-    gens = P.singular_kspaces_with_supports(P.gen_dim)
+    gens = _generator_supports(P)
     through = {x: [] for x in pts}
-    for g, (_S, sup) in enumerate(gens):
+    for g, sup in enumerate(gens):
         for i in sup:
             if i in through:
                 through[i].append(g)
@@ -165,7 +179,7 @@ def _lines_by_first_point(P: PolarSpace) -> dict:
     """The singular lines as (line, support, support set), grouped by their
     first support point, in support order."""
     index = {}
-    for S, sup in P.singular_kspaces_with_supports(1):
+    for S, sup in _line_table(P).items():
         index.setdefault(sup[0], []).append((S, sup, frozenset(sup)))
     return index
 

@@ -128,8 +128,9 @@ def _lines_from(lines, s):
 
 def find_spread(P: PolarSpace):
     """First spread in canonical order, by exact-cover backtracking over
-    the singular lines; None if the space has no spread."""
-    lines = P.singular_kspaces_with_supports(1)
+    the singular lines; None if the space has no spread.  The lines are
+    listed once: the search bisects them at every node."""
+    lines = list(P.singular_kspaces_with_supports(1))
     n_pts = len(P.points)
     want = n_pts // (P.q + 1)
 

@@ -16,6 +16,10 @@ occurs in some tests/test_*.py module or in another helper there.
 GF(q) vector arithmetic has one implementation: only projspace reads the
 field tables `_tables`.
 
+No module of src/polarlab imports `gc`: the cost of the cyclic collector
+is cut by building fewer objects, never by switching the collector off
+or tuning it from inside the library.
+
 The modules form layers, gf < projspace < polarspace < {gfcode, kleinmap,
 verify} < constructions < cli, and every relative import points down
 them; kleinmap, the forward Klein map, imports only gf and projspace.
@@ -135,6 +139,33 @@ def test_only_projspace_reads_the_field_tables():
     readers = [path.name for path in sorted(package.glob("*.py"))
                if occurrences(path)["_tables"]]
     assert readers == ["projspace.py"]
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The top-level names of the modules a file imports, absolute
+    imports only."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_no_module_touches_the_collector():
+    package = ROOT / "src" / "polarlab"
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "gc" in imported_modules(path)] == []
+
+
+def test_an_import_of_gc_is_found(tmp_path):
+    for i, line in enumerate(["import gc", "import os, gc as g",
+                              "from gc import disable", "def f():\n    import gc"]):
+        (tmp_path / f"m{i}.py").write_text(line + "\n")
+        assert "gc" in imported_modules(tmp_path / f"m{i}.py")
+    (tmp_path / "ok.py").write_text("from . import gcode\nimport gcd\n")
+    assert "gc" not in imported_modules(tmp_path / "ok.py")
 
 
 LAYERS = ("gf", "projspace", "polarspace", "gfcode kleinmap verify",

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -309,6 +311,58 @@ def test_kspace_counts_match_closed_form(family, n, order):
 
 
 # supports sha256 of the kspace-enum benchmark instances (perfbench/reference.json)
+def rebuilt_pair(P, basis):
+    """(Subspace, support) of the singular space with this RREF basis,
+    rebuilt from the basis alone."""
+    assert rref(basis, P.F) == basis
+    S = Subspace(P.n, basis)
+    return S, tuple(sorted(P.index[x] for x in subspace_points(S, P.F)))
+
+
+# the spaces of test_closed_forms_pinned with at most 1000 points; the
+# others cannot be enumerated within the k-space budget or in tier-1 time
+VIEW_SPACES = [(f, n, order) for f, n, order, npts, _g, _c in CLOSED_FORMS
+               if npts <= 1000]
+
+
+@pytest.mark.parametrize("family,n,order", VIEW_SPACES)
+def test_kspace_view_is_the_pair_list(family, n, order):
+    P = get_space(family, n, order)
+    for k in range(P.gen_dim + 1):
+        view = P.singular_kspaces_with_supports(k)
+        assert P.singular_kspaces_with_supports(k) is view
+        pairs = list(view)
+        assert pairs == [rebuilt_pair(P, S.basis) for S, _sup in pairs]
+        supports = [sup for _S, sup in pairs]
+        assert supports == sorted(set(supports))
+        assert len(view) == len(pairs) == P.kspace_count(k)
+        m = len(pairs)
+        for i in {0, 1, m // 2, m - 1}:
+            assert view[i] == pairs[i] and view[i - m] == pairs[i]
+        assert view[-1] == pairs[-1]
+        for a, b in [(0, m), (1, 3), (m // 3, m - 1), (-2, None), (5, 2)]:
+            assert view[a:b] == pairs[a:b]
+        with pytest.raises(IndexError):
+            view[m]
+        assert all(pair in pairs for pair in random.Random(k).sample(view, 3))
+
+
+def test_kspace_view_keeps_only_arrays():
+    # the 36,400 lines of Q+(7,3): a pass over them leaves under 1 MB
+    P = standard_polar_space("Qplus", 7, field_of_order(3))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _S, _sup in P.singular_kspaces_with_supports(1):
+            pass
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(P.singular_kspaces_with_supports(1)) == 36400
+    assert retained < 1e6
+
+
 @pytest.mark.parametrize("family,n,order,k,sha", [
     ("Q", 6, 4, 2, "23074a271d4c56165d2cb7a2250208a0c4aef58d748d0883160b03001c72f6c7"),
     ("H", 5, 4, 2, "cf52a1721c787b13e328e314b9abb76350cb154e25fe298524589644701d3b36"),
