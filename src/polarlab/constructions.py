@@ -304,7 +304,6 @@ def cw_wq_examples(q: int, variant: str) -> ConstructionResult:
         raise GeometryError("these symplectic examples need even q")
     P = get_space("W", 3, q)
     F = P.F
-    singular_lines = {S for S, _sup in P.singular_kspaces_with_supports(1)}
 
     def ones(S):
         return _points_to_codeword(P, dict.fromkeys(subspace_points(S, F), 1))
@@ -317,9 +316,11 @@ def cw_wq_examples(q: int, variant: str) -> ConstructionResult:
                                       "affine points: complement of a plane")
         on_pi = set(pi_pts)
         for a, b in combinations(pi_pts, 2):
-            L = span([a, b], F)
-            if L in singular_lines:
+            # every point of W(3,q) is singular, so a line is singular
+            # when two of its points are collinear
+            if P.collinear(a, b):
                 continue
+            L = span([a, b], F)
             Ls = polar_image(P, L)
             if sum(x in on_pi for x in subspace_points(Ls, F)) == 1:
                 return ConstructionResult(
@@ -333,7 +334,7 @@ def cw_wq_examples(q: int, variant: str) -> ConstructionResult:
             raise GeometryError("elliptic point set is not an ovoid here")
         c = _complement(P, E.points)
         for L in enumerate_lines(3, F):
-            if L in singular_lines:
+            if P.collinear(*L.basis):
                 continue
             if sum(x in E.index for x in subspace_points(L, F)) != 2:
                 continue

@@ -1,13 +1,17 @@
 """GF(p) linear algebra for point versus k-space incidence codes.
 
 The code of a polar space is spanned by the rows of its point/k-space
-incidence matrix over the prime field; its dual is the right nullspace,
-passed around as one systematic generator array D (nullity x n_cols) in
-the dtype of the eliminated rows.  These matrices are tall, so the
+incidence matrix A over the prime field.  A is held as the support array
+of the k-spaces itself, read-only and shared with the polar space: one
+row of theta_k point indices per k-space, so every reader indexes it
+with numpy.  The dual is the right nullspace, passed around as one
+systematic generator array D (nullity x n_cols) in the dtype of the
+eliminated rows.  These matrices are tall, so the
 elimination reduces a sample of the rows and certifies each of the others
 by its syndrome against D, taking those outside the span into a further
 round (Las Vegas rank by row compression, after Cheung, Kwok and Lau,
-J. ACM 60, 2013).  Weight scans enumerate the span of D
+J. ACM 60, 2013).  The same syndrome check, against a single word as D,
+decides `is_dual_codeword`.  Weight scans enumerate the span of D
 exhaustively when the nullity is small enough and otherwise refuse, or,
 when asked, count the words of at most a few rows of D, whose extreme
 weights are then only bounds.
@@ -47,10 +51,12 @@ class ScanRefused(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
-    """0/1 incidence of polar-space points (columns) vs k-spaces (rows)."""
-    supports: tuple[tuple[int, ...], ...]
+    """0/1 incidence of polar-space points (columns) vs k-spaces (rows):
+    row i is 1 at the columns supports[i], an integer array with one row
+    per k-space and as many distinct column indices in each."""
+    supports: np.ndarray
     n_cols: int
     p: int
 
@@ -67,6 +73,8 @@ class CodewordVec:
     p: int
 
     def __post_init__(self):
+        if not all(0 <= c < self.n_cols for c in self.support):
+            raise CodeError(f"a codeword column outside 0..{self.n_cols - 1}")
         self.support = {c: s % self.p for c, s in self.support.items()
                         if s % self.p}
 
@@ -89,59 +97,49 @@ class CodewordVec:
 
 @lru_cache(maxsize=None)
 def build_incidence(P: PolarSpace, k: int) -> IncidenceMatrix:
+    """The incidence of the points and singular k-spaces of P, its rows
+    the k-spaces' support array itself, read-only, in support order."""
     count = P.kspace_count(k)
     if count > ROW_CAP:
         raise ResourceError(f"{count} rows exceeds cap {ROW_CAP}")
-    sup = P.singular_kspaces_with_supports(k).supports
-    return IncidenceMatrix(
-        supports=tuple(map(tuple, sup.tolist())),
-        n_cols=len(P.points),
-        p=P.F.p,
-    )
+    return IncidenceMatrix(P.singular_kspaces_with_supports(k).supports,
+                           len(P.points), P.F.p)
 
 
 def is_dual_codeword(c: CodewordVec, A: IncidenceMatrix):
-    """(True, None) or (False, index of the first violating row)."""
+    """(True, None) or (False, index of the first violating row): the
+    syndrome of each row of A against c as a one-row D."""
     if c.n_cols != A.n_cols or c.p != A.p:
         raise CodeError("codeword/matrix dimension or field mismatch")
-    sup = c.support
-    for i, row in enumerate(A.supports):
-        acc = 0
-        for col in row:
-            acc += sup.get(col, 0)
-        if acc % A.p:
-            return False, i
-    return True, None
+    word = np.zeros((1, A.n_cols), dtype=np.min_scalar_type(A.p - 1))
+    word[0, list(c.support)] = list(c.support.values())
+    bad = np.flatnonzero(_outside_span(A, np.arange(A.n_rows), word,
+                                       _round_size(A.n_cols)))
+    return (False, int(bad[0])) if bad.size else (True, None)
 
 
-def _coordinates(supports):
-    """Row and column index of every 1 of the rows with these supports."""
-    sizes = np.fromiter(map(len, supports), dtype=np.intp, count=len(supports))
-    cols = np.fromiter(chain.from_iterable(supports), dtype=np.intp,
-                       count=int(sizes.sum()))
-    return np.repeat(np.arange(len(supports)), sizes), cols
-
-
-def _fill(supports, R: np.ndarray, p: int) -> np.ndarray:
+def _fill(supports: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
     """The rows of one round of elimination: the reduced rows R, then the
-    rows with these supports, ORed in straight from them.  Over GF(2) they
-    are packed into uint64 words as `_words` packs them, otherwise held in
-    the dtype of R."""
+    rows with these supports, set straight from their flat indices.  Over
+    GF(2) they are packed into uint64 words as `_words` packs them, each 1
+    ORed into its byte, otherwise held in the dtype of R."""
     m, n = len(R) + len(supports), R.shape[1]
-    rows, cols = _coordinates(supports)
-    rows += len(R)
+    at = supports.astype(np.intp)  # in place from here on
     if p != 2:
         out = np.zeros((m, n), dtype=R.dtype)
         out[:len(R)] = R
-        out[rows, cols] = 1
+        at += np.arange(len(R) * n, m * n, n)[:, None]
+        out.reshape(-1)[at] = 1
         return out
-    out = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
+    w = -(-n // 64) * 8  # bytes per packed row
+    out = np.zeros((m, w), dtype=np.uint8)
     out[:len(R), :(n + 7) // 8] = np.packbits(R, axis=1, bitorder="little")
-    bits = cols.astype(np.uint8)  # in place from here on: one byte per 1
+    bits = at.astype(np.uint8)  # one byte per 1
     bits &= 7
     np.left_shift(1, bits, out=bits)
-    cols >>= 3
-    np.bitwise_or.at(out, (rows, cols), bits)
+    at >>= 3
+    at += np.arange(len(R) * w, m * w, w)[:, None]
+    np.bitwise_or.at(out.reshape(-1), at, bits)
     return out.view("<u8")
 
 
@@ -160,31 +158,27 @@ def _stride_order(r: int) -> np.ndarray:
 
 
 def _outside_span(A: IncidenceMatrix, rows: np.ndarray, D: np.ndarray,
-                  block: int, longest: int) -> np.ndarray:
+                  block: int) -> np.ndarray:
     """For each of the rows `rows` of A, whether it lies outside the span of
     the rows whose dual generator is D, that is, whether its syndrome, the
     sum of the rows of D^T over its support, is nonzero (over a field the
     span of a set of rows is the dual of their nullspace).  Over GF(2) the
     rows of D^T are packed into words and summed by XOR, otherwise they are
-    summed in a dtype that holds p - 1 times the `longest` support.  The
+    summed in a dtype that holds p - 1 times the width of a row of A.  The
     rows go `block` at a time."""
-    n, p = A.n_cols, A.p
+    p = A.p
     if p == 2:
         DT, add = _words(D.T), np.bitwise_xor
     else:
-        DT, add = D.T.astype(np.min_scalar_type(longest * (p - 1))), np.add
+        width = A.supports.shape[1]
+        DT, add = D.T.astype(np.min_scalar_type(width * (p - 1))), np.add
     out = np.zeros(len(rows), dtype=bool)
     for b in range(0, len(rows), block):
-        sups = [A.supports[i] for i in rows[b:b + block].tolist()]
-        sizes = np.fromiter(map(len, sups), dtype=np.intp, count=len(sups))
-        cols = np.fromiter(chain.from_iterable(sups), count=int(sizes.sum()),
-                           dtype=np.min_scalar_type(n))
-        full = sizes > 0  # an empty row is zero, so in every span
-        syndromes = add.reduceat(DT[cols], (np.cumsum(sizes) - sizes)[full],
-                                 dtype=DT.dtype)
+        syndromes = add.reduce(DT[A.supports[rows[b:b + block]]], axis=1,
+                               dtype=DT.dtype)
         if p != 2:
             syndromes %= p
-        out[b:b + block][full] = syndromes.any(axis=1)
+        out[b:b + block] = syndromes.any(axis=1)
     return out
 
 
@@ -286,56 +280,55 @@ def _round_size(n: int) -> int:
     return 3 * n // 2 + 64
 
 
-def _elimination_bytes(A: IncidenceMatrix, item: int, longest: int) -> int:
+def _elimination_bytes(A: IncidenceMatrix, item: int) -> int:
     """Bytes that one round of the elimination of A holds at its peak, with
-    `item` bytes per entry of the unpacked rows and at most `longest` 1s in
-    a row of A.  A round's rows, over GF(2) packed 64
-    columns to a word, are held throughout: at most `_round_size` rows of
-    A and, after the first round, fewer than n reduced rows.  While
-    they are filled: the column and row index of every 1, one byte for each
-    1 and two indices per row, and the reduced rows of the round before,
-    over GF(2) also packed.  Over GF(2), per pass: a copy of the rows with
-    its index, the XOR table and the pivot rows twice while they grow, and
-    at the end the pivot rows unpacked too.  Over GF(p), p odd, per pivot:
-    a copy of the rows it hits, their product with the pivot row, and four
-    indices into the rows; at the end a copy of the reduced rows.  When
-    there is more than one round, the stride order of the rows and the
-    supports of the round are held too."""
+    `item` bytes per entry of the unpacked rows.  A round's rows, over
+    GF(2) packed 64 columns to a word, are held throughout: at most
+    `_round_size` rows of A and, after the first round, fewer than n
+    reduced rows.  While they are filled: the flat index of every 1, over
+    GF(2) also one byte for it, the start of every row, and the reduced
+    rows of the round before, over GF(2) also packed.  Over GF(2), per
+    pass: a copy of the rows with its index, the XOR table and the pivot
+    rows twice while they grow, and at the end the pivot rows unpacked
+    too.  Over GF(p), p odd, per pivot: a copy of the rows it hits, their
+    product with the pivot row, and four indices into the rows; at the end
+    a copy of the reduced rows.  When there is more than one round, the
+    stride order of the rows and the supports of the round are held too."""
     n, r = A.n_cols, A.n_rows
-    new = min(r, _round_size(n))
+    new, width = min(r, _round_size(n)), A.supports.shape[1]
     kept = n - 1 if r > new else 0  # r > n then
     m = new + kept
-    fill = 17 * new * longest + 16 * new + kept * n * item
+    fill = 8 * new * width + 8 * new + kept * n * item
     if A.p == 2:
         w, piv = -(-n // 64) * 8, min(m, n)  # bytes per packed row, pivots
         rows = m * w
-        fill += kept * ((n + 7) // 8)
+        fill += new * width + kept * ((n + 7) // 8)
         step = max(rows + 8 * m + 256 * w + 2 * piv * w, piv * w + piv * n)
     else:
         rows = m * n * item
         step = 2 * rows + 32 * m
-    return rows + max(fill, step) + (8 * (r + new) if r > new else 0)
+    held = 8 * r + new * width * A.supports.itemsize if r > new else 0
+    return rows + max(fill, step) + held
 
 
-def _check_bytes(A: IncidenceMatrix, nullity: int, longest: int) -> int:
+def _check_bytes(A: IncidenceMatrix, nullity: int) -> int:
     """Bytes that `_outside_span` holds at its peak, besides the reduced
-    rows and D, checking rows of A against a D of `nullity` rows, at most
-    `longest` 1s in a row of A and blocks of `_round_size` rows: D^T as it
-    is summed, over GF(2) also packed by bytes; per block the index of
-    every 1 and the row of D^T it gathers, and per row its syndrome, a
-    reference to its support, its index as a Python int, four indices and
-    two flags; for each row of A at most its index, a flag and its index
-    once more if it stays pending."""
+    rows and D, checking rows of A against a D of `nullity` rows in blocks
+    of `_round_size` rows: D^T as it is summed, over GF(2) also packed by
+    bytes; per block the supports of its rows and the row of D^T that each
+    of their 1s gathers, and per row its syndrome and a flag; for each row
+    of A at most its index, a flag and its index once more if it stays
+    pending."""
     n, r = A.n_cols, A.n_rows
-    block = min(r, _round_size(n))
+    block, width = min(r, _round_size(n)), A.supports.shape[1]
     if A.p == 2:
         row = -(-nullity // 64) * 8
         DT = n * (row + (nullity + 7) // 8)
     else:
-        row = nullity * np.min_scalar_type(longest * (A.p - 1)).itemsize
+        row = nullity * np.min_scalar_type(width * (A.p - 1)).itemsize
         DT = n * row
-    col = np.min_scalar_type(n).itemsize
-    return DT + block * (longest * (col + row) + row + 74) + 17 * r
+    col = A.supports.itemsize
+    return DT + block * (width * (col + row) + row + 1) + 17 * r
 
 
 def rank_and_nullspace(A: IncidenceMatrix):
@@ -357,15 +350,14 @@ def rank_and_nullspace(A: IncidenceMatrix):
     p, n, r = A.p, A.n_cols, A.n_rows
     dtype = np.dtype(np.uint8) if p == 2 else np.min_scalar_type(-(p - 1) ** 2)
     item, size = dtype.itemsize, _round_size(n)
-    longest = max(map(len, A.supports), default=0)
     # D has a row for each free column, at least n - n_rows of them
-    _refuse_over_budget(A, max(_elimination_bytes(A, item, longest),
+    _refuse_over_budget(A, max(_elimination_bytes(A, item),
                                max(n - r, 0) * n * item), "elimination")
     if r <= size:
         take, pending = A.supports, np.zeros(0, dtype=np.intp)
     else:
         order = _stride_order(r)
-        take = [A.supports[i] for i in order[:size].tolist()]
+        take = A.supports[order[:size]]
         pending = order[size:]
     R = np.zeros((0, n), dtype=dtype)  # the reduced rows so far
     while True:
@@ -379,7 +371,7 @@ def rank_and_nullspace(A: IncidenceMatrix):
         # check of the rows still pending against D
         _refuse_over_budget(A, R.nbytes + nullity * n * item + max(
             32 * n + 2 * rank * nullity * item,
-            _check_bytes(A, nullity, longest) if pending.size else 0),
+            _check_bytes(A, nullity) if pending.size else 0),
             "dual generator")
         is_free = np.ones(n, dtype=bool)
         is_free[pivots] = False
@@ -388,10 +380,10 @@ def rank_and_nullspace(A: IncidenceMatrix):
         D[:, pivots] = (p - R[:, free].T) % p
         D[np.arange(nullity), free] = 1
         if pending.size:
-            pending = pending[_outside_span(A, pending, D, size, longest)]
+            pending = pending[_outside_span(A, pending, D, size)]
         if not pending.size:
             return rank, D
-        take = [A.supports[i] for i in pending[:size].tolist()]
+        take = A.supports[pending[:size]]
         pending = pending[size:]
         del D  # superseded by the next round
 
@@ -537,13 +529,14 @@ def _padded(keys: np.ndarray, values: np.ndarray, deg: np.ndarray):
 def _alist_tables(A: IncidenceMatrix) -> list[np.ndarray]:
     """The numbers of the alist lines of A, one table row per line."""
     dtype = np.min_scalar_type(max(A.n_rows, A.n_cols))
-    rows, cols = (x.astype(dtype) for x in _coordinates(A.supports))
+    (r, width), cols = A.supports.shape, A.supports.ravel()
+    rows = np.repeat(np.arange(r, dtype=dtype), width)
     col_deg = np.bincount(cols, minlength=A.n_cols)
-    row_deg = np.bincount(rows, minlength=A.n_rows)
-    by_row = _padded(rows, cols + 1, row_deg)
+    row_deg = np.full(r, width)
+    by_row = A.supports.astype(dtype) + 1
     order = np.argsort(cols, kind="stable")  # by column, rows ascending
     by_col = _padded(cols[order], rows[order] + 1, col_deg)
-    head = [[A.n_cols, A.n_rows], [by_col.shape[1], by_row.shape[1]]]
+    head = [[A.n_cols, r], [by_col.shape[1], row_deg.max(initial=0)]]
     return [np.array(head), col_deg[None], row_deg[None], by_col, by_row]
 
 
@@ -586,7 +579,7 @@ def geometry_payload(P: PolarSpace, k: int) -> dict:
             "k": k,
         },
         "points": [list(pt) for pt in P.points],
-        "kspaces": [list(sup) for sup in A.supports],
+        "kspaces": A.supports.tolist(),
     }
 
 

@@ -2,8 +2,8 @@
 minihypers, and line-sum decompositions.  One backtracking search peels
 lines off a weight function at its lowest point (a spread decomposes the
 all-ones weight); one descending minimality pass serves both extractions.
-Each space's lines, as {line: support}, and its generator supports are
-tabled once, on first use."""
+Each space's lines, as {line: support}, are tabled once, on first use;
+the generators are read from their support array."""
 
 from __future__ import annotations
 
@@ -28,13 +28,6 @@ def _as_index_set(P: PolarSpace, pts):
 
 
 @lru_cache(maxsize=None)
-def _generator_supports(P: PolarSpace) -> tuple:
-    """The supports of the generators of P, in support order."""
-    gens = P.singular_kspaces_with_supports(P.gen_dim)
-    return tuple(map(tuple, gens.supports.tolist()))
-
-
-@lru_cache(maxsize=None)
 def _line_table(P: PolarSpace) -> dict:
     """{line: support} of the singular lines of P, in support order."""
     return dict(P.singular_kspaces_with_supports(1))
@@ -42,8 +35,10 @@ def _line_table(P: PolarSpace) -> dict:
 
 def is_ovoid(P: PolarSpace, O) -> bool:
     """Every generator meets O exactly once."""
-    idx = _as_index_set(P, O)
-    return all(len(idx.intersection(sup)) == 1 for sup in _generator_supports(P))
+    on = np.zeros(len(P.points), dtype=bool)
+    on[list(_as_index_set(P, O))] = True
+    gens = P.singular_kspaces_with_supports(P.gen_dim).supports
+    return bool((on[gens].sum(axis=1) == 1).all())
 
 
 def _line_supports(P: PolarSpace, lines):
@@ -131,13 +126,9 @@ def extract_ovoid(P: PolarSpace, blocking):
     """Drop redundant points of a generator-blocking set, highest index
     first; an ovoid if minimality lands at q^2+1 points."""
     pts = sorted(_as_index_set(P, blocking))
-    gens = _generator_supports(P)
-    through = {x: [] for x in pts}
-    for g, sup in enumerate(gens):
-        for i in sup:
-            if i in through:
-                through[i].append(g)
-    pts = [pts[j] for j in _minimal([through[x] for x in pts], len(gens))]
+    gens = P.singular_kspaces_with_supports(P.gen_dim).supports
+    through = [np.flatnonzero((gens == x).any(axis=1)).tolist() for x in pts]
+    pts = [pts[j] for j in _minimal(through, len(gens))]
     if len(pts) == P.q ** 2 + 1 and is_ovoid(P, pts):
         return pts
     return None

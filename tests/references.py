@@ -3,9 +3,9 @@ scalar subspace membership and intersection, brute-force k-space counts,
 a blocking-set predicate, the nucleus of an even-order parabolic quadric,
 exact-cover ovoid and spread searches, the spread and ovoid greedies
 that recount after every removal, the regular spread of PG(3,q) and its
-reguli built as lines, the dense form of an incidence matrix,
-GF(2) row reduction one pivot column at a time, and the alist export
-formed line by line."""
+reguli built as lines, the dense form of an incidence matrix, the
+dual-codeword check one row at a time, GF(2) row reduction one pivot
+column at a time, and the alist export formed line by line."""
 
 import hashlib
 from bisect import bisect_left, bisect_right
@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from polarlab.gf import FieldSpec, field_of_order
-from polarlab.gfcode import IncidenceMatrix
+from polarlab.gfcode import CodewordVec, IncidenceMatrix
 from polarlab.polarspace import (
     PolarSpace,
     bit_indices,
@@ -244,9 +244,19 @@ def reguli_partition_through(L: Subspace, q: int) -> list[list[Subspace]]:
 def dense(A: IncidenceMatrix) -> np.ndarray:
     """The incidence matrix A as a dense uint8 0/1 array."""
     out = np.zeros((A.n_rows, A.n_cols), dtype=np.uint8)
-    for i, sup in enumerate(A.supports):
-        out[i, list(sup)] = 1
+    for i, sup in enumerate(A.supports.tolist()):
+        out[i, sup] = 1
     return out
+
+
+def is_dual_codeword_by_row(c: CodewordVec, A: IncidenceMatrix):
+    """`gfcode.is_dual_codeword` one row at a time with Python ints:
+    (True, None) or (False, index of the first row over whose support c
+    does not sum to 0 mod p)."""
+    for i, row in enumerate(A.supports.tolist()):
+        if sum(c.support.get(col, 0) for col in row) % A.p:
+            return False, i
+    return True, None
 
 
 def rref_gf2_by_column(M: np.ndarray, n: int):
@@ -272,25 +282,26 @@ def rref_gf2_by_column(M: np.ndarray, n: int):
 def export_alist_by_line(A: IncidenceMatrix, path: str) -> str:
     """`gfcode.export_alist` one line at a time from Python lists: the
     column degrees and lists, then the rows, each padded with zeros."""
+    supports = A.supports.tolist()
     col_deg = [0] * A.n_cols
-    for sup in A.supports:
+    for sup in supports:
         for c in sup:
             col_deg[c] += 1
     cols = [[] for _ in range(A.n_cols)]
-    for i, sup in enumerate(A.supports):
+    for i, sup in enumerate(supports):
         for c in sup:
             cols[c].append(i + 1)
     max_col = max(col_deg) if col_deg else 0
-    max_row = max((len(s) for s in A.supports), default=0)
+    max_row = max((len(s) for s in supports), default=0)
     lines = [
         f"{A.n_cols} {A.n_rows}",
         f"{max_col} {max_row}",
         " ".join(map(str, col_deg)),
-        " ".join(str(len(s)) for s in A.supports),
+        " ".join(str(len(s)) for s in supports),
     ]
     for cl in cols:
         lines.append(" ".join(map(str, cl + [0] * (max_col - len(cl)))))
-    for sup in A.supports:
+    for sup in supports:
         row = [c + 1 for c in sup]
         lines.append(" ".join(map(str, row + [0] * (max_row - len(row)))))
     data = "\n".join(lines) + "\n"

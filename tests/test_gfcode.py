@@ -9,12 +9,18 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from references import dense, export_alist_by_line, rref_gf2_by_column
+from references import (
+    dense,
+    export_alist_by_line,
+    is_dual_codeword_by_row,
+    rref_gf2_by_column,
+)
 
 from polarlab import gfcode
 from polarlab.polarspace import get_space
 from polarlab.projspace import ResourceError
 from polarlab.gfcode import (
+    CodeError,
     CodewordVec,
     IncidenceMatrix,
     PARTIAL_SUPPORT_BOUND,
@@ -51,6 +57,25 @@ def test_incidence_is_cached():
     assert build_incidence(P, 1) is build_incidence(P, 1)
 
 
+@pytest.mark.parametrize("family,n,q,k", [("Q", 4, 2, 1), ("Qplus", 5, 2, 2),
+                                          ("H", 4, 4, 1)])
+def test_incidence_is_the_kspace_support_array(family, n, q, k):
+    P = get_space(family, n, q)
+    A = build_incidence(P, k)
+    assert A.supports is P.singular_kspaces_with_supports(k).supports
+    assert not A.supports.flags.writeable
+    with pytest.raises(ValueError):
+        A.supports[0, 0] = 0
+
+
+@pytest.mark.parametrize("col", [15, 20, -1])
+def test_codeword_columns_outside_the_code_refused(col):
+    with pytest.raises(CodeError):
+        CodewordVec({col: 1}, 15, 2)
+    with pytest.raises(CodeError):
+        CodewordVec({0: 1, col: 0}, 15, 2)
+
+
 @given(st.lists(st.tuples(st.integers(0, 14), st.integers(1, 1)),
                 min_size=0, max_size=8, unique_by=lambda t: t[0]))
 def test_codeword_arithmetic_gf2(items):
@@ -73,6 +98,37 @@ def test_dual_membership_witness():
     assert not ok and row is not None
     zero = CodewordVec({}, 15, 2)
     assert is_dual_codeword(zero, A) == (True, None)
+
+
+# Q(4,p) k=1 for p = 2, 3, 5: 15, 40 and 156 lines
+DUAL_CHECK_SPACES = {p: build_incidence(get_space("Q", 4, p), 1)
+                     for p in (2, 3, 5)}
+
+
+@st.composite
+def _words_to_check(draw):
+    """A code of Q(4,p) and a word: a combination of the rows of its D,
+    so a dual word, or a random word, almost never one."""
+    p = draw(st.sampled_from(sorted(DUAL_CHECK_SPACES)))
+    A = DUAL_CHECK_SPACES[p]
+    if draw(st.booleans()):
+        D = rank_and_nullspace(A)[1].astype(np.int64)
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(D),
+                               max_size=len(D)))
+        word = np.array(coeffs, dtype=np.int64) @ D % p
+        return A, CodewordVec(dict(enumerate(word.tolist())), A.n_cols, p)
+    support = draw(st.dictionaries(st.integers(0, A.n_cols - 1),
+                                   st.integers(1, p - 1), max_size=12))
+    return A, CodewordVec(support, A.n_cols, p)
+
+
+@settings(deadline=None)
+@given(_words_to_check())
+@example((DUAL_CHECK_SPACES[5], CodewordVec({}, 156, 5)))
+@example((DUAL_CHECK_SPACES[3], CodewordVec({39: 2}, 40, 3)))
+def test_dual_check_matches_row_reference(Ac):
+    A, c = Ac
+    assert is_dual_codeword(c, A) == is_dual_codeword_by_row(c, A)
 
 
 def test_rank_and_nullspace_q42():
@@ -103,8 +159,8 @@ def test_scan_odd_characteristic():
     F = field_of_order(3)
     idx = {x: i for i, x in enumerate(enumerate_points(2, F))}
     from polarlab.projspace import subspace_points
-    supports = tuple(tuple(sorted(idx[x] for x in subspace_points(L, F)))
-                     for L in enumerate_lines(2, F))
+    supports = np.array([sorted(idx[x] for x in subspace_points(L, F))
+                         for L in enumerate_lines(2, F)])
     A = IncidenceMatrix(supports, 13, 3)
     rep = scan_dual_weights(A)
     assert rep["mode"] == "FULL"
@@ -148,25 +204,28 @@ def _assert_alist_matches_reference(A, tmp_path):
 
 @st.composite
 def _irregular_incidences(draw):
-    """Binary incidences with uneven row and column degrees, supports in
-    any order and one column, `empty`, of degree 0."""
+    """Binary incidences with rows of one width but uneven column degrees,
+    supports in any order, duplicate rows and one column, `empty`, of
+    degree 0."""
     n_cols = draw(st.integers(1, 30))
     empty = draw(st.integers(0, n_cols - 1))
     others = [c for c in range(n_cols) if c != empty]
-    row = (st.lists(st.sampled_from(others), unique=True) if others
-           else st.just([]))
+    width = draw(st.integers(0, len(others)))
+    row = st.permutations(others).map(lambda cols: cols[:width])
     supports = draw(st.lists(row, max_size=25))
-    return IncidenceMatrix(tuple(map(tuple, supports)), n_cols, 2)
+    if supports:
+        supports += draw(st.lists(st.sampled_from(supports), max_size=3))
+    supports = np.array(supports, dtype=np.intp).reshape(len(supports), width)
+    return IncidenceMatrix(supports, n_cols, 2)
 
 
 @settings(deadline=None)
 @given(_irregular_incidences())
-@example(IncidenceMatrix((), 3, 2))
-@example(IncidenceMatrix(((), ()), 2, 2))
-@example(IncidenceMatrix(((11, 0, 4), (4,), ()), 12, 2))
+@example(IncidenceMatrix(np.zeros((0, 3), dtype=np.intp), 3, 2))
+@example(IncidenceMatrix(np.zeros((2, 0), dtype=np.intp), 2, 2))
+@example(IncidenceMatrix(np.array([[11, 0, 4], [4, 9, 0], [11, 0, 4]]), 12, 2))
 def test_alist_matches_line_reference(tmp_path_factory, A):
-    assert 0 in np.bincount([c for sup in A.supports for c in sup],
-                            minlength=A.n_cols)
+    assert 0 in np.bincount(A.supports.ravel(), minlength=A.n_cols)
     _assert_alist_matches_reference(A, tmp_path_factory.mktemp("alist"))
 
 
@@ -231,8 +290,11 @@ def _rref(A, p):
 
 
 def _incidence(A, p):
-    supports = tuple(tuple(int(c) for c in np.flatnonzero(row)) for row in A)
-    return IncidenceMatrix(supports, A.shape[1], p)
+    """The rows of A as supports of one width, that of the widest row: the
+    nonzero columns of each row, then its first zero columns."""
+    width = int(np.count_nonzero(A, axis=1).max(initial=0))
+    nonzero_first = np.argsort(A == 0, axis=1, kind="stable")
+    return IncidenceMatrix(nonzero_first[:, :width], A.shape[1], p)
 
 
 @st.composite
@@ -294,29 +356,29 @@ def test_rref_matches_scalar_reference(pA):
     assert pivots == want_pivots
     assert M.tolist() == want_rows
     assert len(_rref(A.T, p)[1]) == len(pivots)  # rank(A) = rank(A^T)
-    # the 0/1 pattern of A as an incidence code: a basis of its dual
+    # the rows of A as an incidence code: a basis of its dual
     I = _incidence(A, p)
     rank, D = rank_and_nullspace(I)
-    assert rank == len(_reference_rref((A != 0).tolist(), p)[1])
+    assert rank == len(_reference_rref(dense(I).tolist(), p)[1])
     assert rank + len(D) == A.shape[1]
     _assert_dual_generator(I, D)
 
 
 def _tall_incidence(p, seed):
-    """200 rows over 12 columns, so more than 3 * 12 // 2 + 64 = 82 and
-    eliminated in rounds: uneven supports drawn from a few base rows,
-    duplicates, every seventh row empty, and the only 1 of column 11 in
-    the row that the stride order takes last, outside the span of all the
-    others and so past the first round."""
+    """200 rows of 7 columns out of 14, so more than 3 * 14 // 2 + 64 = 85
+    and eliminated in rounds, with supports in any order.  Each many times:
+    the 11 cyclic shifts of columns 0..6 within 0..10, of determinant 7,
+    so they span columns 0..10 over GF(2), GF(3) and GF(5), and two rows
+    through 12 and 13, so those make one pivot and one free column.  In the
+    row that the stride order takes last, the only 1 of column 11, outside
+    the span of all the others and so past the first round."""
     rng = np.random.default_rng(seed)
-    n, r = 12, 200
-    base = [sorted(rng.choice(11, size=rng.integers(1, 9), replace=False))
-            for _ in range(9)]
-    supports = [tuple(map(int, base[i])) for i in rng.integers(0, 9, size=r)]
-    supports[::7] = [()] * len(supports[::7])
-    last = int(gfcode._stride_order(r)[-1])
-    supports[last] = tuple(map(int, base[0])) + (11,)
-    return IncidenceMatrix(tuple(supports), n, p)
+    r = 200
+    base = np.concatenate([(np.arange(11)[:, None] + np.arange(7)) % 11,
+                           [[12, 13, 0, 1, 2, 3, 4], [12, 13, 5, 6, 7, 8, 9]]])
+    supports = rng.permuted(base[rng.permutation(r) % len(base)], axis=1)
+    supports[gfcode._stride_order(r)[-1]] = [*range(6), 11]
+    return IncidenceMatrix(supports, 14, p)
 
 
 @pytest.mark.parametrize("p,seed", [(2, 1), (2, 2), (3, 3), (3, 4), (5, 5)])
@@ -328,7 +390,7 @@ def test_rounds_match_scalar_reference(p, seed, monkeypatch):
         monkeypatch.setattr(gfcode, name, lambda M, x, rref=rref:
                             rounds.append(len(M)) or rref(M, x))
     rank, D = rank_and_nullspace(A)
-    assert len(rounds) >= 2 and rounds[0] == 3 * 12 // 2 + 64
+    assert len(rounds) >= 2 and rounds[0] == 3 * 14 // 2 + 64
     want_rows, pivots = _reference_rref(dense(A).tolist(), p)
     free = [c for c in range(A.n_cols) if c not in pivots]
     want = np.zeros((len(free), A.n_cols), dtype=np.int64)
@@ -369,32 +431,34 @@ def test_tall_codes_pinned(family, n, q, k, rank, shape, dtype, sha):
 # rows and twice at most 15 pivot rows.  Then 10 reduced rows of 15
 # bytes, D of 5 uint8 rows, two 10 x 5 arrays of their free columns and
 # 32 bytes of indices per column.  Q+(5,2) k=2: 30 rows of one word; its
-# peak is filling them from 30 x 7 ones.  Q(4,3) k=1: 40 x 40 int8
-# symbols, and per pivot two arrays as large and four indices into the 40
-# rows; D is formed in int8 beside a copy of the 25 reduced rows.  H(5,4)
-# k=2: 891 rows of 11 words; its peak is their end, at most 693 pivot rows
-# packed and unpacked.  Then 251 reduced rows and D of 442 rows outweigh
-# the elimination.  Q+(7,2) k=1: 1575 lines of 3 points on 135 columns,
-# more than 3 * 135 // 2 + 64 = 266, so it runs in rounds: a round holds
-# 266 lines beside at most 134 reduced rows, 400 rows of 3 words, and its
-# peak is their fill: 266 x 3 ones, the 134 reduced rows unpacked and
-# packed by bytes, the stride order of the 1575 rows and the round's 266
-# supports.  Then 127 reduced rows and D of 8 rows beside the check of the
-# other 1309 lines: D^T in one word and in one byte per column, a column
-# byte and a word for each of at most 266 x 3 ones, 8 + 74 bytes for each
-# of 266 rows of a block and 17 bytes for each of the 1575 rows.
+# peak is a pass too, with at most 30 pivot rows.  Q(4,3) k=1: 40 x 40
+# int8 symbols, and per pivot two arrays as large and four indices into
+# the 40 rows; D is formed in int8 beside a copy of the 25 reduced rows.
+# H(5,4) k=2: 891 rows of 11 words; its peak is their end, at most 693
+# pivot rows packed and unpacked.  Then 251 reduced rows and D of 442 rows
+# outweigh the elimination.  Q+(7,2) k=1: 1575 lines of 3 points on 135
+# columns, more than 3 * 135 // 2 + 64 = 266, so it runs in rounds: a
+# round holds 266 lines beside at most 134 reduced rows, 400 rows of 3
+# words, and its peak is their fill: a flat index and a byte for each of
+# 266 x 3 ones, the start of each of the 266 rows, the 134 reduced rows
+# unpacked and packed by bytes, the stride order of the 1575 rows and the
+# round's 266 x 3 supports of one byte.  Then 127 reduced rows and D of 8
+# rows beside the check of the other 1309 lines: D^T in one word and in
+# one byte per column, a column byte and a word for each of at most
+# 266 x 3 ones, 8 + 1 bytes for each of 266 rows of a block and 17 bytes
+# for each of the 1575 rows.
 CHARGES = [("Q", 4, 2, 1, 15 * 8 + 15 * 8 + 15 * 8 + 256 * 8 + 2 * 15 * 8,
             10 * 15 + 5 * 15 + 32 * 15 + 2 * 10 * 5, 5),
-           ("Qplus", 5, 2, 2, 30 * 8 + 17 * 30 * 7 + 16 * 30,
+           ("Qplus", 5, 2, 2, 30 * 8 + 30 * 8 + 30 * 8 + 256 * 8 + 2 * 30 * 8,
             15 * 35 + 20 * 35 + 32 * 35 + 2 * 15 * 20, 20),
            ("Q", 4, 3, 1, 3 * 40 * 40 + 32 * 40,
             25 * 40 + 15 * 40 + 32 * 40 + 2 * 25 * 15, 15),
            ("H", 5, 4, 2, 891 * 88 + 693 * 88 + 693 * 693,
             251 * 693 + 442 * 693 + 32 * 693 + 2 * 251 * 442, 442),
-           ("Qplus", 7, 2, 1, 400 * 24 + 17 * 266 * 3 + 16 * 266
-            + 134 * 135 + 134 * 17 + 8 * (1575 + 266),
+           ("Qplus", 7, 2, 1, 400 * 24 + (8 + 1) * 266 * 3 + 8 * 266
+            + 134 * 135 + 134 * 17 + 8 * 1575 + 266 * 3,
             127 * 135 + 8 * 135 + 135 * (8 + 1) + 266 * 3 * (1 + 8)
-            + 266 * (8 + 74) + 17 * 1575, 8)]
+            + 266 * (8 + 1) + 17 * 1575, 8)]
 
 
 def test_elimination_refused_before_allocating():
@@ -403,7 +467,6 @@ def test_elimination_refused_before_allocating():
         with pytest.MonkeyPatch.context() as mp:  # budget = 8 * POINT_CAP
             mp.setattr(gfcode, "POINT_CAP", -(-charge // 8) - 1)
             mp.setattr(gfcode, "_fill", lambda *a: pytest.fail())
-            mp.setattr(gfcode, "_coordinates", lambda *a: pytest.fail())
             with pytest.raises(ResourceError,
                                match=f"elimination needs {charge} bytes"):
                 rank_and_nullspace(A)
@@ -516,10 +579,10 @@ def test_partial_scans_match_scalar_reference(pA, bound):
     (5, 61, 68, 4),  # nullity 7, two words per mask
 ])
 def test_scans_with_a_head_match_brute_force(p, rows, cols, seed):
+    # rows of cols // 2 random columns
     rng = np.random.default_rng(seed)
-    A = np.ones((rows, cols), dtype=np.int64)
-    A[1:] = rng.integers(0, 2, size=(rows - 1, cols))
-    I = _incidence(A, p)
+    columns = rng.permuted(np.tile(np.arange(cols), (rows, 1)), axis=1)
+    I = IncidenceMatrix(columns[:, :cols // 2], cols, p)
     rep = scan_dual_weights(I)
     _rank, D = rank_and_nullspace(I)
     # a scan block holds at most 2^16 words, so the head loop runs
