@@ -32,7 +32,7 @@ from math import gcd
 import numpy as np
 
 from .polarspace import PolarSpace
-from .projspace import POINT_CAP, ResourceError
+from .projspace import POINT_CAP, ResourceError, _words
 
 ROW_CAP = 10 ** 6
 # a full scan enumerates at most 2^FULL_SCAN_BITS dual words
@@ -265,8 +265,17 @@ def _rref_mod_p(M: np.ndarray, p: int):
     return M[:len(pivots)].copy(), pivots  # frees the rest of M
 
 
+# bytes that an elimination holds besides the arrays it is charged for:
+# numpy's iterator buffers (8192 elements of at most 8 bytes) and Python
+# objects.  By tracemalloc the peak exceeded the largest charge by at most
+# 38,942 bytes (Q(8,2) k=3, 2,295 rows over GF(2), in a fresh process)
+_FIXED_BYTES = 1 << 16
+
+
 def _refuse_over_budget(A: IncidenceMatrix, size: int, what: str):
-    """ResourceError when `what` for A needs more than 8 * POINT_CAP bytes."""
+    """ResourceError when `what` for A needs more than 8 * POINT_CAP bytes,
+    `_FIXED_BYTES` included."""
+    size += _FIXED_BYTES
     budget = 8 * POINT_CAP
     if size > budget:
         raise ResourceError(
@@ -386,14 +395,6 @@ def rank_and_nullspace(A: IncidenceMatrix):
         take = A.supports[pending[:size]]
         pending = pending[size:]
         del D  # superseded by the next round
-
-
-def _words(bits: np.ndarray) -> np.ndarray:
-    """A boolean array packed along its last axis into uint64 words."""
-    n = bits.shape[-1]
-    out = np.zeros(bits.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
-    out[..., :(n + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
-    return out.view("<u8")
 
 
 def _popcount_histogram(rows: int, n: int):

@@ -18,8 +18,12 @@ is R_m, ..., R_0.  So S is extended by exactly the points p of its
 common perp whose lead column lies left of the pivots of S and which are
 zero at those pivots, and (p, R_1, ..., R_m) is then the RREF of the
 child: no candidate is rejected and nothing is eliminated.  A node keeps
-only its RREF rows and a bitmask of these points; a child's is its
-parent's AND one mask of p.  The points of a k-space are formed once, at
+only its RREF rows and a mask of these points, packed into uint64 words:
+a child's is its parent's AND one mask of p, and a level is one array of
+words, one row per node, whose set bits are found by `np.nonzero` on the
+words and `np.unpackbits` on the nonzero ones.  A node whose mask is zero
+has no children, so a level keeps only the others.  The points of a
+k-space are formed once, at
 level k, as the combinations c R of its rows R with the points c of
 PG(k,q), already normalised and in the point order.  The count is
 predicted from the closed forms first: a space whose largest level would
@@ -30,7 +34,8 @@ A space keeps its k-spaces as two arrays in support order, the point
 indices of the RREF rows and the supports (`KSpaces`); the pairs
 (Subspace, support) that callers walk are built from them on access and
 not kept, so one pass leaves no object behind for the collector to
-scan again.
+scan again.  A Subspace is a named tuple, so the pairs are built with no
+Python call per row.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .projspace import (
     Pairing,
     ResourceError,
     Subspace,
+    _words,
     combine,
     enumerate_points,
     form_values,
@@ -215,6 +221,14 @@ def generator_dimension(family: str, n: int) -> int:
     return _rank_of(family, n)[0] - 1
 
 
+# bytes that a k-space enumeration holds besides the arrays it is charged
+# for: the row blocks of at most _BLOCK bytes in which the levels and the
+# supports are formed, with their indices.  By tracemalloc, with the
+# adjacency built, the peak exceeded the largest charge by at most 0.48 MB
+# (Q(8,2) k=3)
+_BLOCKS_HELD = 4 * _BLOCK
+
+
 class PolarSpace:
     """A polar space with its singular points indexed in the PG order.
 
@@ -291,13 +305,13 @@ class PolarSpace:
         M, _N = prop_counts(self.family, self.rank_param, k, self.q)
         return int(len(self.points) * M / theta(k, self.F.order))
 
-    def _check_budget(self, k: int):
-        """Refuse before allocating when the largest level up to k would
-        need more than a budget of one 64-bit word per point the point cap
-        admits for its supports or, for k >= 1, its point masks, or when
-        the adjacency would.  A level below k holds a candidate mask per
-        subspace; level k is charged as much for each output row.  The
-        refusal names the level that needs the most."""
+    def _charges(self, k: int) -> list[tuple[int, int, str]]:
+        """(bytes, level, what) of each charge of an enumeration up to
+        level k: the supports of the level that needs the most, for k >= 1
+        also the adjacency and the point masks of the level that needs the
+        most.  A level below k holds a candidate mask of ceil(N / 64) words
+        per subspace; level k is charged as much for each output row.  Each
+        charge includes `_BLOCKS_HELD`."""
         N = len(self.points)
         counts = [self.kspace_count(m) for m in range(k + 1)]
         item = np.min_scalar_type(N).itemsize
@@ -305,14 +319,20 @@ class PolarSpace:
                     for m, c in enumerate(counts))]
         if k:
             need.append((N * N // 8, k, "adjacency"))
-            need.append(max((c * -(-N // 8), m, "point masks")
+            need.append(max((c * 8 * -(-N // 64), m, "point masks")
                             for m, c in enumerate(counts)))
+        return [(size + _BLOCKS_HELD, m, what) for size, m, what in need]
+
+    def _check_budget(self, k: int):
+        """Refuse before allocating when a charge of `_charges(k)` is more
+        than a budget of one 64-bit word per point the point cap admits.
+        The refusal names the level that needs the most."""
         budget = 8 * POINT_CAP
-        for size, m, what in need:
+        for size, m, what in self._charges(k):
             if size > budget:
                 raise ResourceError(
-                    f"{counts[m]} singular {m}-spaces of {self!r}: {what} needs "
-                    f"{size} bytes, over the budget of {budget}")
+                    f"{self.kspace_count(m)} singular {m}-spaces of {self!r}: "
+                    f"{what} needs {size} bytes, over the budget of {budget}")
 
     def singular_kspaces_with_supports(self, k: int):
         """All totally singular k-spaces with their point-index supports,
@@ -332,11 +352,12 @@ class PolarSpace:
 
     def _kspaces(self, k: int):
         """Singular k-spaces as `KSpaces`, grown from the points by the
-        pivot rule of the module docstring.  Per level, `rows`
-        holds the point indices of each node's RREF rows and `cands` the
-        points that extend it; the supports are formed at level k only,
-        and the output is in support order.  Each level's count is checked
-        against the closed form."""
+        pivot rule of the module docstring.  Per level, `rows` holds the
+        point indices of each node's RREF rows and `cands`, one row of
+        uint64 words per node, the points that extend it; below level k
+        only the nodes with candidates are kept.  The supports are formed
+        at level k only, and the output is in support order.  Each level's
+        count is checked against the closed form."""
         X = np.array(self.points, dtype=np.intp)
         (N, width), F = X.shape, self.F
         weights = F.order ** np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -345,28 +366,29 @@ class PolarSpace:
         rows = np.arange(N, dtype=np.min_scalar_type(N))[:, None]
         if k:
             # fresh[c]: the points with lead column left of c and a zero at
-            # c; down[p]: those of them, c = lead(p), in the perp of p
-            fresh = [int.from_bytes(np.packbits((lead < c) & (X[:, c] == 0),
-                                                bitorder="little").tobytes(), "little")
-                     for c in range(width)]
-            cands = down = [a & fresh[c]
-                            for a, c in zip(self.adjacency(), lead.tolist())]
+            # c; down[p]: those of them, c = lead(p), in the perp of p, ANDed
+            # with the adjacency masks of a block of points at a time
+            fresh = _words((lead < np.arange(width)[:, None]) & (X.T == 0))
+            cands = down = fresh[lead]
+            adj, size = self.adjacency(), down[:1].nbytes
+            step = max(1, _BLOCK // size)
+            for lo in range(0, N, step):
+                block = b"".join(a.to_bytes(size, "little") for a in adj[lo:lo + step])
+                down[lo:lo + step] &= np.frombuffer(block, dtype=down.dtype).reshape(
+                    -1, down.shape[1])
         for level in range(1, k + 1):
-            new, counts, nxt = [], [], []
-            for cand in cands:
-                ps = bit_indices(cand)
-                new += ps
-                counts.append(len(ps))
-                if level < k:
-                    nxt += [cand & down[p] for p in ps]
-            cands = nxt
-            par = np.repeat(np.arange(len(counts)), counts)
-            rows = np.concatenate([np.array(new, dtype=rows.dtype)[:, None], rows[par]],
-                                  axis=1)
+            par, new = _set_bits(cands)
+            rows = np.concatenate([new.astype(rows.dtype)[:, None], rows[par]], axis=1)
             want = self.kspace_count(level)
             if len(rows) != want:
                 raise GeometryError(f"{len(rows)} singular {level}-spaces of "
                                     f"{self!r}, closed form {want}")
+            if level < k:
+                # a node without candidates has no children: keep the others
+                cands, live = _nonzero_and(cands, par, down, new)
+                rows = rows[live]
+            else:
+                del cands, down  # before the supports are formed
         # the support of rows R: the points c R, c in PG(k,q), in the point
         # order.  A unit vector c = e_j gives the row R_j, and the units come
         # in the order e_k, ..., e_0; only the other points are formed.  A
@@ -401,7 +423,9 @@ class KSpaces(Sequence):
     (Subspace, support tuple), built when it is asked for and not kept.
     The pairs are formed a block of rows at a time, a column at a time:
     each point tuple and each index int is one object shared by every
-    row."""
+    row, and each Subspace comes from `tuple.__new__` mapped over the
+    block, with no Python call per row.  The levels that produced the
+    arrays ran on packed uint64 words (see `PolarSpace._kspaces`)."""
 
     def __init__(self, P: PolarSpace, rows: np.ndarray, supports: np.ndarray):
         rows.flags.writeable = supports.flags.writeable = False
@@ -428,20 +452,54 @@ class KSpaces(Sequence):
     def _pairs(self, rows: np.ndarray, supports: np.ndarray) -> list:
         bases = zip(*self._pts[rows].T.tolist())
         sups = zip(*self._idx[supports].T.tolist())
-        return list(zip(map(Subspace, repeat(self._ambient), bases), sups))
+        spaces = zip(repeat(self._ambient), bases)
+        return list(zip(map(tuple.__new__, repeat(Subspace), spaces), sups))
 
 
-def bit_indices(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    i = 0
-    while mask:
-        s = (mask & -mask).bit_length()
-        i += s - 1
-        mask >>= s
-        out.append(i)
-        i += 1
-    return out
+def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, index) of every set bit of the rows of uint64 words, in row
+    order and ascending within a row.  The rows are read a block of at
+    most _BLOCK / 64 words at a time: `np.nonzero` finds the nonzero
+    words, and only those are unpacked."""
+    total = int(np.bitwise_count(words).sum())
+    rows, bits = np.empty(total, dtype=np.intp), np.empty(total, dtype=np.intp)
+    step, end = max(1, _BLOCK // 64 // words.shape[1]), 0
+    for lo in range(0, len(words), step):
+        block = words[lo:lo + step]
+        row, col = np.nonzero(block)
+        at = np.flatnonzero(np.unpackbits(block[row, col].view(np.uint8),
+                                          bitorder="little"))
+        # in place, not `(at >> 6) + lo`: to elide a temporary of 256 kB or
+        # more numpy takes a backtrace, which faulted in 0.5 MB of unwind
+        # tables (the max RSS of the lines of Q+(7,3))
+        i = at >> 6
+        at &= 63
+        out = rows[end:end + len(at)]
+        np.take(row, i, out=out)
+        out += lo
+        out = bits[end:end + len(at)]
+        np.take(col, i, out=out)
+        out <<= 6
+        out |= at
+        end += len(at)
+    return rows, bits
+
+
+def _nonzero_and(A: np.ndarray, ia: np.ndarray, B: np.ndarray,
+                 ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, live): live the indices i, ascending, at which A[ia[i]] & B[ib[i]]
+    is not zero, and C those rows.  They are formed a block of at most
+    _BLOCK bytes at a time, and only each block's nonzero rows are kept."""
+    step = max(1, _BLOCK // A[:1].nbytes)
+    rows, live = [A[:0]], [ia[:0]]
+    for lo in range(0, len(ia), step):
+        block = A[ia[lo:lo + step]]
+        block &= B[ib[lo:lo + step]]
+        at = np.flatnonzero(block.any(axis=1))
+        rows.append(block[at])
+        at += lo
+        live.append(at)
+    return np.concatenate(rows), np.concatenate(live)
 
 
 def standard_polar_space(family: str, n: int, F: FieldSpec) -> PolarSpace:

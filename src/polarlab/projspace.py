@@ -1,9 +1,9 @@
 """Points and subspaces of PG(n,q) with canonical representatives.
 
 Points are tuples of field-element ints, normalized so the first nonzero
-coordinate is 1.  Subspaces are frozen dataclasses holding a reduced
-row-echelon basis, which is the unique canonical representative: equality
-of subspaces is equality of basis matrices.
+coordinate is 1.  Subspaces are named tuples (ambient, basis) holding a
+reduced row-echelon basis, which is the unique canonical representative:
+equality of subspaces is equality of basis matrices.
 
 The global point order (lexicographic on normalized coordinate tuples)
 defines the column indexing used everywhere downstream.
@@ -11,9 +11,9 @@ defines the column indexing used everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,14 @@ POINT_CAP = 10 ** 7
 
 # entries of one row block of a pairwise array
 _BLOCK = 1 << 18
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """A boolean array packed along its last axis into uint64 words."""
+    n = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
+    out[..., :(n + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view("<u8")
 
 
 class GeometryError(ValueError):
@@ -65,8 +73,13 @@ def enumerate_points(n: int, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(pts)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Subspace:
+class Subspace(NamedTuple):
+    """A subspace of PG(ambient, q) by its RREF rows.  Its repr, hash,
+    order and pickle round trip are those of a frozen, ordered dataclass
+    of these two fields; unlike one, a Subspace also equals the plain
+    tuple (ambient, basis).  Being a tuple, it is built with no Python
+    frame by `tuple.__new__(Subspace, (ambient, basis))`."""
+
     ambient: int
     basis: tuple[tuple[int, ...], ...]  # RREF rows
 

@@ -1,11 +1,12 @@
 """Reference implementations that the tests compare the library against:
-scalar subspace membership and intersection, brute-force k-space counts,
-a blocking-set predicate, the nucleus of an even-order parabolic quadric,
-exact-cover ovoid and spread searches, the spread and ovoid greedies
-that recount after every removal, the regular spread of PG(3,q) and its
-reguli built as lines, the dense form of an incidence matrix, the
-dual-codeword check one row at a time, GF(2) row reduction one pivot
-column at a time, and the alist export formed line by line."""
+the k-space levels on Python int masks, scalar subspace membership and
+intersection, brute-force k-space counts, a blocking-set predicate, the
+nucleus of an even-order parabolic quadric, exact-cover ovoid and spread
+searches, the spread and ovoid greedies that recount after every
+removal, the regular spread of PG(3,q) and its reguli built as lines,
+the dense form of an incidence matrix, the dual-codeword check one row
+at a time, GF(2) row reduction one pivot column at a time, and the alist
+export formed line by line."""
 
 import hashlib
 from bisect import bisect_left, bisect_right
@@ -15,11 +16,7 @@ import numpy as np
 
 from polarlab.gf import FieldSpec, field_of_order
 from polarlab.gfcode import CodewordVec, IncidenceMatrix
-from polarlab.polarspace import (
-    PolarSpace,
-    bit_indices,
-    least_irreducible_binary_quadratic,
-)
+from polarlab.polarspace import PolarSpace, least_irreducible_binary_quadratic
 from polarlab.projspace import (
     GeometryError,
     Subspace,
@@ -27,8 +24,53 @@ from polarlab.projspace import (
     normalize_point,
     nullspace,
     span,
+    subspace_points,
+    theta,
 )
 from polarlab.verify import _as_index_set, _line_supports, is_ovoid, is_spread
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    i = 0
+    while mask:
+        s = (mask & -mask).bit_length()
+        i += s - 1
+        mask >>= s
+        out.append(i)
+        i += 1
+    return out
+
+
+def kspaces_by_int_masks(P: PolarSpace, k: int):
+    """(rows, supports) of the singular k-spaces of P in support order, as
+    `PolarSpace._kspaces` keeps them, by the pivot rule on Python int
+    masks: a node's candidates are one int, a child's are its parent's
+    AND the int `down` of its new point, and `bit_indices` lists them.
+    Each support is formed from the k-space's rows by `subspace_points`."""
+    X = np.array(P.points)
+    N, width = X.shape
+    lead = np.argmax(X != 0, axis=1)
+    rows = [[p] for p in range(N)]
+    if k:
+        fresh = [sum(1 << int(i) for i in np.flatnonzero((lead < c) & (X[:, c] == 0)))
+                 for c in range(width)]
+        cands = down = [a & fresh[c] for a, c in zip(P.adjacency(), lead.tolist())]
+    for _level in range(k):
+        children, nxt = [], []
+        for row, cand in zip(rows, cands):
+            for p in bit_indices(cand):
+                children.append([p] + row)
+                nxt.append(cand & down[p])
+        rows, cands = children, nxt
+    supports = [sorted(P.index[x] for x in subspace_points(
+        Subspace(P.n, tuple(P.points[i] for i in row)), P.F)) for row in rows]
+    order = sorted(range(len(rows)), key=supports.__getitem__)
+    dtype = np.min_scalar_type(N)
+    return (np.array([rows[i] for i in order], dtype=dtype).reshape(-1, k + 1),
+            np.array([supports[i] for i in order], dtype=dtype).reshape(
+                -1, theta(k, P.F.order)))
 
 
 def contains_point(S: Subspace, pt, F: FieldSpec) -> bool:

@@ -424,8 +424,9 @@ def test_tall_codes_pinned(family, n, q, k, rank, shape, dtype, sha):
     assert hashlib.sha256(D.tobytes()).hexdigest() == sha
 
 
-# (family, n, q, k, bytes charged before the elimination, bytes charged
-# before the first D, rows of D).  The first four take one round, since
+# (family, n, q, k, bytes of the arrays charged before the elimination,
+# bytes of those charged before the first D, rows of D); each charge adds
+# gfcode._FIXED_BYTES to its arrays.  The first four take one round, since
 # they have at most 3n/2 + 64 rows.  Q(4,2) k=1: 15 rows of one word; its
 # peak is a pass, holding a copy of them with an index, a table of 256
 # rows and twice at most 15 pivot rows.  Then 10 reduced rows of 15
@@ -462,7 +463,9 @@ CHARGES = [("Q", 4, 2, 1, 15 * 8 + 15 * 8 + 15 * 8 + 256 * 8 + 2 * 15 * 8,
 
 
 def test_elimination_refused_before_allocating():
-    for family, n, q, k, charge, d_charge, d_rows in CHARGES:
+    for family, n, q, k, arrays, d_arrays, d_rows in CHARGES:
+        charge = arrays + gfcode._FIXED_BYTES
+        d_charge = d_arrays + gfcode._FIXED_BYTES
         A = build_incidence(get_space(family, n, q), k)
         with pytest.MonkeyPatch.context() as mp:  # budget = 8 * POINT_CAP
             mp.setattr(gfcode, "POINT_CAP", -(-charge // 8) - 1)
@@ -488,15 +491,20 @@ def test_elimination_refused_before_allocating():
 # them eliminated in rounds: over GF(2) the peak is the check of the rows
 # that the first round leaves (5,134 lines of H(5,4), 117,721 planes of
 # Q+(9,2)) or a pass over the first of two rounds of Q(6,4), over GF(3) a
-# pivot step of the round of int8 rows of Q(6,3)
+# pivot step of the round of int8 rows of Q(6,3).  Then two small codes
+# whose peaks exceeded their arrays' charges by 697 bytes (the 40 x 40
+# int8 rows of Q(4,3)) and by 37,662 bytes (the 2,295 solids of Q(8,2)),
+# which the fixed allowance covers
 @pytest.mark.parametrize("family,n,q,k", [("H", 5, 4, 1), ("Q", 6, 4, 1),
-                                          ("Q", 6, 3, 1), ("Qplus", 9, 2, 2)])
+                                          ("Q", 6, 3, 1), ("Qplus", 9, 2, 2),
+                                          ("Q", 4, 3, 1), ("Q", 8, 2, 3)])
 def test_elimination_peak_within_charge(family, n, q, k, monkeypatch):
     A = build_incidence(get_space(family, n, q), k)
     charges = []
     refuse = gfcode._refuse_over_budget
     monkeypatch.setattr(gfcode, "_refuse_over_budget", lambda A, size, what:
-                        charges.append(size) or refuse(A, size, what))
+                        charges.append(size + gfcode._FIXED_BYTES)
+                        or refuse(A, size, what))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

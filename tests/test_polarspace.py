@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -22,7 +23,6 @@ from polarlab.projspace import (
     theta,
 )
 from polarlab.polarspace import (
-    bit_indices,
     bound_min_weight_dual,
     canonical_family,
     classify_plane_section,
@@ -36,7 +36,12 @@ from polarlab.polarspace import (
     tanner_bound_elliptic_5,
     tanner_bound_hermitian_4,
 )
-from references import count_kspaces_through, nucleus
+from references import (
+    bit_indices,
+    count_kspaces_through,
+    kspaces_by_int_masks,
+    nucleus,
+)
 
 # (family, ambient n, field order, points, generators, gen_dim)
 CASES = [
@@ -347,6 +352,42 @@ def test_kspace_view_is_the_pair_list(family, n, order):
         assert all(pair in pairs for pair in random.Random(k).sample(view, 3))
 
 
+@pytest.mark.parametrize("family,n,order", VIEW_SPACES)
+def test_kspace_arrays_match_int_mask_levels(family, n, order):
+    P = get_space(family, n, order)
+    for k in range(P.gen_dim + 1):
+        view = P.singular_kspaces_with_supports(k)
+        rows, supports = kspaces_by_int_masks(P, k)
+        assert view.rows.dtype == rows.dtype and view.supports.dtype == supports.dtype
+        assert np.array_equal(view.rows, rows)
+        assert np.array_equal(view.supports, supports)
+
+
+# sha256 of repr(list(view)), recorded when Subspace was a frozen, ordered
+# dataclass of the same two fields
+@pytest.mark.parametrize("family,n,order,k,sha", [
+    ("Q", 4, 3, 1, "965387a67a665537c310723ed36f7690c77423a5223decb8f1bea4968146d207"),
+    ("Qplus", 7, 2, 3, "e6eb2fd7243adcbb5869d7d87eb686ebe15d1a3361cb951e752b37778b8777d4"),
+])
+def test_subspace_keeps_the_dataclass_rules(family, n, order, k, sha):
+    view = get_space(family, n, order).singular_kspaces_with_supports(k)
+    pairs = list(view)
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == sha
+    spaces = [S for S, _sup in pairs]
+    assert all(type(S) is Subspace for S in spaces) and type(view[0][0]) is Subspace
+    for S, T in zip(spaces, spaces[::-1]):
+        assert repr(S) == f"Subspace(ambient={S.ambient!r}, basis={S.basis!r})"
+        assert hash(S) == hash((S.ambient, S.basis))
+        assert (S < T) == ((S.ambient, S.basis) < (T.ambient, T.basis))
+        assert (S == T) == (S.basis == T.basis)
+        R = pickle.loads(pickle.dumps(S))
+        assert type(R) is Subspace and R == S and R.dim == S.dim == k
+    with pytest.raises(AttributeError):
+        spaces[0].basis = ()
+    # unlike the dataclass, a Subspace equals the plain tuple of its fields
+    assert spaces[0] == (spaces[0].ambient, spaces[0].basis)
+
+
 def test_kspace_view_keeps_only_arrays():
     # the 36,400 lines of Q+(7,3): a pass over them leaves under 1 MB
     P = standard_polar_space("Qplus", 7, field_of_order(3))
@@ -434,10 +475,11 @@ def test_refused_before_allocating(monkeypatch):
 
 
 def test_largest_level_refused_before_allocating(monkeypatch):
-    # the solids of Q+(7,2) fit a budget of 8000 bytes, its planes do not
+    # the solids of Q+(7,2) fit a budget of 8000 bytes beside the fixed
+    # allowance, its planes do not
     P = standard_polar_space("Qplus", 7, field_of_order(2))
     assert P.kspace_count(3) * theta(3, 2) < 8000 < P.kspace_count(2) * theta(2, 2)
-    monkeypatch.setattr(polarspace, "POINT_CAP", 1000)
+    monkeypatch.setattr(polarspace, "POINT_CAP", 1000 + polarspace._BLOCKS_HELD // 8)
     with pytest.raises(ResourceError, match=f"^{P.kspace_count(2)} singular 2-spaces"):
         P.singular_kspaces_with_supports(3)
     assert P._adj is None and P._kspace_cache == {}
@@ -450,6 +492,21 @@ def test_output_rows_are_charged():
     with pytest.raises(ResourceError, match="point masks"):
         P.singular_kspaces_with_supports(1)
     assert P._adj is None and P._kspace_cache == {}
+
+
+@pytest.mark.parametrize("family,n,order,k", [
+    ("Q", 6, 4, 2), ("Qplus", 7, 3, 1), ("Q", 8, 2, 3), ("Qplus", 9, 2, 4)])
+def test_kspaces_peak_within_charge(family, n, order, k):
+    # the adjacency included: the nonzero masks of a level, those of the
+    # next formed beside them, and the row blocks stay within the charges
+    P = standard_polar_space(family, n, field_of_order(order))
+    tracemalloc.start()
+    try:
+        P._kspaces(k)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(size for size, _m, _what in P._charges(k))
 
 
 @pytest.mark.parametrize("family,n,order", [
