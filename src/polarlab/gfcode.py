@@ -10,7 +10,8 @@ eliminated rows.  These matrices are tall, so the
 elimination reduces a sample of the rows and certifies each of the others
 by its syndrome against D, taking those outside the span into a further
 round (Las Vegas rank by row compression, after Cheung, Kwok and Lau,
-J. ACM 60, 2013).  The same syndrome check, against a single word as D,
+J. ACM 60, 2013).  The elimination and each D are refused before they
+allocate when over the byte budget of `projspace`.  The same syndrome check, against a single word as D,
 decides `is_dual_codeword`.  Weight scans enumerate the span of D
 exhaustively when the nullity is small enough and otherwise refuse, or,
 when asked, count the words of at most a few rows of D, whose extreme
@@ -32,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from .polarspace import PolarSpace
-from .projspace import POINT_CAP, ResourceError, _words
+from .projspace import ResourceError, _words, refuse_over_budget
 
 ROW_CAP = 10 ** 6
 # a full scan enumerates at most 2^FULL_SCAN_BITS dual words
@@ -113,8 +114,7 @@ def is_dual_codeword(c: CodewordVec, A: IncidenceMatrix):
         raise CodeError("codeword/matrix dimension or field mismatch")
     word = np.zeros((1, A.n_cols), dtype=np.min_scalar_type(A.p - 1))
     word[0, list(c.support)] = list(c.support.values())
-    bad = np.flatnonzero(_outside_span(A, np.arange(A.n_rows), word,
-                                       _round_size(A.n_cols)))
+    bad = np.flatnonzero(_outside_span(A, np.arange(A.n_rows), word))
     return (False, int(bad[0])) if bad.size else (True, None)
 
 
@@ -157,16 +157,15 @@ def _stride_order(r: int) -> np.ndarray:
     return order
 
 
-def _outside_span(A: IncidenceMatrix, rows: np.ndarray, D: np.ndarray,
-                  block: int) -> np.ndarray:
+def _outside_span(A: IncidenceMatrix, rows: np.ndarray, D: np.ndarray) -> np.ndarray:
     """For each of the rows `rows` of A, whether it lies outside the span of
     the rows whose dual generator is D, that is, whether its syndrome, the
     sum of the rows of D^T over its support, is nonzero (over a field the
     span of a set of rows is the dual of their nullspace).  Over GF(2) the
     rows of D^T are packed into words and summed by XOR, otherwise they are
     summed in a dtype that holds p - 1 times the width of a row of A.  The
-    rows go `block` at a time."""
-    p = A.p
+    rows go `_round_size` at a time."""
+    p, block = A.p, _round_size(A.n_cols)
     if p == 2:
         DT, add = _words(D.T), np.bitwise_xor
     else:
@@ -265,24 +264,6 @@ def _rref_mod_p(M: np.ndarray, p: int):
     return M[:len(pivots)].copy(), pivots  # frees the rest of M
 
 
-# bytes that an elimination holds besides the arrays it is charged for:
-# numpy's iterator buffers (8192 elements of at most 8 bytes) and Python
-# objects.  By tracemalloc the peak exceeded the largest charge by at most
-# 38,942 bytes (Q(8,2) k=3, 2,295 rows over GF(2), in a fresh process)
-_FIXED_BYTES = 1 << 16
-
-
-def _refuse_over_budget(A: IncidenceMatrix, size: int, what: str):
-    """ResourceError when `what` for A needs more than 8 * POINT_CAP bytes,
-    `_FIXED_BYTES` included."""
-    size += _FIXED_BYTES
-    budget = 8 * POINT_CAP
-    if size > budget:
-        raise ResourceError(
-            f"{A.n_rows}x{A.n_cols} incidence matrix: {what} needs {size} "
-            f"bytes, over the budget of {budget}")
-
-
 def _round_size(n: int) -> int:
     """The most rows of A that one round of elimination takes besides the
     reduced rows so far: half as many again as A has columns, and 64."""
@@ -359,9 +340,10 @@ def rank_and_nullspace(A: IncidenceMatrix):
     p, n, r = A.p, A.n_cols, A.n_rows
     dtype = np.dtype(np.uint8) if p == 2 else np.min_scalar_type(-(p - 1) ** 2)
     item, size = dtype.itemsize, _round_size(n)
+    subject = f"{r}x{n} incidence matrix"
     # D has a row for each free column, at least n - n_rows of them
-    _refuse_over_budget(A, max(_elimination_bytes(A, item),
-                               max(n - r, 0) * n * item), "elimination")
+    refuse_over_budget(max(_elimination_bytes(A, item), max(n - r, 0) * n * item),
+                       subject, "elimination")
     if r <= size:
         take, pending = A.supports, np.zeros(0, dtype=np.intp)
     else:
@@ -378,10 +360,10 @@ def rank_and_nullspace(A: IncidenceMatrix):
         # D beside the reduced rows, and either two arrays of their free
         # columns and the indices of the pivot and free columns, or the
         # check of the rows still pending against D
-        _refuse_over_budget(A, R.nbytes + nullity * n * item + max(
+        refuse_over_budget(R.nbytes + nullity * n * item + max(
             32 * n + 2 * rank * nullity * item,
             _check_bytes(A, nullity) if pending.size else 0),
-            "dual generator")
+            subject, "dual generator")
         is_free = np.ones(n, dtype=bool)
         is_free[pivots] = False
         free = np.flatnonzero(is_free)
@@ -389,7 +371,7 @@ def rank_and_nullspace(A: IncidenceMatrix):
         D[:, pivots] = (p - R[:, free].T) % p
         D[np.arange(nullity), free] = 1
         if pending.size:
-            pending = pending[_outside_span(A, pending, D, size)]
+            pending = pending[_outside_span(A, pending, D)]
         if not pending.size:
             return rank, D
         take = A.supports[pending[:size]]

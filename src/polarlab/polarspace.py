@@ -27,12 +27,12 @@ k-space are formed once, at
 level k, as the combinations c R of its rows R with the points c of
 PG(k,q), already normalised and in the point order.  The count is
 predicted from the closed forms first: a space whose largest level would
-not fit the budget is refused before anything is allocated, and a count
-that misses the prediction is an error.
+not fit the byte budget of `projspace` is refused before anything is
+allocated, and a count that misses the prediction is an error.
 
-A space keeps its k-spaces as two arrays in support order, the point
-indices of the RREF rows and the supports (`KSpaces`); the pairs
-(Subspace, support) that callers walk are built from them on access and
+A space keeps its k-spaces as one array in support order, the supports
+(`KSpaces`), which hold the points of the RREF rows too; the pairs
+(Subspace, support) that callers walk are built from it on access and
 not kept, so one pass leaves no object behind for the collector to
 scan again.  A Subspace is a named tuple, so the pairs are built with no
 Python call per row.
@@ -53,16 +53,15 @@ import numpy as np
 from .gf import FieldSpec, field_of_order
 from .projspace import (
     _BLOCK,
-    POINT_CAP,
     GeometryError,
     Pairing,
-    ResourceError,
     Subspace,
     _words,
     combine,
-    enumerate_points,
     form_values,
     nullspace,
+    point_array,
+    refuse_over_budget,
     span,
     subspace_points,
     theta,
@@ -221,14 +220,6 @@ def generator_dimension(family: str, n: int) -> int:
     return _rank_of(family, n)[0] - 1
 
 
-# bytes that a k-space enumeration holds besides the arrays it is charged
-# for: the row blocks of at most _BLOCK bytes in which the levels and the
-# supports are formed, with their indices.  By tracemalloc, with the
-# adjacency built, the peak exceeded the largest charge by at most 0.48 MB
-# (Q(8,2) k=3)
-_BLOCKS_HELD = 4 * _BLOCK
-
-
 class PolarSpace:
     """A polar space with its singular points indexed in the PG order.
 
@@ -242,9 +233,9 @@ class PolarSpace:
         self.F = form.field
         self.q = self.F.sqrt_order if self.family == "hermitian" else self.F.order
         self.gen_dim = generator_dimension(self.family, self.n)
-        ambient = enumerate_points(self.n, self.F)
-        on = np.flatnonzero(form.evaluate(np.array(ambient)) == 0)
-        self.points = tuple(ambient[i] for i in on.tolist())
+        ambient = point_array(self.n, self.F)
+        on = form.evaluate(ambient) == 0
+        self.points = tuple(map(tuple, ambient[on].tolist()))
         expected = polar_space_order(self.family, self.n, self.F.order)
         if len(self.points) != expected:
             raise GeometryError(
@@ -308,44 +299,40 @@ class PolarSpace:
     def _charges(self, k: int) -> list[tuple[int, int, str]]:
         """(bytes, level, what) of each charge of an enumeration up to
         level k: the supports of the level that needs the most, for k >= 1
-        also the adjacency and the point masks of the level that needs the
-        most.  A level below k holds a candidate mask of ceil(N / 64) words
-        per subspace; level k is charged as much for each output row.  Each
-        charge includes `_BLOCKS_HELD`."""
+        also the point masks of the level that needs the most beside the
+        adjacency, a list of N ints of N bits, and the point arrays that
+        every level reads.  Level 0 holds a mask of ceil(N / 64) words per
+        point, a level below k one per subspace, and level k is charged as
+        much per output row.  Each charge adds four row blocks of _BLOCK
+        bytes, in which the levels and the supports are formed: by
+        tracemalloc the levels exceeded the other terms of the largest
+        charge by at most 0.86 MB (Q(4,16) k=1)."""
         N = len(self.points)
         counts = [self.kspace_count(m) for m in range(k + 1)]
         item = np.min_scalar_type(N).itemsize
         need = [max((c * theta(m, self.F.order) * item, m, "supports")
                     for m, c in enumerate(counts))]
         if k:
-            need.append((N * N // 8, k, "adjacency"))
-            need.append(max((c * 8 * -(-N // 64), m, "point masks")
+            # per point: the adjacency's pointer and int of ceil(N / 30)
+            # 30-bit digits, and the intp coordinates, code and lead column
+            held = N * (32 + 4 * -(-N // 30) + 8 * (self.n + 3))
+            need.append(max((held + c * 8 * -(-N // 64), m, "point masks")
                             for m, c in enumerate(counts)))
-        return [(size + _BLOCKS_HELD, m, what) for size, m, what in need]
-
-    def _check_budget(self, k: int):
-        """Refuse before allocating when a charge of `_charges(k)` is more
-        than a budget of one 64-bit word per point the point cap admits.
-        The refusal names the level that needs the most."""
-        budget = 8 * POINT_CAP
-        for size, m, what in self._charges(k):
-            if size > budget:
-                raise ResourceError(
-                    f"{self.kspace_count(m)} singular {m}-spaces of {self!r}: "
-                    f"{what} needs {size} bytes, over the budget of {budget}")
+        return [(size + 4 * _BLOCK, m, what) for size, m, what in need]
 
     def singular_kspaces_with_supports(self, k: int):
         """All totally singular k-spaces with their point-index supports,
         ordered by support tuple, as a `KSpaces` sequence of (Subspace,
         support) pairs.  The space keeps the sequence, the same object for
-        every call, and it keeps only the arrays of RREF rows and supports:
-        each pair is built when it is indexed or iterated over.  The number
-        of subspaces at every level up to k has been checked against
-        `kspace_count`."""
+        every call, and it keeps only the support array: each pair is built
+        when it is indexed or iterated over.  The number of subspaces at
+        every level up to k has been checked against `kspace_count`."""
         if k in self._kspace_cache:
             return self._kspace_cache[k]
         self.kspace_count(k)  # refuses a k out of range
-        self._check_budget(k)
+        for size, m, what in self._charges(k):
+            refuse_over_budget(size, f"{self.kspace_count(m)} singular {m}-spaces "
+                               f"of {self!r}", what)
         out = self._kspaces(k)
         self._kspace_cache[k] = out
         return out
@@ -356,8 +343,8 @@ class PolarSpace:
         point indices of each node's RREF rows and `cands`, one row of
         uint64 words per node, the points that extend it; below level k
         only the nodes with candidates are kept.  The supports are formed
-        at level k only, and the output is in support order.  Each level's
-        count is checked against the closed form."""
+        at level k only, and they alone are kept, in support order.  Each
+        level's count is checked against the closed form."""
         X = np.array(self.points, dtype=np.intp)
         (N, width), F = X.shape, self.F
         weights = F.order ** np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -365,12 +352,13 @@ class PolarSpace:
         lead = np.argmax(X != 0, axis=1)
         rows = np.arange(N, dtype=np.min_scalar_type(N))[:, None]
         if k:
-            # fresh[c]: the points with lead column left of c and a zero at
-            # c; down[p]: those of them, c = lead(p), in the perp of p, ANDed
-            # with the adjacency masks of a block of points at a time
+            # the adjacency first, its row blocks freed before the masks
+            # exist.  fresh[c]: the points with lead column left of c and a
+            # zero at c; down[p]: those of them, c = lead(p), in the perp of
+            # p, ANDed with the adjacency masks of a block of points at a time
+            adj, size = self.adjacency(), 8 * -(-N // 64)
             fresh = _words((lead < np.arange(width)[:, None]) & (X.T == 0))
             cands = down = fresh[lead]
-            adj, size = self.adjacency(), down[:1].nbytes
             step = max(1, _BLOCK // size)
             for lo in range(0, N, step):
                 block = b"".join(a.to_bytes(size, "little") for a in adj[lo:lo + step])
@@ -394,7 +382,7 @@ class PolarSpace:
         # in the order e_k, ..., e_0; only the other points are formed.  A
         # block's int64 arrays take at most _BLOCK / 2 bytes: blocks twice as
         # large raised the peak RSS of the H(5,4) lines by 0.2 MB
-        coeffs = np.array(enumerate_points(k, F), dtype=np.intp)
+        coeffs = point_array(k, F).astype(np.intp)
         unit = np.count_nonzero(coeffs, axis=1) == 1
         sup = np.empty((len(rows), len(coeffs)), dtype=rows.dtype)
         sup[:, unit] = rows[:, ::-1]
@@ -402,10 +390,11 @@ class PolarSpace:
         for lo in range(0, len(rows), step):
             V = combine(coeffs[~unit], X[rows[lo:lo + step]][:, None], F)
             sup[lo:lo + step, ~unit] = np.searchsorted(codes, V @ weights)
+        del rows  # each row is in the supports
         # the output in support order, equal-length distinct supports making
         # lexsort's order the tuple order
         order = np.lexsort(sup.T[::-1])
-        return KSpaces(self, rows[order], sup[order])
+        return KSpaces(self, k, sup[order])
 
 
 # rows of pairs that one step of an iteration forms.  In fresh processes a
@@ -417,19 +406,19 @@ _CHUNK = 128
 
 
 class KSpaces(Sequence):
-    """The singular k-spaces of a polar space in support order, kept as two
-    read-only arrays: `rows`, the point indices of each k-space's RREF
-    rows, and `supports`, its sorted point indices.  An item is a pair
-    (Subspace, support tuple), built when it is asked for and not kept.
-    The pairs are formed a block of rows at a time, a column at a time:
-    each point tuple and each index int is one object shared by every
-    row, and each Subspace comes from `tuple.__new__` mapped over the
-    block, with no Python call per row.  The levels that produced the
-    arrays ran on packed uint64 words (see `PolarSpace._kspaces`)."""
+    """The singular k-spaces of a polar space in support order, kept as one
+    read-only array `supports`, the sorted point indices of each k-space.
+    An item is a pair (Subspace, support tuple), built when it is asked
+    for and not kept; the RREF row R_i is the point c R with c = e_i, the
+    support entry at column theta(k - 1 - i).  The pairs are formed a block
+    of rows at a time, a column at a time: each point tuple and each index
+    int is one object shared by every row, and each Subspace comes from
+    `tuple.__new__` mapped over the block, with no Python call per row."""
 
-    def __init__(self, P: PolarSpace, rows: np.ndarray, supports: np.ndarray):
-        rows.flags.writeable = supports.flags.writeable = False
-        self.rows, self.supports = rows, supports
+    def __init__(self, P: PolarSpace, k: int, supports: np.ndarray):
+        supports.flags.writeable = False
+        self.supports = supports
+        self._basis = [theta(k - 1 - i, P.F.order) for i in range(k + 1)]
         self._ambient = P.n
         self._pts = np.fromiter(P.points, dtype=object, count=len(P.points))
         self._idx = np.arange(len(P.points)).astype(object)
@@ -439,18 +428,17 @@ class KSpaces(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return self._pairs(self.rows[i], self.supports[i])
-        i = operator.index(i)
-        return (Subspace(self._ambient, tuple(self._pts[self.rows[i]].tolist())),
-                tuple(self._idx[self.supports[i]].tolist()))
+            return self._pairs(self.supports[i])
+        sup = self.supports[operator.index(i)]
+        return (Subspace(self._ambient, tuple(self._pts[sup[self._basis]].tolist())),
+                tuple(self._idx[sup].tolist()))
 
     def __iter__(self):
         for lo in range(0, len(self), _CHUNK):
-            yield from self._pairs(self.rows[lo:lo + _CHUNK],
-                                   self.supports[lo:lo + _CHUNK])
+            yield from self._pairs(self.supports[lo:lo + _CHUNK])
 
-    def _pairs(self, rows: np.ndarray, supports: np.ndarray) -> list:
-        bases = zip(*self._pts[rows].T.tolist())
+    def _pairs(self, supports: np.ndarray) -> list:
+        bases = zip(*self._pts[supports.T[self._basis]].tolist())
         sups = zip(*self._idx[supports].T.tolist())
         spaces = zip(repeat(self._ambient), bases)
         return list(zip(map(tuple.__new__, repeat(Subspace), spaces), sups))
@@ -461,7 +449,10 @@ def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order and ascending within a row.  The rows are read a block of at
     most _BLOCK / 64 words at a time: `np.nonzero` finds the nonzero
     words, and only those are unpacked."""
-    total = int(np.bitwise_count(words).sum())
+    # counted a block of at most _BLOCK words at a time, a byte per word
+    step = max(1, _BLOCK // words.shape[1])
+    total = sum(int(np.bitwise_count(words[lo:lo + step]).sum())
+                for lo in range(0, len(words), step))
     rows, bits = np.empty(total, dtype=np.intp), np.empty(total, dtype=np.intp)
     step, end = max(1, _BLOCK // 64 // words.shape[1]), 0
     for lo in range(0, len(words), step):

@@ -6,13 +6,13 @@ reduced row-echelon basis, which is the unique canonical representative:
 equality of subspaces is equality of basis matrices.
 
 The global point order (lexicographic on normalized coordinate tuples)
-defines the column indexing used everywhere downstream.
+defines the column indexing used everywhere downstream.  Every step that
+is charged before it allocates is refused against the byte budget here.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +20,12 @@ import numpy as np
 from .gf import FieldSpec
 
 POINT_CAP = 10 ** 7
+# the peak bytes of a charged step: a 64-bit word per point the cap admits
+BYTE_BUDGET = 8 * POINT_CAP
+# bytes a charged step holds besides its arrays: numpy's iterator buffers
+# (8192 elements of at most 8 bytes) and Python objects; by tracemalloc at
+# most 38,942 bytes (the elimination of Q(8,2) k=3, 2,295 rows over GF(2))
+_FIXED_BYTES = 1 << 16
 
 # entries of one row block of a pairwise array
 _BLOCK = 1 << 18
@@ -41,6 +47,15 @@ class ResourceError(RuntimeError):
     pass
 
 
+def refuse_over_budget(size: int, subject: str, what: str):
+    """ResourceError, before anything is allocated, when `what` for
+    `subject` needs more than BYTE_BUDGET bytes, `_FIXED_BYTES` included."""
+    size += _FIXED_BYTES
+    if size > BYTE_BUDGET:
+        raise ResourceError(f"{subject}: {what} needs {size} bytes, "
+                            f"over the budget of {BYTE_BUDGET}")
+
+
 def theta(d: int, q: int) -> int:
     """Number of points of PG(d,q); theta(-1)=0, theta(0)=1."""
     if d < -1:
@@ -58,19 +73,26 @@ def normalize_point(vec, F: FieldSpec) -> tuple[int, ...]:
     raise GeometryError("zero vector is not a projective point")
 
 
-@lru_cache(maxsize=None)
-def enumerate_points(n: int, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
+def point_array(n: int, F: FieldSpec) -> np.ndarray:
+    """The points of PG(n,q) in the global order, one row each, in the
+    narrowest unsigned dtype that holds the field elements.  For each lead
+    column, from the last to the first, a 1 there and the tails after it
+    in the order of `np.indices`: the rows come out sorted, with no sort."""
     q = F.order
     if theta(n, q) > POINT_CAP:
         raise ResourceError(f"theta({n},{q}) exceeds point cap {POINT_CAP}")
-    pts = []
-    for lead in range(n + 1):
-        prefix = (0,) * lead + (1,)
-        for rest in product(F.elements(), repeat=n - lead):
-            pts.append(prefix + rest)
-    pts.sort()
-    assert len(pts) == theta(n, q)
-    return tuple(pts)
+    out = np.zeros((theta(n, q), n + 1), dtype=np.min_scalar_type(q - 1))
+    for m in range(n + 1):  # the points with lead column n - m
+        rows = out[theta(m - 1, q):theta(m, q)]
+        rows[:, n - m] = 1
+        rows[:, n - m + 1:] = np.indices((q,) * m, dtype=out.dtype).reshape(m, q ** m).T
+    return out
+
+
+@lru_cache(maxsize=None)
+def enumerate_points(n: int, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    """`point_array` as tuples, kept for the life of the process."""
+    return tuple(map(tuple, point_array(n, F).tolist()))
 
 
 class Subspace(NamedTuple):
@@ -281,13 +303,13 @@ class Pairing:
 def _hyperplane_pairing(n: int, F: FieldSpec) -> Pairing:
     """The points of PG(n,q) read as dual coordinates of its hyperplanes."""
     unit = np.eye(n + 1, dtype=np.int64)
-    return Pairing(enumerate_points(n, F), unit.tolist(), F)
+    return Pairing(point_array(n, F), unit.tolist(), F)
 
 
 def incidence_with_hyperplanes(points, n: int, F: FieldSpec) -> np.ndarray:
     """Boolean matrix [i,j] = point i lies on hyperplane j, the hyperplanes
     in the canonical dual order: that of their dual coordinates in
-    enumerate_points(n, F)."""
+    point_array(n, F)."""
     pairing = _hyperplane_pairing(n, F)
     X = np.array(points, dtype=np.int64).reshape(-1, n + 1)
     on = np.empty((len(X), theta(n, F.order)), dtype=bool)

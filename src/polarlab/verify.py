@@ -62,17 +62,21 @@ def is_spread(P: PolarSpace, lines) -> bool:
     return len(seen) == len(P.points)
 
 
-def excess_profile(P: PolarSpace, cover):
-    """Point excesses mu(P)-1 of a line cover, the excess of every line of
-    the space, and the total excess."""
-    sups = _line_supports(P, cover)
+def _point_excess(P: PolarSpace, cover) -> dict:
+    """Point excesses mu(P)-1 of a line cover, by point index."""
     mult = [0] * len(P.points)
-    for sup in sups:
+    for sup in _line_supports(P, cover):
         for i in sup:
             mult[i] += 1
     if any(m == 0 for m in mult):
         raise GeometryError("line set is not a cover")
-    excess = {i: m - 1 for i, m in enumerate(mult)}
+    return {i: m - 1 for i, m in enumerate(mult)}
+
+
+def excess_profile(P: PolarSpace, cover):
+    """Point excesses mu(P)-1 of a line cover, the excess of every line of
+    the space, and the total excess."""
+    excess = _point_excess(P, cover)
     line_excess = {S: sum(excess[i] for i in sup)
                    for S, sup in _line_table(P).items()}
     return excess, line_excess, sum(excess.values())
@@ -84,7 +88,7 @@ def find_good_line(P: PolarSpace, cover):
     r = len(cover) - (q * q + 1)
     if not 0 <= r <= q:
         raise GeometryError(f"cover size {len(cover)} out of range")
-    excess, _le, _tot = excess_profile(P, cover)
+    excess = _point_excess(P, cover)
     in_cover = set(cover)
     for S, sup in _line_table(P).items():
         if S not in in_cover and all(excess[i] == 0 for i in sup):

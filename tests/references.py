@@ -44,11 +44,12 @@ def bit_indices(mask: int) -> list[int]:
 
 
 def kspaces_by_int_masks(P: PolarSpace, k: int):
-    """(rows, supports) of the singular k-spaces of P in support order, as
-    `PolarSpace._kspaces` keeps them, by the pivot rule on Python int
-    masks: a node's candidates are one int, a child's are its parent's
-    AND the int `down` of its new point, and `bit_indices` lists them.
-    Each support is formed from the k-space's rows by `subspace_points`."""
+    """(rows, supports) of the singular k-spaces of P in support order, by
+    the pivot rule on Python int masks: rows the point indices of the RREF
+    rows, which `KSpaces` reads from the supports.  A node's candidates
+    are one int, a child's are its parent's AND the int `down` of its new
+    point, and `bit_indices` lists them.  Each support is formed from the
+    k-space's rows by `subspace_points`."""
     X = np.array(P.points)
     N, width = X.shape
     lead = np.argmax(X != 0, axis=1)

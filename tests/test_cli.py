@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polarlab import cli, gfcode, polarspace
+from polarlab import cli, gfcode, polarspace, projspace
 from polarlab.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -309,7 +309,7 @@ def test_resource_failures_are_refusals(capsys, monkeypatch, error):
 def test_geometry_over_budget_is_refused(capsys, monkeypatch):
     monkeypatch.setattr(cli, "get_space", lambda family, n, order:
                         polarspace.standard_polar_space(family, n, field_of_order(order)))
-    monkeypatch.setattr(polarspace, "POINT_CAP", 1)
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", 8)
     code, out, err = run(capsys, "geometry", "--family", "Q", "--n", "4",
                          "--q", "2")
     assert code == EXIT_REFUSED

@@ -16,8 +16,9 @@ from references import (
     rref_gf2_by_column,
 )
 
-from polarlab import gfcode
-from polarlab.polarspace import get_space
+from polarlab import gfcode, projspace
+from polarlab.gf import field_of_order
+from polarlab.polarspace import get_space, standard_polar_space
 from polarlab.projspace import ResourceError
 from polarlab.gfcode import (
     CodeError,
@@ -426,7 +427,7 @@ def test_tall_codes_pinned(family, n, q, k, rank, shape, dtype, sha):
 
 # (family, n, q, k, bytes of the arrays charged before the elimination,
 # bytes of those charged before the first D, rows of D); each charge adds
-# gfcode._FIXED_BYTES to its arrays.  The first four take one round, since
+# projspace._FIXED_BYTES to its arrays.  The first four take one round, since
 # they have at most 3n/2 + 64 rows.  Q(4,2) k=1: 15 rows of one word; its
 # peak is a pass, holding a copy of them with an index, a table of 256
 # rows and twice at most 15 pivot rows.  Then 10 reduced rows of 15
@@ -464,11 +465,11 @@ CHARGES = [("Q", 4, 2, 1, 15 * 8 + 15 * 8 + 15 * 8 + 256 * 8 + 2 * 15 * 8,
 
 def test_elimination_refused_before_allocating():
     for family, n, q, k, arrays, d_arrays, d_rows in CHARGES:
-        charge = arrays + gfcode._FIXED_BYTES
-        d_charge = d_arrays + gfcode._FIXED_BYTES
+        charge = arrays + projspace._FIXED_BYTES
+        d_charge = d_arrays + projspace._FIXED_BYTES
         A = build_incidence(get_space(family, n, q), k)
-        with pytest.MonkeyPatch.context() as mp:  # budget = 8 * POINT_CAP
-            mp.setattr(gfcode, "POINT_CAP", -(-charge // 8) - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(projspace, "BYTE_BUDGET", charge - 1)
             mp.setattr(gfcode, "_fill", lambda *a: pytest.fail())
             with pytest.raises(ResourceError,
                                match=f"elimination needs {charge} bytes"):
@@ -477,14 +478,36 @@ def test_elimination_refused_before_allocating():
                 scan_dual_weights(A)
         if d_charge > charge:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(gfcode, "POINT_CAP", -(-charge // 8))
+                mp.setattr(projspace, "BYTE_BUDGET", charge)
                 with pytest.raises(ResourceError, match=f"dual generator "
                                    f"needs {d_charge} bytes"):
                     rank_and_nullspace(A)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gfcode, "POINT_CAP", -(-max(charge, d_charge) // 8))
+            mp.setattr(projspace, "BYTE_BUDGET", max(charge, d_charge))
             rank, D = rank_and_nullspace(A)
         assert D.shape == (d_rows, A.n_cols) and rank + d_rows == A.n_cols
+
+
+def test_refusal_messages_pinned(monkeypatch):
+    # every refusal comes from projspace.refuse_over_budget.  The lines of
+    # Q+(3,131) are just over the budget at level 0, where the adjacency
+    # list, the point arrays and a mask per point are held at once
+    P = standard_polar_space("Qplus", 3, field_of_order(131))
+    with pytest.raises(ResourceError) as refused:
+        P.singular_kspaces_with_supports(1)
+    assert str(refused.value) == ("17424 singular 0-spaces of Qplus(3,131): point "
+                                  "masks needs 81055424 bytes, over the budget of 80000000")
+    with pytest.raises(ResourceError) as refused:
+        rank_and_nullspace(build_incidence(standard_polar_space(
+            "Qminus", 3, field_of_order(61)), 0))
+    assert str(refused.value) == ("3722x3722 incidence matrix: elimination needs "
+                                  "83304344 bytes, over the budget of 80000000")
+    # the budget of the elimination of H(5,4) k=2 of CHARGES
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", 685177)
+    with pytest.raises(ResourceError) as refused:
+        rank_and_nullspace(build_incidence(get_space("H", 5, 4), 2))
+    assert str(refused.value) == ("891x693 incidence matrix: dual generator needs "
+                                  "789845 bytes, over the budget of 685177")
 
 
 # codes whose arrays outweigh the fixed costs of the elimination, all of
@@ -501,10 +524,10 @@ def test_elimination_refused_before_allocating():
 def test_elimination_peak_within_charge(family, n, q, k, monkeypatch):
     A = build_incidence(get_space(family, n, q), k)
     charges = []
-    refuse = gfcode._refuse_over_budget
-    monkeypatch.setattr(gfcode, "_refuse_over_budget", lambda A, size, what:
-                        charges.append(size + gfcode._FIXED_BYTES)
-                        or refuse(A, size, what))
+    refuse = projspace.refuse_over_budget
+    monkeypatch.setattr(gfcode, "refuse_over_budget", lambda size, subject, what:
+                        charges.append(size + projspace._FIXED_BYTES)
+                        or refuse(size, subject, what))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import pickle
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -358,8 +359,10 @@ def test_kspace_arrays_match_int_mask_levels(family, n, order):
     for k in range(P.gen_dim + 1):
         view = P.singular_kspaces_with_supports(k)
         rows, supports = kspaces_by_int_masks(P, k)
-        assert view.rows.dtype == rows.dtype and view.supports.dtype == supports.dtype
-        assert np.array_equal(view.rows, rows)
+        # the RREF row R_i is the point c R with c = e_i, at theta(k - 1 - i)
+        at = [theta(k - 1 - i, P.F.order) for i in range(k + 1)]
+        assert view.supports.dtype == supports.dtype
+        assert np.array_equal(view.supports[:, at], rows)
         assert np.array_equal(view.supports, supports)
 
 
@@ -464,7 +467,7 @@ def test_enumeration_eliminates_nothing(monkeypatch):
 
 def test_refused_before_allocating(monkeypatch):
     P = standard_polar_space("Q", 4, field_of_order(2))
-    monkeypatch.setattr(polarspace, "POINT_CAP", 1)
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", 8)
     with pytest.raises(ResourceError):
         P.singular_kspaces_with_supports(1)
     monkeypatch.undo()
@@ -479,10 +482,34 @@ def test_largest_level_refused_before_allocating(monkeypatch):
     # allowance, its planes do not
     P = standard_polar_space("Qplus", 7, field_of_order(2))
     assert P.kspace_count(3) * theta(3, 2) < 8000 < P.kspace_count(2) * theta(2, 2)
-    monkeypatch.setattr(polarspace, "POINT_CAP", 1000 + polarspace._BLOCKS_HELD // 8)
+    monkeypatch.setattr(projspace, "BYTE_BUDGET",
+                        8000 + 4 * projspace._BLOCK + projspace._FIXED_BYTES)
     with pytest.raises(ResourceError, match=f"^{P.kspace_count(2)} singular 2-spaces"):
         P.singular_kspaces_with_supports(3)
     assert P._adj is None and P._kspace_cache == {}
+
+
+def test_adjacency_list_charged_with_the_masks(monkeypatch):
+    # level 0 holds the adjacency, N Python ints of N bits in a list, and
+    # the intp coordinates, code and lead column of each point beside one
+    # mask of ceil(N / 64) words per point.  For the 820 points of Q(4,9)
+    # that is 118,080 + 45,920 and 85,280 bytes; charged apart, as they
+    # were, the largest charge of its lines was the masks alone
+    P = standard_polar_space("Q", 4, field_of_order(9))
+    N = len(P.points)
+    ints = N * (24 + 4 * -(-N // 30)) + 8 * N
+    masks = N * 8 * -(-N // 64)
+    held = ints + N * 8 * (5 + 2) + masks
+    assert max(N * N // 8, masks, P.kspace_count(1) * theta(1, 9) * 2) < held - 1
+    allowance = 4 * projspace._BLOCK + projspace._FIXED_BYTES
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", held - 1 + allowance)
+    with pytest.raises(ResourceError, match=f"point masks needs {held + allowance} bytes"):
+        P.singular_kspaces_with_supports(1)
+    assert P._adj is None and P._kspace_cache == {}
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", held + allowance)
+    assert len(P.singular_kspaces_with_supports(1)) == P.kspace_count(1)
+    # an int of N bits takes 24 bytes and ceil(N / 30) digits of 4 bytes
+    assert sum(map(sys.getsizeof, P.adjacency())) <= ints - 8 * N
 
 
 def test_output_rows_are_charged():
@@ -496,17 +523,22 @@ def test_output_rows_are_charged():
 
 @pytest.mark.parametrize("family,n,order,k", [
     ("Q", 6, 4, 2), ("Qplus", 7, 3, 1), ("Q", 8, 2, 3), ("Qplus", 9, 2, 4)])
-def test_kspaces_peak_within_charge(family, n, order, k):
+def test_kspaces_peak_within_charge(family, n, order, k, monkeypatch):
     # the adjacency included: the nonzero masks of a level, those of the
     # next formed beside them, and the row blocks stay within the charges
     P = standard_polar_space(family, n, field_of_order(order))
+    charges = []
+    refuse = projspace.refuse_over_budget
+    monkeypatch.setattr(polarspace, "refuse_over_budget", lambda size, subject, what:
+                        charges.append(size + projspace._FIXED_BYTES)
+                        or refuse(size, subject, what))
     tracemalloc.start()
     try:
-        P._kspaces(k)
+        P.singular_kspaces_with_supports(k)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= max(size for size, _m, _what in P._charges(k))
+    assert len(charges) == 2 and peak <= max(charges)
 
 
 @pytest.mark.parametrize("family,n,order", [

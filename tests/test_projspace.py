@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polarlab import projspace
 from polarlab.gf import field_of_order
-from polarlab.polarspace import FormSpec, _standard_matrix, get_space
+from polarlab.polarspace import FormSpec, _standard_matrix, get_space, standard_polar_space
 from polarlab.projspace import (
     GeometryError,
     Pairing,
@@ -18,6 +19,7 @@ from polarlab.projspace import (
     incidence_with_hyperplanes,
     normalize_point,
     nullspace,
+    point_array,
     span,
     subspace_points,
     theta,
@@ -34,6 +36,24 @@ def test_point_counts(n, q):
     for p in pts:
         assert normalize_point(p, F) == p
     assert pts == tuple(sorted(pts))
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_point_array_is_the_sorted_enumeration(n, q):
+    F = field_of_order(q)
+    pts = sorted((0,) * lead + (1,) + tail for lead in range(n + 1)
+                 for tail in product(range(q), repeat=n - lead))
+    A = point_array(n, F)
+    assert A.dtype == np.uint8 and A.tolist() == [list(p) for p in pts]
+    assert enumerate_points(n, F) == tuple(pts)
+
+
+def test_space_built_without_the_point_tuples(monkeypatch):
+    monkeypatch.setattr(projspace, "enumerate_points", lambda *args: pytest.fail())
+    P = standard_polar_space("Q", 4, field_of_order(5))
+    P.singular_kspaces_with_supports(1)
+    assert len(P.points) == theta(3, 5)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (3, 3)])
