@@ -382,95 +382,104 @@ def rank_and_nullspace(A: IncidenceMatrix):
 def _popcount_histogram(rows: int, n: int):
     """The histogram step of the scans, on buffers allocated once: a
     function adding to counts[w] how many of at most `rows` rows of uint64
-    words over n columns have popcount w.  The per-row sums take a dtype
-    that holds n."""
+    words over n columns have popcount w.  Rows of more than one word are
+    summed in a dtype that holds n."""
     bits = np.empty((rows, -(-n // 64)), dtype=np.uint8)
     weights = np.empty(rows, dtype=np.min_scalar_type(n))
 
     def add(counts: np.ndarray, words: np.ndarray):
         b = np.bitwise_count(words, out=bits[:len(words)])
-        w = b.sum(axis=1, dtype=weights.dtype, out=weights[:len(words)])
+        w = b[:, 0] if b.shape[1] == 1 else b.sum(
+            axis=1, dtype=weights.dtype, out=weights[:len(words)])
         counts += np.bincount(w, minlength=n + 1)
     return add
 
 
+def _planes(X: np.ndarray, p: int) -> np.ndarray:
+    """The residue planes of words X over GF(p), on a new axis before the
+    last: plane v - 1 packs the columns where X = v, for v = 1..p-1."""
+    return _words(X[..., None, :] == np.arange(1, p)[:, None])
+
+
+def _nonzero_mask(U: np.ndarray, H: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """Where u + h != 0, that is where u and -h differ: OR_v U[v] ^ H[v] for the
+    residue planes U of words u and H of -h (planes first), into out; tmp: scratch."""
+    np.bitwise_xor(U[0], H[0], out=out)
+    for v in range(1, len(U)):
+        out |= np.bitwise_xor(U[v], H[v], out=tmp)
+    return out
+
+
 def _tail_size(p: int, nullity: int, n_cols: int) -> int:
-    """The t for a scan block of p^t words of p residue masks each: the
-    largest whose block takes no more bytes than p^t0 words of n_cols
+    """The t for a scan block of p^t words of p - 1 residue planes each:
+    the largest whose block takes no more bytes than p^t0 words of n_cols
     int16 symbols, t0 <= nullity the largest with p^t0 <= 2^16."""
-    word_bytes = p * -(-n_cols // 64) * 8
+    word_bytes = (p - 1) * -(-n_cols // 64) * 8
     t0 = max(t for t in range(nullity + 1) if p ** t <= 1 << 16)
     return max(t for t in range(t0 + 1)
                if t == 0 or p ** t * word_bytes <= p ** t0 * 2 * n_cols)
 
 
-def _sum_mask(R: np.ndarray, B: np.ndarray, c: int, s: int, p: int,
-              out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Mask of the columns where u + c*b = s, for words u and b with residue
-    masks R and B (R[v] = the columns where u = v), written into out; tmp
-    is scratch of the same shape."""
-    np.bitwise_and(R[s], B[0], out=out)
-    for v in range(1, p):
-        out |= np.bitwise_and(R[(s - c * v) % p], B[v], out=tmp)
-    return out
+def _block(D: np.ndarray, p: int, tmp: np.ndarray) -> np.ndarray:
+    """The planes of the span of the rows of D, word x = sum_i x_i D[i] for
+    the base-p digits x_i of x: row b adds u + c*b for the earlier words u,
+    plane s != 0 of it where u = s - c*b.  tmp is scratch of p^len(D) words."""
+    block = np.zeros((p - 1, p ** len(D), tmp.shape[1]), dtype=np.uint64)
+    columns = _words(np.ones(D.shape[1], dtype=bool))
+    cs = list(product(range(1, p), repeat=2))
+    for i, b in enumerate(D.astype(np.intp)):
+        u, size = block[:, :p ** i], p ** i
+        for (c, s), H in zip(cs, _planes(np.array([s - c * b for c, s in cs]) % p, p)):
+            part = block[s - 1, c * size:(c + 1) * size]
+            np.invert(_nonzero_mask(u, H[:, None], part, tmp[:size]), out=part)
+            part &= columns
+    return block
 
 
 def _scan_mod_p(D: np.ndarray, p: int) -> np.ndarray:
     """Weight counts of the GF(p) span of the rows of D: the span of the
-    first t rows is a block of residue masks, and a head h of the other
-    rows is zero with u at OR_v (u = -v) & (h = v).  Only heads with last
-    nonzero coefficient 1 are visited, counted p-1 times, as a*(block + h)
-    = block + a*h and weight(a*w) = weight(w)."""
+    first t rows is a `_block`, and a block word u plus a head h of the
+    other rows weighs the popcount of `_nonzero_mask` against the planes of
+    -h.  Only heads with last nonzero coefficient 1 are visited, counted p-1
+    times, as a*(block + h) = block + a*h and weight(a*w) = weight(w)."""
     nullity, n = D.shape
-    values = np.arange(p)[:, None]
-    W = -(-n // 64)
     t = _tail_size(p, nullity, n)
-    block = np.empty((p, p ** t, W), dtype=np.uint64)
-    block[:, :1] = _words(np.zeros(n) == values)[:, None]
-    tmp = np.empty_like(block[0])
-    for i, B in enumerate(_words(D[:t, None, :] == values)):
-        u, size = block[:, :p ** i], p ** i  # u + c*b fills the c-th part
-        for c, s in product(range(1, p), range(p)):
-            _sum_mask(u, B, c, s, p, block[s, c * size:(c + 1) * size],
-                      tmp[:size])
+    out, tmp = np.empty((2, p ** t, -(-n // 64)), dtype=np.uint64)
+    block = _block(D[:t], p, tmp)
     # x in [p^j, 2p^j): the heads over rows t.. with last coefficient 1
     x = np.fromiter(chain.from_iterable(range(p ** j, 2 * p ** j)
                                         for j in range(nullity - t)),
                     dtype=np.intp)
-    heads = (x[:, None] // p ** np.arange(nullity - t) % p) @ D[t:] % p
+    heads = (x[:, None] // p ** np.arange(nullity - t) % p) @ D[t:]
     add = _popcount_histogram(p ** t, n)
-    zeros = np.zeros(n + 1, dtype=np.intp)
-    add(zeros, block[0])
-    head_zeros = np.zeros_like(zeros)
-    zero = np.empty_like(tmp)
-    for B in _words(heads[:, None, :] == values):
-        add(head_zeros, _sum_mask(block, B, 1, 0, p, zero, tmp))
-    zeros += (p - 1) * head_zeros
-    return zeros[::-1]  # a word with z zero columns has weight n - z
+    counts = np.zeros(n + 1, dtype=np.intp)
+    for H in _planes(-heads % p, p):
+        add(counts, _nonzero_mask(block, H, out, tmp))
+    counts *= p - 1
+    add(counts, np.bitwise_or.reduce(block, axis=0, out=out))
+    return counts
 
 
 def _scan_partial(D: np.ndarray, p: int, bound: int) -> np.ndarray:
-    """Weight counts of the zero word and the words sum c_i D[i] over at
-    most `bound` rows with every c_i nonzero: each such word with fewer
-    rows is a prefix u, and u + c*D[j] is formed for every c and every
-    later row j at once, from the residue masks of u and of the rows."""
+    """Weight counts of the zero word and the words sum c_i D[i] over at most
+    `bound` rows with every c_i nonzero.  A word u + c*D[j], u a prefix on fewer
+    rows, weighs as u/c + D[j], and u/c runs p - 1 times over those prefixes, so
+    each prefix u counts p - 1 times, against all later D[j] at once by `_nonzero_mask`."""
     nullity, n = D.shape
-    values = np.arange(p)[:, None]
-    masks = _words(D == values[:, :, None])  # masks[v, j]: where D[j] = v
-    zero, tmp = np.empty_like(masks[0]), np.empty_like(masks[0])
+    planes = _planes(D, p).swapaxes(0, 1)  # planes[v - 1, j]: where D[j] = v
+    out, tmp = np.empty((2,) + planes.shape[1:], dtype=np.uint64)
     add = _popcount_histogram(nullity, n)
-    zeros = np.zeros(n + 1, dtype=np.intp)
-    zeros[n] = 1
+    counts = np.zeros(n + 1, dtype=np.intp)
     for size in range(bound):
+        coeffs = np.array(list(product(range(1, p), repeat=size)), dtype=np.int64)
         for idxs in combinations(range(nullity), size):
-            later = masks[:, idxs[-1] + 1 if idxs else 0:]
+            later = planes[:, idxs[-1] + 1 if idxs else 0:]
             m = later.shape[1]
-            for coeffs in product(range(1, p), repeat=size):
-                u = np.array(coeffs, dtype=np.int64) @ D[list(idxs)] % p
-                R = _words(u == values)
-                for c in range(1, p):
-                    add(zeros, _sum_mask(R, later, c, 0, p, zero[:m], tmp[:m]))
-    return zeros[::-1]  # a word with z zero columns has weight n - z
+            for H in _planes(-(coeffs @ D[list(idxs)]) % p, p):
+                add(counts, _nonzero_mask(later, H[:, None], out[:m], tmp[:m]))
+    counts *= p - 1
+    counts[0] += 1
+    return counts
 
 
 def scan_dual_weights(A: IncidenceMatrix, allow_partial: bool = False) -> dict:
@@ -480,17 +489,13 @@ def scan_dual_weights(A: IncidenceMatrix, allow_partial: bool = False) -> dict:
     report over combinations of at most PARTIAL_SUPPORT_BOUND rows of the
     dual generator, but only when explicitly allowed."""
     rank, D = rank_and_nullspace(A)
-    nullity = len(D)
-    p = A.p
+    nullity, p = len(D), A.p
     full = p ** nullity <= 2 ** FULL_SCAN_BITS
     if not full and not allow_partial:
         raise ScanRefused(
             f"dual has nullity {nullity} over GF({p}); full scan needs "
             f"p^nullity <= 2^{FULL_SCAN_BITS}")
-    if full:
-        counts = _scan_mod_p(D, p)
-    else:
-        counts = _scan_partial(D, p, PARTIAL_SUPPORT_BOUND)
+    counts = _scan_mod_p(D, p) if full else _scan_partial(D, p, PARTIAL_SUPPORT_BOUND)
     return {
         "mode": "FULL" if full else "PARTIAL",
         "rank": rank,

@@ -26,9 +26,9 @@ has no children, so a level keeps only the others.  The points of a
 k-space are formed once, at
 level k, as the combinations c R of its rows R with the points c of
 PG(k,q), already normalised and in the point order.  The count is
-predicted from the closed forms first: a space whose largest level would
-not fit the byte budget of `projspace` is refused before anything is
-allocated, and a count that misses the prediction is an error.
+predicted from the closed forms first: a space whose build or largest
+level would not fit the byte budget of `projspace` is refused before it
+is allocated, and a count that misses the prediction is an error.
 
 A space keeps its k-spaces as one array in support order, the supports
 (`KSpaces`), which hold the points of the RREF rows too; the pairs
@@ -41,6 +41,7 @@ Python call per row.
 from __future__ import annotations
 
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,10 +234,11 @@ class PolarSpace:
         self.F = form.field
         self.q = self.F.sqrt_order if self.family == "hermitian" else self.F.order
         self.gen_dim = generator_dimension(self.family, self.n)
+        expected = polar_space_order(self.family, self.n, self.F.order)
+        refuse_over_budget(self._build_bytes(expected), f"{self!r}", "space build")
         ambient = point_array(self.n, self.F)
         on = form.evaluate(ambient) == 0
-        self.points = tuple(map(tuple, ambient[on].tolist()))
-        expected = polar_space_order(self.family, self.n, self.F.order)
+        self.points = tuple(zip(*ambient[on].T.tolist()))
         if len(self.points) != expected:
             raise GeometryError(
                 f"point count {len(self.points)} != closed form {expected}")
@@ -244,6 +246,18 @@ class PolarSpace:
         self._check_nondegenerate()
         self._adj = None
         self._kspace_cache = {}
+
+    def _build_bytes(self, N: int) -> int:
+        """Peak bytes of the build with N points: per point of PG(n,q) its
+        coordinates, its tails or four form values and hermitian conjugates, a
+        flag; per point of the space its tuple, slot, coordinate lists, ints
+        past the small ones, an index int and 4.5 dict slots of 20 bytes."""
+        n, q = self.n, self.F.order
+        item = np.min_scalar_type(q - 1).itemsize
+        temps = max(n + 1, 4 + (n + 1) * (self.family == "hermitian")) * item
+        point = (sys.getsizeof((0,) * (n + 1)) + 8 * (n + 2) + 90 + sys.getsizeof(N)
+                 + (n + 1) * sys.getsizeof(q) * (q > 257))
+        return theta(n, q) * ((n + 1) * item + temps + 1) + N * point
 
     def __repr__(self):
         names = {v: k for k, v in FAMILY_ALIASES.items()}
@@ -300,22 +314,24 @@ class PolarSpace:
         """(bytes, level, what) of each charge of an enumeration up to
         level k: the supports of the level that needs the most, for k >= 1
         also the point masks of the level that needs the most beside the
-        adjacency, a list of N ints of N bits, and the point arrays that
-        every level reads.  Level 0 holds a mask of ceil(N / 64) words per
-        point, a level below k one per subspace, and level k is charged as
-        much per output row.  Each charge adds four row blocks of _BLOCK
-        bytes, in which the levels and the supports are formed: by
-        tracemalloc the levels exceeded the other terms of the largest
-        charge by at most 0.86 MB (Q(4,16) k=1)."""
+        adjacency, a list of N ints of N bits, the pairing tables that form
+        it, and the point arrays that every level reads.  Level 0 holds a
+        mask of ceil(N / 64) words per point, a level below k one per
+        subspace, and level k is charged as much per output row.  Each
+        charge adds four row blocks of _BLOCK bytes, in which the levels and
+        the supports are formed: by tracemalloc the levels exceeded the
+        other terms of the largest charge by at most 0.86 MB (Q(4,16) k=1)."""
         N = len(self.points)
         counts = [self.kspace_count(m) for m in range(k + 1)]
         item = np.min_scalar_type(N).itemsize
         need = [max((c * theta(m, self.F.order) * item, m, "supports")
                     for m, c in enumerate(counts))]
         if k:
-            # per point: the adjacency's pointer and int of ceil(N / 30)
-            # 30-bit digits, and the intp coordinates, code and lead column
-            held = N * (32 + 4 * -(-N // 30) + 8 * (self.n + 3))
+            # per point: the adjacency's int of ceil(N / 30) 30-bit digits and
+            # pointer, the intp coordinates, code and lead, the pairing's tables
+            tables = Pairing(self.points[:1], self.form.bilinear_matrix, self.F).rows
+            held = N * (32 + 4 * -(-N // 30) + 8 * (self.n + 3)
+                        + sum(T.nbytes for T in tables))
             need.append(max((held + c * 8 * -(-N // 64), m, "point masks")
                             for m, c in enumerate(counts)))
         return [(size + 4 * _BLOCK, m, what) for size, m, what in need]

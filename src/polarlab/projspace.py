@@ -285,18 +285,22 @@ class Pairing:
     def blocks(self, X):
         """(lo, Z) for consecutive row blocks of X, Z[i, j] true when
         x = X[lo + i] pairs to zero with Y[j]; a block has as many rows as
-        fit in _BLOCK entries, and at least one."""
+        fit in _BLOCK entries, and at least one; for odd p, an eighth of that."""
         # the linear forms x M at the nonzero columns b: the form at (x, e_b)
         unit = np.eye(len(self.M), dtype=np.int64)[self.cols]
         forms = form_values(np.asarray(X)[:, None], unit, self.M, self.F)
         step = max(1, _BLOCK // self.rows[0].shape[1])
+        sub = step if self.F.p == 2 else max(1, step // 8)  # take copies the indices to intp
+        step -= step % sub
         for lo in range(0, len(X), step):
             block = forms[lo:lo + step]
             acc = np.take(self.rows[0], block[:, 0], axis=0)
             term = np.empty_like(acc)
             for T, l in zip(self.rows[1:], block[:, 1:].T):
                 acc += np.take(T, l, axis=0, out=term)
-            yield lo, (acc & self.mask) == 0 if self.F.p == 2 else np.take(self.zero, acc)
+            for i in range(0, len(acc), sub):
+                part = acc[i:i + sub]
+                yield lo + i, (part & self.mask) == 0 if self.F.p == 2 else self.zero.take(part)
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,10 @@ from polarlab.gfcode import (
     IncidenceMatrix,
     PARTIAL_SUPPORT_BOUND,
     ScanRefused,
+    _block,
     _fill,
+    _nonzero_mask,
+    _planes,
     _popcount_histogram,
     _rref_gf2,
     _rref_mod_p,
@@ -490,13 +493,13 @@ def test_elimination_refused_before_allocating():
 
 def test_refusal_messages_pinned(monkeypatch):
     # every refusal comes from projspace.refuse_over_budget.  The lines of
-    # Q+(3,131) are just over the budget at level 0, where the adjacency
-    # list, the point arrays and a mask per point are held at once
+    # Q+(3,131) are over the budget at level 0, where the adjacency list,
+    # the point arrays, the pairing tables and a mask per point are charged
     P = standard_polar_space("Qplus", 3, field_of_order(131))
     with pytest.raises(ResourceError) as refused:
         P.singular_kspaces_with_supports(1)
     assert str(refused.value) == ("17424 singular 0-spaces of Qplus(3,131): point "
-                                  "masks needs 81055424 bytes, over the budget of 80000000")
+                                  "masks needs 99315776 bytes, over the budget of 80000000")
     with pytest.raises(ResourceError) as refused:
         rank_and_nullspace(build_incidence(standard_polar_space(
             "Qminus", 3, field_of_order(61)), 0))
@@ -553,11 +556,14 @@ def test_scan_keeps_numpy_ma_unloaded():
 
 
 def _brute_force_weights(D, p):
-    """Weights of all p^nullity combinations of the rows of D, by digits."""
-    k = len(D)
-    digits = np.arange(p ** k, dtype=np.int64)[:, None] // p ** np.arange(k) % p
-    words = digits @ D % p
-    return Counter(np.count_nonzero(words, axis=1).tolist())
+    """Weights of all p^nullity combinations of the rows of D, by digits,
+    2^16 combinations at a time."""
+    k, weights = len(D), Counter()
+    for lo in range(0, p ** k, 1 << 16):
+        x = np.arange(lo, min(lo + (1 << 16), p ** k), dtype=np.int64)
+        words = x[:, None] // p ** np.arange(k) % p @ D % p
+        weights.update(np.count_nonzero(words, axis=1).tolist())
+    return weights
 
 
 @settings(max_examples=40)
@@ -608,6 +614,8 @@ def test_partial_scans_match_scalar_reference(pA, bound):
     (3, 1, 13, 2),   # nullity 12, two head vectors and a scalar factor 2
     (5, 1, 9, 3),    # nullity 8, a smaller tail, scalar factor 4
     (5, 61, 68, 4),  # nullity 7, two words per mask
+    (7, 1, 7, 5),    # nullity 6, a tail of 4 rows and 8 heads
+    (3, 55, 66, 6),  # nullity 11, two words per plane, one head
 ])
 def test_scans_with_a_head_match_brute_force(p, rows, cols, seed):
     # rows of cols // 2 random columns
@@ -621,6 +629,32 @@ def test_scans_with_a_head_match_brute_force(p, rows, cols, seed):
     assert rep["weights"] == _brute_force_weights(D, p)
     if p > 2:
         assert all(m % (p - 1) == 0 for w, m in rep["weights"].items() if w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 150), st.integers(0, 2 ** 32 - 1))
+@example(2, 64, 0)
+@example(3, 100, 1)
+@example(7, 129, 2)
+def test_plane_kernels_match_residues(p, n, seed):
+    # words u and h over GF(p) of n columns, and the rows D of a block
+    rng = np.random.default_rng(seed)
+    u, h = rng.integers(0, p, size=(2, 9, n))
+    Pu = _planes(u, p).swapaxes(0, 1)  # (p - 1, 9, words)
+    assert Pu.shape == (p - 1, 9, -(-n // 64))
+    out, tmp = np.empty((2,) + Pu.shape[1:], dtype=np.uint64)
+    mask = _nonzero_mask(Pu, _planes(-h % p, p).swapaxes(0, 1), out, tmp)
+    assert (mask == _words((u + h) % p != 0)).all()
+    assert (np.bitwise_count(mask).sum(axis=1)
+            == np.count_nonzero((u + h) % p, axis=1)).all()
+    # word x of the block: the digits of x times the rows of D, each row b
+    # adding u + c*b for every c and every earlier word u
+    t = 3 if p < 7 else 2
+    D = rng.integers(0, p, size=(t, n))
+    block = _block(D, p, np.empty((p ** t, -(-n // 64)), dtype=np.uint64))
+    words = np.arange(p ** t)[:, None] // p ** np.arange(t) % p @ D % p
+    for v in range(1, p):
+        assert (block[v - 1] == _words(words == v)).all()
 
 
 @pytest.mark.parametrize("n", [1, 64, 255, 256, 300, 1000])
@@ -637,10 +671,10 @@ def test_popcount_histogram_counts_past_255(n):
     assert counts[n] >= 2 and (counts == want).all()
 
 
-# word_bytes: one word of a scan block, p residue masks of uint64 words
+# word_bytes: one word of a scan block, p - 1 residue planes of uint64 words
 @pytest.mark.parametrize("p,n_cols,word_bytes", [
-    (2, 35, 16), (2, 3, 16), (2, 67, 32), (3, 40, 24), (5, 9, 40),
-    (7, 5, 56)])
+    (2, 35, 8), (2, 3, 8), (2, 67, 16), (3, 40, 16), (5, 9, 32),
+    (7, 5, 48)])
 def test_scan_blocks_are_no_larger_than_int16_blocks(p, n_cols, word_bytes):
     for nullity in range(12):
         t0 = max(t for t in range(nullity + 1) if p ** t <= 1 << 16)

@@ -492,14 +492,16 @@ def test_largest_level_refused_before_allocating(monkeypatch):
 def test_adjacency_list_charged_with_the_masks(monkeypatch):
     # level 0 holds the adjacency, N Python ints of N bits in a list, and
     # the intp coordinates, code and lead column of each point beside one
-    # mask of ceil(N / 64) words per point.  For the 820 points of Q(4,9)
-    # that is 118,080 + 45,920 and 85,280 bytes; charged apart, as they
+    # mask of ceil(N / 64) words per point, and the pairing that forms the
+    # adjacency holds a one-byte code per element of GF(9) and nonzero
+    # column of the form, 5 of them.  For the 820 points of Q(4,9) that is
+    # 118,080 + 45,920 + 36,900 and 85,280 bytes; charged apart, as they
     # were, the largest charge of its lines was the masks alone
     P = standard_polar_space("Q", 4, field_of_order(9))
     N = len(P.points)
     ints = N * (24 + 4 * -(-N // 30)) + 8 * N
     masks = N * 8 * -(-N // 64)
-    held = ints + N * 8 * (5 + 2) + masks
+    held = ints + N * 8 * (5 + 2) + N * 5 * 9 + masks
     assert max(N * N // 8, masks, P.kspace_count(1) * theta(1, 9) * 2) < held - 1
     allowance = 4 * projspace._BLOCK + projspace._FIXED_BYTES
     monkeypatch.setattr(projspace, "BYTE_BUDGET", held - 1 + allowance)
@@ -521,11 +523,55 @@ def test_output_rows_are_charged():
     assert P._adj is None and P._kspace_cache == {}
 
 
+def test_space_build_refused_before_allocating(monkeypatch):
+    # Q(4,9) fits the default budget; one byte under its build charge it
+    # is refused before the point array of PG(4,9) is formed
+    F = field_of_order(9)
+    charge = get_space("Q", 4, 9)._build_bytes(820) + projspace._FIXED_BYTES
+    calls = []
+    monkeypatch.setattr(polarspace, "point_array",
+                        lambda *args: calls.append(args) or pytest.fail())
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", charge - 1)
+    with pytest.raises(ResourceError, match=rf"^Q\(4,9\): space build needs {charge} bytes"):
+        standard_polar_space("Q", 4, F)
+    assert calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", charge)
+    assert len(standard_polar_space("Q", 4, F).points) == 820
+
+
+@pytest.mark.parametrize("family,n,order", [
+    ("Q", 4, 27), ("W", 3, 27), ("H", 3, 25), ("Qplus", 5, 7), ("H", 2, 529)])
+def test_space_build_peak_within_charge(family, n, order, monkeypatch):
+    # the point array, the form values, the point tuples and the index.
+    # Q(4,27) and W(3,27) peaked at 7.3 and 3.7 MB while the tuples were
+    # formed from a list per point, and H(2,529) has coordinates past the
+    # small ints.  The field tables, formed once per field and not charged
+    # here, are formed first
+    F = field_of_order(order)
+    projspace._tables(F)
+    charges = []
+    refuse = projspace.refuse_over_budget
+    monkeypatch.setattr(polarspace, "refuse_over_budget", lambda size, subject, what:
+                        charges.append(size + projspace._FIXED_BYTES)
+                        or refuse(size, subject, what))
+    tracemalloc.start()
+    try:
+        standard_polar_space(family, n, F)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(charges) == 1 and peak <= charges[0]
+
+
 @pytest.mark.parametrize("family,n,order,k", [
-    ("Q", 6, 4, 2), ("Qplus", 7, 3, 1), ("Q", 8, 2, 3), ("Qplus", 9, 2, 4)])
+    ("Q", 6, 4, 2), ("Qplus", 7, 3, 1), ("Q", 8, 2, 3), ("Qplus", 9, 2, 4),
+    ("Q", 4, 9, 1), ("Q", 6, 3, 2), ("Qplus", 3, 31, 1)])
 def test_kspaces_peak_within_charge(family, n, order, k, monkeypatch):
     # the adjacency included: the nonzero masks of a level, those of the
-    # next formed beside them, and the row blocks stay within the charges
+    # next formed beside them, and the row blocks stay within the charges.
+    # The last three, over odd p, peaked at 3.32, 1.50 and 3.50 MB while
+    # each adjacency block was cast to intp to look up its zeros
     P = standard_polar_space(family, n, field_of_order(order))
     charges = []
     refuse = projspace.refuse_over_budget
