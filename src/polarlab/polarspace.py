@@ -23,12 +23,12 @@ a child's is its parent's AND one mask of p, and a level is one array of
 words, one row per node, whose set bits are found by `np.nonzero` on the
 words and `np.unpackbits` on the nonzero ones.  A node whose mask is zero
 has no children, so a level keeps only the others.  The points of a
-k-space are formed once, at
-level k, as the combinations c R of its rows R with the points c of
-PG(k,q), already normalised and in the point order.  The count is
-predicted from the closed forms first: a space whose build or largest
-level would not fit the byte budget of `projspace` is refused before it
-is allocated, and a count that misses the prediction is an error.
+k-space are formed once, at level k, as the combinations c R of its rows
+R with the points c of PG(k,q), in the point order, each found by the
+digitwise sum mod p of the codes of the c_i R_i.  The count is predicted
+from the closed forms first: a space whose build or largest level would
+not fit the byte budget of `projspace` is refused before it is
+allocated, and a count that misses the prediction is an error.
 
 A space keeps its k-spaces as one array in support order, the supports
 (`KSpaces`), which hold the points of the RREF rows too; the pairs
@@ -46,7 +46,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import ceil, isqrt
 
 import numpy as np
@@ -58,11 +58,12 @@ from .projspace import (
     Pairing,
     Subspace,
     _words,
-    combine,
+    digit_sums,
     form_values,
     nullspace,
     point_array,
     refuse_over_budget,
+    scaled_codes,
     span,
     subspace_points,
     theta,
@@ -311,24 +312,26 @@ class PolarSpace:
         return int(len(self.points) * M / theta(k, self.F.order))
 
     def _charges(self, k: int) -> list[tuple[int, int, str]]:
-        """(bytes, level, what) of each charge of an enumeration up to
-        level k: the supports of the level that needs the most, for k >= 1
-        also the point masks of the level that needs the most beside the
-        adjacency, a list of N ints of N bits, the pairing tables that form
-        it, and the point arrays that every level reads.  Level 0 holds a
-        mask of ceil(N / 64) words per point, a level below k one per
-        subspace, and level k is charged as much per output row.  Each
-        charge adds four row blocks of _BLOCK bytes, in which the levels and
-        the supports are formed: by tracemalloc the levels exceeded the
+        """(bytes, level, what) of each charge of an enumeration up to level k:
+        the supports of the level that needs the most, with the view's tuple
+        pointer and index int per point and, for k >= 1, the word per scalar and
+        point of `scaled_codes`; for k >= 1 also the point masks of the level
+        that needs the most beside the adjacency, a list of N ints of N bits,
+        the pairing tables that form it, and the point arrays that every level
+        reads.  Level 0 holds a mask of ceil(N / 64) words per point, a level
+        below k one per subspace, and level k is charged as much per output row.
+        Each charge adds four row blocks of _BLOCK bytes, in which the levels
+        and the supports are formed: by tracemalloc the levels exceeded the
         other terms of the largest charge by at most 0.86 MB (Q(4,16) k=1)."""
-        N = len(self.points)
+        N, q = len(self.points), self.F.order
         counts = [self.kspace_count(m) for m in range(k + 1)]
         item = np.min_scalar_type(N).itemsize
-        need = [max((c * theta(m, self.F.order) * item, m, "supports")
+        beside = N * (16 + sys.getsizeof(N) + 8 * q * (k > 0))
+        need = [max((c * theta(m, q) * item + beside, m, "supports")
                     for m, c in enumerate(counts))]
         if k:
             # per point: the adjacency's int of ceil(N / 30) 30-bit digits and
-            # pointer, the intp coordinates, code and lead, the pairing's tables
+            # pointer, the intp coordinates, lead and level-0 row, the pairing's tables
             tables = Pairing(self.points[:1], self.form.bilinear_matrix, self.F).rows
             held = N * (32 + 4 * -(-N // 30) + 8 * (self.n + 3)
                         + sum(T.nbytes for T in tables))
@@ -361,25 +364,24 @@ class PolarSpace:
         only the nodes with candidates are kept.  The supports are formed
         at level k only, and they alone are kept, in support order.  Each
         level's count is checked against the closed form."""
-        X = np.array(self.points, dtype=np.intp)
-        (N, width), F = X.shape, self.F
-        weights = F.order ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        codes = X @ weights  # ascending: the points are in lexicographic order
-        lead = np.argmax(X != 0, axis=1)
+        N = len(self.points)
         rows = np.arange(N, dtype=np.min_scalar_type(N))[:, None]
-        if k:
-            # the adjacency first, its row blocks freed before the masks
-            # exist.  fresh[c]: the points with lead column left of c and a
-            # zero at c; down[p]: those of them, c = lead(p), in the perp of
-            # p, ANDed with the adjacency masks of a block of points at a time
-            adj, size = self.adjacency(), 8 * -(-N // 64)
-            fresh = _words((lead < np.arange(width)[:, None]) & (X.T == 0))
-            cands = down = fresh[lead]
-            step = max(1, _BLOCK // size)
-            for lo in range(0, N, step):
-                block = b"".join(a.to_bytes(size, "little") for a in adj[lo:lo + step])
-                down[lo:lo + step] &= np.frombuffer(block, dtype=down.dtype).reshape(
-                    -1, down.shape[1])
+        if not k:
+            return KSpaces(self, 0, rows)  # the supports are the points
+        X, F = np.array(self.points, dtype=np.intp), self.F
+        lead = np.argmax(X != 0, axis=1)
+        # the adjacency first, its row blocks freed before the masks
+        # exist.  fresh[c]: the points with lead column left of c and a
+        # zero at c; down[p]: those of them, c = lead(p), in the perp of
+        # p, ANDed with the adjacency masks of a block of points at a time
+        adj, size = self.adjacency(), 8 * -(-N // 64)
+        fresh = _words((lead < np.arange(X.shape[1])[:, None]) & (X.T == 0))
+        cands = down = fresh[lead]
+        step = max(1, _BLOCK // size)
+        for lo in range(0, N, step):
+            block = b"".join(a.to_bytes(size, "little") for a in adj[lo:lo + step])
+            down[lo:lo + step] &= np.frombuffer(block, dtype=down.dtype).reshape(
+                -1, down.shape[1])
         for level in range(1, k + 1):
             par, new = _set_bits(cands)
             rows = np.concatenate([new.astype(rows.dtype)[:, None], rows[par]], axis=1)
@@ -393,19 +395,17 @@ class PolarSpace:
                 rows = rows[live]
             else:
                 del cands, down  # before the supports are formed
-        # the support of rows R: the points c R, c in PG(k,q), in the point
-        # order.  A unit vector c = e_j gives the row R_j, and the units come
-        # in the order e_k, ..., e_0; only the other points are formed.  A
-        # block's int64 arrays take at most _BLOCK / 2 bytes: blocks twice as
-        # large raised the peak RSS of the H(5,4) lines by 0.2 MB
-        coeffs = point_array(k, F).astype(np.intp)
+        # the support of rows R: the points c R, c in PG(k,q), in the point order;
+        # c = e_j gives R_j (the units come e_k, ..., e_0), any other c R by its code.
+        # Block arrays over _BLOCK / 2 bytes raised the H(5,4) lines' peak RSS 0.2 MB
+        coeffs, codes = point_array(k, F), scaled_codes(X, F)
         unit = np.count_nonzero(coeffs, axis=1) == 1
         sup = np.empty((len(rows), len(coeffs)), dtype=rows.dtype)
         sup[:, unit] = rows[:, ::-1]
-        step = max(1, _BLOCK // (16 * len(coeffs) * width))
+        step = max(1, _BLOCK // (16 * np.count_nonzero(~unit)))
         for lo in range(0, len(rows), step):
-            V = combine(coeffs[~unit], X[rows[lo:lo + step]][:, None], F)
-            sup[lo:lo + step, ~unit] = np.searchsorted(codes, V @ weights)
+            sums = digit_sums(coeffs[~unit], rows[lo:lo + step], codes, F)
+            sup[lo:lo + step, ~unit] = np.searchsorted(codes[1], sums)
         del rows  # each row is in the supports
         # the output in support order, equal-length distinct supports making
         # lexsort's order the tuple order
@@ -450,8 +450,8 @@ class KSpaces(Sequence):
                 tuple(self._idx[sup].tolist()))
 
     def __iter__(self):
-        for lo in range(0, len(self), _CHUNK):
-            yield from self._pairs(self.supports[lo:lo + _CHUNK])
+        blocks = (self.supports[lo:lo + _CHUNK] for lo in range(0, len(self), _CHUNK))
+        return chain.from_iterable(map(self._pairs, blocks))
 
     def _pairs(self, supports: np.ndarray) -> list:
         bases = zip(*self._pts[supports.T[self._basis]].tolist())

@@ -181,14 +181,11 @@ def enumerate_lines(n: int, F: FieldSpec) -> tuple[Subspace, ...]:
 
 @lru_cache(maxsize=None)
 def _tables(F: FieldSpec):
-    """numpy mul, add and conjugation tables of F (conj None when F has
-    no square order); uint8 entries for q <= 256.  A table has q^2
-    entries, as PG(2,q) has about q^2 points, and is refused beyond the
-    same cap before it is allocated."""
+    """numpy mul, add and conjugation tables of F (conj None when F has no
+    square order), uint8 for q <= 256; charged per entry: both, two int32s and a cast."""
     q = F.order
-    if theta(2, q) > POINT_CAP:
-        raise ResourceError(f"GF({q}) tables exceed point cap {POINT_CAP}")
     dt = np.uint8 if q <= 256 else np.uint16
+    refuse_over_budget((3 * np.dtype(dt).itemsize + 8) * q * q, f"GF({q})", "field tables")
     exp = np.array([F.pow(F.generator, e) for e in range(q - 1)], dtype=dt)
     log = np.zeros(q, dtype=np.int32)
     log[exp] = np.arange(q - 1)
@@ -202,6 +199,40 @@ def _tables(F: FieldSpec):
         add += (np.add.outer(d, d) % F.p * F.p ** i).astype(dt)
     conj = np.array([F.conj(a) for a in range(q)], dtype=dt) if F.has_conjugation else None
     return mul, add, conj
+
+
+def _element_codes(F: FieldSpec, bits: int) -> np.ndarray:
+    """Each element's base-p digits, the lowest first, `bits` apart."""
+    digits = np.arange(F.order)[:, None] // F.p ** np.arange(F.h) % F.p
+    return (digits << bits * np.arange(F.h)).sum(axis=1)
+
+
+def scaled_codes(X, F: FieldSpec) -> np.ndarray:
+    """uint64 [c, i]: the code of c X[i], c in F: the vector's base-p digits
+    in coordinate order, 1 + ceil(log2 p) bits apart (at most 48 bits under
+    POINT_CAP), so points in the global order have ascending codes."""
+    bits = 1 + (F.p - 1).bit_length()
+    element = _element_codes(F, bits).astype(np.uint64)[_tables(F)[0]]  # [c, a]: c a
+    out = np.zeros((F.order, len(X)), dtype=np.uint64)
+    for i, col in enumerate(np.asarray(X, dtype=np.intp).T[::-1]):  # lowest digits last
+        for c, row in enumerate(element << np.uint64(bits * F.h * i)):
+            out[c] += row[col]
+    return out
+
+
+def digit_sums(C, rows, codes: np.ndarray, F: FieldSpec) -> np.ndarray:
+    """uint64 [r, m]: the code of the sum over j of C[m, j] X[rows[r, j]], for
+    codes = scaled_codes(X, F).  Each sum of b-bit digits is reduced mod p with
+    no carry: 2^(b-1) - p is added, and p taken where that sets the top bit."""
+    bits = 1 + (F.p - 1).bit_length()
+    low = np.uint64(sum(1 << bits * j for j in range(64 // bits)))  # each digit's lowest bit
+    offset = low * np.uint64((1 << bits - 1) - F.p)
+    C = np.asarray(C, dtype=np.intp) * codes.shape[1]
+    acc = codes.take(C[:, 0] + rows[:, :1])
+    for j in range(1, C.shape[1]):
+        acc += codes.take(C[:, j] + rows[:, j:j + 1])
+        acc -= ((acc + offset) >> np.uint64(bits - 1) & low) * np.uint64(F.p)
+    return acc
 
 
 def combine(C, B, F: FieldSpec) -> np.ndarray:
@@ -268,8 +299,7 @@ class Pairing:
         p, h = F.p, F.h
         bits = (len(self.cols) * (p - 1)).bit_length()
         dtype = np.min_scalar_type((1 << bits * h) - 1)
-        digits = np.arange(F.order)[:, None] // p ** np.arange(h) % p
-        code = (digits << bits * np.arange(h)).sum(axis=1).astype(dtype)
+        code = _element_codes(F, bits).astype(dtype)
         self.rows = [code[mul[:, Y[:, b]]] for b in self.cols]
         for T in self.rows:
             T.setflags(write=False)

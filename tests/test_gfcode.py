@@ -555,6 +555,22 @@ def test_scan_keeps_numpy_ma_unloaded():
     assert out == "False False\n"
 
 
+def test_kspace_enumeration_keeps_numpy_ma_unloaded():
+    # np.unique, for one, loads numpy.ma on its first call (8.9 ms in a
+    # fresh process).  k = 1, 2 and 3 over GF(2) and GF(3) and k = 1 and 2
+    # over GF(4): no space over GF(4) has solids within the budget
+    code = ("import sys\n"
+            "from polarlab.polarspace import get_space\n"
+            "for family, n, q, top in [('Qplus', 7, 2, 3), ('Qplus', 7, 3, 3),\n"
+            "                          ('H', 5, 4, 2), ('Qplus', 5, 4, 2)]:\n"
+            "    for k in range(1, top + 1):\n"
+            "        get_space(family, n, q).singular_kspaces_with_supports(k)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
+
+
 def _brute_force_weights(D, p):
     """Weights of all p^nullity combinations of the rows of D, by digits,
     2^16 combinations at a time."""

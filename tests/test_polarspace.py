@@ -366,6 +366,16 @@ def test_kspace_arrays_match_int_mask_levels(family, n, order):
         assert np.array_equal(view.supports, supports)
 
 
+@pytest.mark.parametrize("family,n,order", [
+    ("Q", 4, 8), ("Qplus", 3, 16), ("Qplus", 3, 25), ("Qplus", 3, 27)])
+def test_line_arrays_match_int_mask_levels_over_larger_fields(family, n, order):
+    # the digit codes over GF(8), GF(16), GF(25) and GF(27), which no
+    # VIEW_SPACES space is defined over
+    P = get_space(family, n, order)
+    rows, supports = kspaces_by_int_masks(P, 1)
+    assert np.array_equal(P.singular_kspaces_with_supports(1).supports, supports)
+
+
 # sha256 of repr(list(view)), recorded when Subspace was a frozen, ordered
 # dataclass of the same two fields
 @pytest.mark.parametrize("family,n,order,k,sha", [
@@ -585,6 +595,28 @@ def test_kspaces_peak_within_charge(family, n, order, k, monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(charges) == 2 and peak <= max(charges)
+
+
+@pytest.mark.parametrize("family,n,order", [("Qplus", 3, 127), ("W", 3, 25), ("Qplus", 3, 181)])
+def test_points_peak_within_their_charge(family, n, order, monkeypatch):
+    # for k = 0 the supports are the point indices.  Forming the intp
+    # coordinates, codes and lead columns as well, 8(n + 3) bytes per
+    # point, the first two peaked at 1.90 and 1.88 MB against charges of
+    # 1.15 MB.  The view's point tuple and index int objects are charged:
+    # without them Q+(3,181) peaked at 1.91 MB against 1.18 MB
+    P = standard_polar_space(family, n, field_of_order(order))
+    charges = []
+    refuse = projspace.refuse_over_budget
+    monkeypatch.setattr(polarspace, "refuse_over_budget", lambda size, subject, what:
+                        charges.append(size + projspace._FIXED_BYTES)
+                        or refuse(size, subject, what))
+    tracemalloc.start()
+    try:
+        P.singular_kspaces_with_supports(0)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(charges) == 1 and peak <= charges[0]
 
 
 @pytest.mark.parametrize("family,n,order", [

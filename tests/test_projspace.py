@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarlab import projspace
-from polarlab.gf import field_of_order
+from polarlab.gf import MAX_DEGREE, MAX_ORDER, field_of_order, is_prime
 from polarlab.polarspace import FormSpec, _standard_matrix, get_space, standard_polar_space
 from polarlab.projspace import (
     GeometryError,
     Pairing,
+    ResourceError,
     _tables,
     combine,
+    digit_sums,
     enumerate_lines,
     enumerate_points,
     form_values,
@@ -20,6 +23,7 @@ from polarlab.projspace import (
     normalize_point,
     nullspace,
     point_array,
+    scaled_codes,
     span,
     subspace_points,
     theta,
@@ -182,6 +186,59 @@ def test_combine_matches_scalar_reference(q):
             assert v == want
 
 
+def _code_width(n, p, h):
+    """Bits of the code of a vector of PG(n, p^h): (n + 1) h digits of
+    1 + ceil(log2 p) bits."""
+    return (n + 1) * h * (1 + (p - 1).bit_length())
+
+
+def test_point_codes_fit_a_word():
+    # every field and dimension that k-spaces are enumerated in: n >= 3
+    # (no polar space below has a line) and theta(n,q) within POINT_CAP
+    width = {}
+    for p in filter(is_prime, range(2, MAX_ORDER + 1)):
+        for h in range(1, MAX_DEGREE + 1):
+            n = 3
+            while p ** h <= MAX_ORDER and theta(n, p ** h) <= projspace.POINT_CAP:
+                width[p ** h, n] = _code_width(n, p, h)
+                n += 1
+    assert max(width.values()) == width[4, 11] == 48 <= 64
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_point_codes_ascend_in_point_order(q):
+    F = field_of_order(q)
+    X = point_array(3 if q > 3 else 5, F)
+    codes = scaled_codes(X, F)
+    assert codes.shape == (q, len(X)) and codes.dtype == np.uint64
+    assert (np.diff(codes[1].astype(object)) > 0).all()
+    # the vector of q - 1s, every digit p - 1, sets each digit's bit below
+    # its top bit, which only a sum of two digits may set
+    top = scaled_codes(np.full((1, X.shape[1]), q - 1), F)[1, 0]
+    assert int(top).bit_length() == _code_width(X.shape[1] - 1, F.p, F.h) - 1
+    # row c holds the codes of the vectors c x
+    for c in range(q):
+        cX = combine([[c]], X[:, None], F)
+        assert np.array_equal(codes[c], scaled_codes(cX, F)[1])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 25, 27, 121])
+def test_digit_sums_match_combine(q):
+    # any vectors, not only points, and up to four terms: the vector of
+    # q - 1s, all digits p - 1, taken once per term makes every digit of
+    # each sum reach 2(p - 1) before it is reduced
+    F = field_of_order(q)
+    rng = np.random.default_rng(q)
+    X = np.vstack([np.full((1, 6), q - 1), rng.integers(q, size=(40, 6))])
+    codes = scaled_codes(X, F)
+    for m in range(1, 5):
+        C = np.vstack([np.ones((1, m), dtype=int), rng.integers(q, size=(7, m))])
+        rows = np.vstack([np.zeros((1, m), dtype=int), rng.integers(len(X), size=(30, m))])
+        V = combine(C, X[rows][:, None], F)
+        want = scaled_codes(V.reshape(-1, 6), F)[1].reshape(len(rows), len(C))
+        assert np.array_equal(digit_sums(C, rows, codes, F), want)
+
+
 def test_bad_dimension_errors():
     F = field_of_order(2)
     with pytest.raises(GeometryError):
@@ -229,6 +286,39 @@ def test_field_tables_match_scalar_operations(q):
         assert conj.tolist() == [F.conj(a) for a in range(q)]
     else:
         assert conj is None
+
+
+@pytest.mark.parametrize("q", [241, 1009])
+def test_field_tables_peak_within_charge(q, monkeypatch):
+    # by tracemalloc about 10 and 12 bytes per entry: GF(1009) peaks at
+    # 12.23 MB.  __wrapped__ keeps the tables out of the cache
+    charges = []
+    refuse = projspace.refuse_over_budget
+    monkeypatch.setattr(projspace, "refuse_over_budget", lambda size, subject, what:
+                        charges.append(size + projspace._FIXED_BYTES)
+                        or refuse(size, subject, what))
+    F = field_of_order(q)
+    tracemalloc.start()
+    try:
+        _tables.__wrapped__(F)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(charges) == 1 and peak <= charges[0]
+
+
+def test_field_tables_over_budget_refused_before_allocating():
+    # 2999^2 entries at about 12 bytes each would peak near 108 MB
+    F = field_of_order(2999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError,
+                           match=r"^GF\(2999\): field tables needs 125981550 bytes"):
+            _tables.__wrapped__(F)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def _standard_forms(width, F):
