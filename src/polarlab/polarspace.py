@@ -6,8 +6,12 @@ Standard coordinate forms (fixed for reproducibility):
   parabolic   Q(2n,q):     x0^2 + x1 x2 + ... + x_{2n-1} x_{2n}
   elliptic    Q-(2n+1,q):  f(x0,x1) + x2 x3 + ... + x_{2n} x_{2n+1},
               f the lexicographically least irreducible binary quadratic
+  symplectic  W(2n-1,q):   x0 y1 - x1 y0 + ... - x_{2n-1} y_{2n-2}
   hermitian   H(n,q^2):    x0^{q+1} + ... + x_n^{q+1}
-  symplectic  W(q) in PG(3,q): x0 y1 - x1 y0 + x2 y3 - x3 y2
+
+Each form but H's is an anisotropic head of width 0, 1 or 2 followed by one
+hyperbolic pair per unit of rank, as in D. E. Taylor, The Geometry of the
+Classical Groups (1992).
 
 Singular k-spaces are generated level by level from the points, each
 exactly once (canonical augmentation, McKay 1998).  A subspace C with
@@ -131,29 +135,25 @@ class FormSpec:
                            conj=self.family == "hermitian")
 
 
+# each non-hermitian standard form: an anisotropic head on the first `width`
+# coordinates, then hyperbolic pairs m[i][i+1] = 1, m[i+1][i] = -skew
+_HEADS = {"hyperbolic": (0, 0), "parabolic": (1, 0), "elliptic": (2, 0),
+          "symplectic": (0, 1)}
+
+
 def _standard_matrix(family: str, n: int, F: FieldSpec):
     m = [[0] * (n + 1) for _ in range(n + 1)]
-    if family == "hyperbolic":
-        for i in range(0, n, 2):
-            m[i][i + 1] = 1
-    elif family == "parabolic":
-        m[0][0] = 1
-        for i in range(1, n, 2):
-            m[i][i + 1] = 1
-    elif family == "elliptic":
-        b, c = least_irreducible_binary_quadratic(F)
-        m[0][0] = 1
-        m[0][1] = b
-        m[1][1] = c
-        for i in range(2, n, 2):
-            m[i][i + 1] = 1
-    elif family == "hermitian":
+    if family == "hermitian":
         for i in range(n + 1):
             m[i][i] = 1
-    elif family == "symplectic":
-        one, neg = 1, F.neg(1)
-        m[0][1], m[1][0] = one, neg
-        m[2][3], m[3][2] = one, neg
+    else:
+        width, skew = _HEADS[family]
+        if width:
+            m[0][0] = 1
+        if width == 2:
+            m[0][1], m[1][1] = least_irreducible_binary_quadratic(F)
+        for i in range(width, n, 2):
+            m[i][i + 1], m[i + 1][i] = 1, F.neg(skew)
     return tuple(tuple(r) for r in m)
 
 
@@ -199,12 +199,9 @@ def _singular_count(r: int, e2: int, j: int, q: int) -> Fraction:
 def _rank_of(family: str, n: int) -> tuple[int, int]:
     """Rank r and 2e of the standard polar space of the family in PG(n,q);
     GeometryError when the family has none there."""
-    if family == "symplectic" and n != 3:
-        raise GeometryError("symplectic space is modeled in PG(3,q) only")
-    if family in ("hyperbolic", "parabolic", "elliptic"):
-        parity = "even" if family == "parabolic" else "odd"
-        if n % 2 != (parity == "odd"):
-            raise GeometryError(f"{family} quadric needs {parity} ambient dimension")
+    if family in _HEADS and (n + 1 - _HEADS[family][0]) % 2:
+        parity = "even" if n % 2 else "odd"
+        raise GeometryError(f"{family} space needs {parity} ambient dimension")
     r, e2 = _rank_e2(family, _counting_param(family, n))
     if r < 1:
         raise GeometryError(f"{family} with n={n} has no singular points")
@@ -280,7 +277,7 @@ class PolarSpace:
     def rank_param(self) -> int:
         """The family parameter n used by the counting formulas: ambient
         dimension for hermitian spaces, half the (adjusted) ambient
-        dimension for quadrics, and 2 for the symplectic GQ."""
+        dimension for the others."""
         return _counting_param(self.family, self.n)
 
     def collinear(self, x, y) -> bool:
@@ -578,8 +575,8 @@ def make_cone(vertex: Subspace, base, F: FieldSpec) -> tuple[tuple[int, ...], ..
 
 def prop_counts(family: str, n: int, k: int, q: int) -> tuple[Fraction, Fraction]:
     """Closed-form counts (M, N): singular k-spaces through one point and
-    through a collinear pair.  n as in Q+(2n+1,q), Q(2n,q), Q-(2n+1,q);
-    ambient dimension for H(n,q^2); q the square-root parameter for the
+    through a collinear pair.  n as in Q+(2n+1,q), Q(2n,q), Q-(2n+1,q),
+    W(2n-1,q); ambient dimension for H(n,q^2); q the square-root parameter for the
     hermitian family.
 
     A classical polar space of rank r over GF(q) is fixed by e

@@ -36,6 +36,21 @@ def test_geometry_hermitian_squares_q(capsys):
     assert "points: 693" in out and "planes: 891" in out
 
 
+def test_geometry_symplectic_beyond_pg3(capsys):
+    code, out, _ = run(capsys, "geometry", "--family", "W", "--n", "5",
+                       "--q", "3")
+    assert code == EXIT_OK
+    assert out == "points: 364, lines: 3640, planes: 1120\ngenerator dimension: 2\n"
+
+
+def test_geometry_symplectic_even_n_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "geometry", "--family", "W", "--n", "4",
+                         "--q", "3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: symplectic space needs odd ambient dimension\n"
+
+
 def test_geometry_bad_family(capsys):
     code, _, err = run(capsys, "geometry", "--family", "X", "--n", "4",
                        "--q", "2")

@@ -18,8 +18,8 @@ from references import (
 
 from polarlab import gfcode, projspace
 from polarlab.gf import field_of_order
-from polarlab.polarspace import get_space, standard_polar_space
-from polarlab.projspace import ResourceError
+from polarlab.polarspace import bound_min_weight_dual, get_space, standard_polar_space
+from polarlab.projspace import ResourceError, incidence_with_hyperplanes
 from polarlab.gfcode import (
     CodeError,
     CodewordVec,
@@ -782,3 +782,51 @@ def test_two_rank_is_sastry_sin(family, n, q):
     rank, D = rank_and_nullspace(A)
     assert rank == _sastry_sin_rank(q) == {2: 10, 4: 50, 8: 298, 16: 1890}[q]
     assert D.shape == (A.n_cols - rank, A.n_cols) and D.dtype == np.uint8
+
+
+# W(2n-1,q) and Q(2n,q) for even q are one polar space in two embeddings, so
+# the codes of their points and k-spaces have the same rank and bound at every
+# k, and the same dual distribution; {k: rank}, and the k = 1 distribution
+@pytest.mark.parametrize("n,q,ranks,dist", [
+    (5, 2, {0: 63, 1: 56, 2: 36}, {0: 1, 28: 36, 32: 63, 36: 28}),
+    (7, 2, {0: 255, 1: 246, 2: 211, 3: 135}, {0: 1, 120: 136, 128: 255, 136: 120}),
+    (5, 4, {1: 1260, 2: 666}, None),
+])
+def test_symplectic_codes_are_those_of_the_parabolic_quadric(n, q, ranks, dist):
+    W, Q = get_space("W", n, q), get_space("Q", n + 1, q)
+    for k, rank in ranks.items():
+        A, B = build_incidence(W, k), build_incidence(Q, k)
+        assert len(A.supports) == len(B.supports) and A.n_cols == B.n_cols
+        assert rank_and_nullspace(A)[0] == rank_and_nullspace(B)[0] == rank
+        assert (bound_min_weight_dual("symplectic", W.rank_param, k, q)
+                == bound_min_weight_dual("parabolic", Q.rank_param, k, q))
+    if dist:
+        rep = scan_dual_weights(build_incidence(W, 1))
+        assert rep == scan_dual_weights(build_incidence(Q, 1))
+        assert (rep["mode"], rep["nullity"]) == ("FULL", n + 2)
+        assert rep["weights"] == dist
+
+
+@pytest.mark.parametrize("k,rows,rank", [(1, 3640, 343), (2, 1120, 196)])
+def test_symplectic_w53_codes_pinned(k, rows, rank):
+    A = build_incidence(get_space("W", 5, 3), k)
+    got, D = rank_and_nullspace(A)
+    assert (len(A.supports), A.n_cols, got, len(D)) == (rows, 364, rank, 364 - rank)
+    _assert_dual_generator(A, D)
+
+
+# over GF(2) a line meets a hyperplane in one point or lies in it, so the points
+# off a hyperplane meet every line evenly: a dual word of the line code.  For
+# these quadrics the dual has nullity n + 1, so the functionals x -> h.x span
+# it, and its words are the complements of the hyperplane sections, the maximum
+# ones those of the smallest sections
+@pytest.mark.parametrize("family,n", [
+    ("Q", 4), ("Qplus", 5), ("Qminus", 5), ("Q", 6), ("Qplus", 7), ("Qminus", 7),
+    ("Q", 8), ("Qplus", 9), ("Qminus", 9), ("Q", 10)])
+def test_binary_quadric_line_duals_are_hyperplane_complements(family, n):
+    P = get_space(family, n, 2)
+    N = len(P.points)
+    sections = incidence_with_hyperplanes(P.points, n, P.F).sum(axis=0)
+    rep = scan_dual_weights(build_incidence(P, 1))
+    assert (rep["mode"], rep["rank"], rep["nullity"]) == ("FULL", N - (n + 1), n + 1)
+    assert rep["weights"] == Counter((N - sections).tolist()) + Counter({0: 1})

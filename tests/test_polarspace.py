@@ -201,6 +201,10 @@ CLOSED_FORMS = [
     ("hermitian", 7, 4, 10965, 3, [(1, 1), (693, 1), (6237, 45), (891, 27)]),
     ("symplectic", 3, 2, 15, 1, [(1, 1), (3, 1)]),
     ("symplectic", 3, 7, 400, 1, [(1, 1), (8, 1)]),
+    ("symplectic", 5, 2, 63, 2, [(1, 1), (15, 1), (15, 3)]),
+    ("symplectic", 5, 3, 364, 2, [(1, 1), (40, 1), (40, 4)]),
+    ("symplectic", 5, 4, 1365, 2, [(1, 1), (85, 1), (85, 5)]),
+    ("symplectic", 7, 2, 255, 3, [(1, 1), (63, 1), (315, 15), (135, 15)]),
 ]
 
 
@@ -209,7 +213,8 @@ def test_closed_forms_pinned(family, n, order, npts, gdim, counts):
     assert polar_space_order(family, n, order) == npts
     assert generator_dimension(family, n) == gdim
     # the counting parameter of PolarSpace.rank_param
-    m = {"hermitian": n, "parabolic": n // 2, "symplectic": 2}.get(family, (n - 1) // 2)
+    m = {"hermitian": n, "parabolic": n // 2, "symplectic": (n + 1) // 2}.get(
+        family, (n - 1) // 2)
     q = isqrt(order) if family == "hermitian" else order
     got = [prop_counts(family, m, k, q) for k in range(gdim + 1)]
     assert all(type(x) is Fraction for MN in got for x in MN)
@@ -622,7 +627,7 @@ def test_points_peak_within_their_charge(family, n, order, monkeypatch):
 @pytest.mark.parametrize("family,n,order", [
     ("elliptic", 0, 2), ("elliptic", 1, 3), ("parabolic", 3, 2), ("parabolic", 0, 3),
     ("hyperbolic", 4, 2), ("hyperbolic", -1, 2), ("symplectic", 4, 2),
-    ("symplectic", 5, 3), ("hermitian", 0, 4),
+    ("symplectic", 6, 3), ("hermitian", 0, 4),
 ])
 def test_closed_forms_refuse_what_has_no_polar_space(family, n, order):
     with pytest.raises(GeometryError):
@@ -631,6 +636,41 @@ def test_closed_forms_refuse_what_has_no_polar_space(family, n, order):
         generator_dimension(family, n)
     with pytest.raises(GeometryError):
         standard_polar_space(family, n, field_of_order(order))
+
+
+# sha256 of repr of the list of standard matrices of a family, n ascending and
+# then the order, over every n <= 11 and order in (2, 3, 4, 5, 7, 8, 9) at which
+# the family had a standard form before the forms were built from one rule of a
+# head and hyperbolic pairs; the symplectic family then had only PG(3,q)
+STANDARD_FORMS = {
+    "hyperbolic": (range(1, 12, 2),
+                   "0e43733ff65956d1b4e17bdf2eee5b93f00e367fd0437fa2a8cf78be61658408"),
+    "parabolic": (range(2, 11, 2),
+                  "05f225c456026ac0d35caf89e90acef5c65506aec9c44c892fb288a5a8e1b05c"),
+    "elliptic": (range(3, 12, 2),
+                 "402e8a8c0cc56caba932f1d694dd6bc9a4fbb470d2f059de8e130074dab02418"),
+    "hermitian": (range(1, 12),
+                  "c51022485e8977a100b812003932fa8eba8814e804df9ecafe86617a4e04df05"),
+    "symplectic": ((3,),
+                   "de6cafb57004fc2a6f77d5ab41b8235efcffa5970f6469230a698140fcdd4942"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(STANDARD_FORMS))
+def test_standard_forms_pinned(family):
+    ns, sha = STANDARD_FORMS[family]
+    orders = (4, 9) if family == "hermitian" else (2, 3, 4, 5, 7, 8, 9)
+    forms = [polarspace._standard_matrix(family, n, field_of_order(q))
+             for n in ns for q in orders]
+    assert hashlib.sha256(repr(forms).encode()).hexdigest() == sha
+    for n in ns:
+        generator_dimension(family, n)  # each is still admitted
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_symplectic_line_is_a_rank_one_space(q):
+    P = standard_polar_space("W", 1, field_of_order(q))
+    assert (len(P.points), P.gen_dim) == (q + 1, 0)
 
 
 def test_count_off_the_closed_form_is_an_error(monkeypatch):

@@ -324,8 +324,8 @@ def test_field_tables_over_budget_refused_before_allocating():
 def _standard_forms(width, F):
     """The standard forms of every family that lives in PG(width-1, q)."""
     n = width - 1
-    families = ["hyperbolic", "elliptic"] if n % 2 else ["parabolic"]
-    families += ["symplectic"] * (n == 3) + ["hermitian"] * F.has_conjugation
+    families = ["hyperbolic", "elliptic", "symplectic"] if n % 2 else ["parabolic"]
+    families += ["hermitian"] * F.has_conjugation
     return [FormSpec(fam, n, F, _standard_matrix(fam, n, F)) for fam in families]
 
 
