@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refused
 
 from __future__ import annotations
 
-import argparse
 import inspect
 import sys
 from dataclasses import asdict, dataclass, field
@@ -30,7 +29,6 @@ from .gfcode import (
     geometry_payload,
     scan_dual_weights,
 )
-from .constructions import CONSTRUCTIONS
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -89,6 +87,7 @@ def cmd_geometry(cfg: RunConfig) -> int:
 
 
 def cmd_construct(cfg: RunConfig) -> int:
+    from .constructions import CONSTRUCTIONS
     fn = CONSTRUCTIONS[cfg.construction]
     kwargs = dict(cfg.params)
     result = fn(**kwargs)
@@ -164,7 +163,17 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="machine-readable output path")
 
 
+class _ConstructionNames:
+    """The choices of `construct name`, the registry's keys in sorted
+    order; the registry is imported when they are first read."""
+
+    def __iter__(self):
+        from .constructions import CONSTRUCTIONS
+        return iter(sorted(CONSTRUCTIONS))
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     ap = argparse.ArgumentParser(
         prog="polarlab",
         description="codes of points and k-spaces of classical polar spaces")
@@ -178,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(g)
 
     c = subs.add_parser("construct", help="build and verify a codeword")
-    c.add_argument("name", choices=sorted(CONSTRUCTIONS))
+    # set after add_argument, which formats the choices it is given and so
+    # would import the registry for every subcommand
+    c.add_argument("name").choices = _ConstructionNames()
     c.add_argument("--family", default=None)
     c.add_argument("--n", type=int, default=None)
     c.add_argument("--q", type=int, required=True)
@@ -225,6 +236,7 @@ def _construct_config(ns) -> RunConfig:
     """The keyword arguments of the construction's signature that the
     parser defines; one without a default must be given (--q always is),
     and a flag outside the signature must not be."""
+    from .constructions import CONSTRUCTIONS
     name = ns.name
     signature = inspect.signature(CONSTRUCTIONS[name]).parameters
     taken = {"subcommand", "name", "out", *signature}

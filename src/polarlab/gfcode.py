@@ -22,8 +22,6 @@ witnesses and `--out` payloads.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -532,6 +530,7 @@ def export_alist(A: IncidenceMatrix, path: str) -> str:
     """Sparse parity-check text format; rows of A are the checks.  The
     lines are formed from index tables and written a block at a time,
     each number looked up in one table of decimal strings."""
+    import hashlib
     if A.p != 2:
         raise CodeError("alist export is defined for binary codes only")
     tables = _alist_tables(A)  # their index temporaries freed by now
@@ -584,6 +583,8 @@ def codeword_payload(c: CodewordVec, meta: dict | None = None) -> dict:
 
 
 def export_json(payload: dict, path: str) -> str:
+    import hashlib
+    import json
     data = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     with open(path, "w") as fh:
         fh.write(data)

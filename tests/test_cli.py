@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -132,9 +134,87 @@ def test_construct_refuses_flags_it_does_not_take(capsys, tmp_path, argv, flag):
     assert err == f"polarlab construct {argv[0]}: takes no {flag}\n"
 
 
-def test_construct_unknown_name(capsys):
-    code, _, _ = run(capsys, "construct", "bogus", "--q", "2")
+CONSTRUCT_USAGE = """\
+usage: polarlab construct [-h] [--family FAMILY] [--n N] --q Q [--k K] [--i I]
+                          [--alpha ALPHA] [--beta BETA] [--variant VARIANT]
+                          [--flavor FLAVOR] [--common-lines COMMON_LINES]
+                          [--orientation ORIENTATION] [--out OUT]
+                          {complement-cone,complement-ovoid,disjoint-cones,hermitian-pair,polar-pair,regulus-combination,regulus-switch,two-pencils,two-reguli,wq-example}
+"""
+
+
+def test_construct_unknown_name(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "construct", "bogus", "--q", "2")
     assert code == EXIT_USAGE
+    assert out == ""
+    assert err == CONSTRUCT_USAGE + (
+        "polarlab construct: error: argument name: invalid choice: 'bogus' "
+        "(choose from 'complement-cone', 'complement-ovoid', 'disjoint-cones', "
+        "'hermitian-pair', 'polar-pair', 'regulus-combination', "
+        "'regulus-switch', 'two-pencils', 'two-reguli', 'wq-example')\n")
+
+
+def test_construct_help_pinned(capsys, monkeypatch):
+    # the construction names are read from the registry only when printed
+    # or checked, and must print as a list of choices given at once would
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "construct", "--help")
+    assert code == EXIT_OK and err == ""
+    assert out == CONSTRUCT_USAGE + """\
+
+positional arguments:
+  {complement-cone,complement-ovoid,disjoint-cones,hermitian-pair,polar-pair,regulus-combination,regulus-switch,two-pencils,two-reguli,wq-example}
+
+options:
+  -h, --help            show this help message and exit
+  --family FAMILY
+  --n N
+  --q Q
+  --k K
+  --i I                 switch count
+  --alpha ALPHA         nonzero symbol
+  --beta BETA           nonzero symbol
+  --variant VARIANT
+  --flavor FLAVOR       removed-set flavor for complement-cone
+  --common-lines COMMON_LINES
+  --orientation ORIENTATION
+  --out OUT             machine-readable output path
+"""
+
+
+# the modules that only `construct` needs
+CONSTRUCTION_MODULES = ["polarlab.constructions", "polarlab.verify",
+                        "polarlab.kleinmap"]
+
+
+def _loaded_in_fresh_process(code: str, modules: list) -> list:
+    """The modules among `modules` loaded after `code` runs in a fresh
+    interpreter."""
+    code += ("\nimport sys\n"
+             f"print(*[m for m in {modules!r} if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    return out.splitlines()[-1].split()
+
+
+def test_cli_import_loads_no_construction_or_unused_stdlib_module():
+    # numpy loads neither hashlib nor argparse; export and main import them
+    modules = CONSTRUCTION_MODULES + ["hashlib", "argparse"]
+    assert _loaded_in_fresh_process("import polarlab.cli", modules) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--family", "Q", "--n", "4", "--q", "2"],
+    ["geometry", "--family", "Q", "--n", "4", "--q", "2"],
+    ["export", "alist", "--family", "Q", "--n", "4", "--q", "2", "--out"],
+])
+def test_commands_other_than_construct_load_no_construction_module(
+        tmp_path, argv):
+    if argv[-1] == "--out":
+        argv = argv + [str(tmp_path / "code.alist")]
+    code = f"from polarlab.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_in_fresh_process(code, CONSTRUCTION_MODULES) == []
 
 
 def test_construct_writes_codeword_json(capsys, tmp_path):
