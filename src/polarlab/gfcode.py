@@ -31,9 +31,8 @@ from math import gcd
 import numpy as np
 
 from .polarspace import PolarSpace
-from .projspace import ResourceError, _words, refuse_over_budget
+from .projspace import _words, refuse_over_budget
 
-ROW_CAP = 10 ** 6
 # a full scan enumerates at most 2^FULL_SCAN_BITS dual words
 FULL_SCAN_BITS = 24
 # a PARTIAL scan counts the words of at most this many dual generator rows
@@ -98,9 +97,6 @@ class CodewordVec:
 def build_incidence(P: PolarSpace, k: int) -> IncidenceMatrix:
     """The incidence of the points and singular k-spaces of P, its rows
     the k-spaces' support array itself, read-only, in support order."""
-    count = P.kspace_count(k)
-    if count > ROW_CAP:
-        raise ResourceError(f"{count} rows exceeds cap {ROW_CAP}")
     return IncidenceMatrix(P.singular_kspaces_with_supports(k).supports,
                            len(P.points), P.F.p)
 

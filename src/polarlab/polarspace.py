@@ -301,12 +301,11 @@ class PolarSpace:
         return adj
 
     def kspace_count(self, k: int) -> int:
-        """Closed-form number of singular k-spaces, |P| M / theta(k) with
-        M the number through a point."""
+        """Closed-form number of singular k-spaces: the totally singular
+        subspaces of vector dimension k + 1."""
         if not 0 <= k <= self.gen_dim:
             raise GeometryError(f"k={k} out of range [0, {self.gen_dim}]")
-        M, _N = prop_counts(self.family, self.rank_param, k, self.q)
-        return int(len(self.points) * M / theta(k, self.F.order))
+        return int(_singular_count(*_rank_of(self.family, self.n), k + 1, self.F.order))
 
     def _charges(self, k: int) -> list[tuple[int, int, str]]:
         """(bytes, level, what) of each charge of an enumeration up to level k:

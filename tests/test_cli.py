@@ -274,15 +274,20 @@ def test_scan_empty_window_is_a_usage_error(capsys, monkeypatch):
     assert "--window" in err
 
 
-def test_scan_over_row_cap_is_refused(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "get_space", lambda family, n, order:
-                        polarspace.standard_polar_space(family, n, field_of_order(order)))
-    monkeypatch.setattr(gfcode, "ROW_CAP", 14)
-    code, out, err = run(capsys, "scan", "--family", "Q", "--n", "4",
-                         "--q", "2")
+# codes of over 10^6 k-spaces, each refused by the byte budget of the
+# k-space enumeration before it allocates
+@pytest.mark.parametrize("family,n,q,k,refusal", [
+    ("H", 7, 2, 1, "1519749 singular 1-spaces of H(7,4): point masks needs 2109920456"),
+    ("H", 7, 2, 2, "3256605 singular 2-spaces of H(7,4): supports needs 138724862"),
+    ("Qplus", 11, 2, 2,
+     "7043355 singular 2-spaces of Qplus(11,2): supports needs 99845822"),
+], ids=["H-7-2-k1", "H-7-2-k2", "Qplus-11-2-k2"])
+def test_scan_over_budget_is_refused(capsys, family, n, q, k, refusal):
+    code, out, err = run(capsys, "scan", "--family", family, "--n", str(n),
+                         "--q", str(q), "--k", str(k))
     assert code == EXIT_REFUSED
     assert out == ""
-    assert err == "refused: 15 rows exceeds cap 14\n"
+    assert err == f"refused: {refusal} bytes, over the budget of 80000000\n"
 
 
 def test_scan_partial_labels_bounds(capsys):
@@ -382,6 +387,15 @@ def test_verdict_needs_weight_at_least_bound(capsys, monkeypatch):
     code, out, _ = run(capsys, "construct", "two-reguli", "--q", "2")
     assert code == EXIT_VERIFY
     assert "weight: 6 (predicted 6)" in out and "verdict: FAIL" in out
+
+
+def test_construct_search_without_outcome_fails(capsys):
+    # the 280 hyperbolic quadrics of PG(3,2) share 0 to 3 lines pairwise
+    code, out, err = run(capsys, "construct", "regulus-combination", "--q", "2",
+                         "--common-lines", "4")
+    assert code == EXIT_VERIFY
+    assert out == "search outcome: no configuration found\n"
+    assert err == ""
 
 
 @pytest.mark.parametrize("error", [

@@ -99,3 +99,22 @@ def test_no_conjugation_on_odd_degree():
 
 def test_make_field_is_cached():
     assert make_field(2, 2) is make_field(2, 2)
+
+
+@pytest.mark.parametrize("q,p", [(529, 23), (625, 5)])
+def test_addition_without_table_is_digitwise(q, p):
+    # above order 512 no addition table is built: add works on the digits
+    F = field_of_order(q)
+    assert F._add is None
+
+    def digitwise(a, b):
+        out, place = 0, 1
+        while a or b:
+            out += (a % p + b % p) % p * place
+            a, b, place = a // p, b // p, place * p
+        return out
+
+    for a in range(q):
+        for b in range(a % 7, q, 7):
+            assert F.add(a, b) == digitwise(a, b)
+        assert F.add(a, F.neg(a)) == 0

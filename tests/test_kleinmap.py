@@ -16,7 +16,7 @@ from polarlab.projspace import (
 from polarlab.polarspace import get_space, polar_image
 from references import intersect, reguli_partition_through, regular_spread
 from polarlab import constructions as C
-from polarlab.kleinmap import klein_point, plucker, to_quadric_point
+from polarlab.kleinmap import klein_point
 
 
 def skew_triple(F):
@@ -62,23 +62,39 @@ def test_klein_transfers_incidence(q):
             assert meet == coll
 
 
+# the Plucker coordinate pairs in the order of the form x0x1 + x2x3 + x4x5
+FORM_PAIRS = ((0, 1), (2, 3), (0, 2), (3, 1), (0, 3), (1, 2))
+
+
 def test_plucker_relation_and_inverse():
     F = field_of_order(3)
     P = get_space("Qplus", 5, 3)
     for L in enumerate_lines(3, F)[:25]:
-        c = plucker(L, F)
-        # p01 p23 + p02 p31 + p03 p12 = 0
-        terms = F.mul(c[0], c[3])
-        terms = F.add(terms, F.mul(c[1], c[4]))
-        terms = F.add(terms, F.mul(c[2], c[5]))
-        assert terms == 0
-        assert to_quadric_point(c, F) == klein_point(L, F) in P.index
-        # the line is recovered from its plucker point: the rows of the
+        x = klein_point(L, F)
+        # the Plucker relation p01 p23 + p02 p31 + p03 p12 = 0
+        terms = F.add(F.mul(x[0], x[1]), F.mul(x[2], x[3]))
+        assert F.add(terms, F.mul(x[4], x[5])) == 0
+        assert x in P.index
+        # the line is recovered from its Klein point: the rows of the
         # skew matrix x y^T - y x^T span it
         m = [[0] * 4 for _ in range(4)]
-        for (i, j), v in zip(((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)), c):
+        for (i, j), v in zip(FORM_PAIRS, x):
             m[i][j], m[j][i] = v, F.neg(v)
         assert span([row for row in m if any(row)], F) == L
+    with pytest.raises(GeometryError, match="needs a line"):
+        klein_point(span([(1, 0, 0, 0)], F), F)
+
+
+def test_klein_points_pinned():
+    # sha256 of the repr of each Klein point, every line of PG(3,q) in
+    # enumeration order, q = 2, 3, 4, 5, 7, 8, 9 in turn
+    h = hashlib.sha256()
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field_of_order(q)
+        for L in enumerate_lines(3, F):
+            h.update(repr(klein_point(L, F)).encode())
+    assert h.hexdigest() == \
+        "e4a668d9812f580643f5fb541978b27b9d08d2fd3822392d1247de140e0aaff6"
 
 
 @pytest.mark.parametrize("q", [2, 3])

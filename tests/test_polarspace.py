@@ -12,7 +12,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from polarlab import gfcode, polarspace, projspace
+from polarlab import polarspace, projspace
 from polarlab.gf import field_of_order
 from polarlab.projspace import (
     GeometryError,
@@ -220,6 +220,18 @@ def test_closed_forms_pinned(family, n, order, npts, gdim, counts):
     assert all(type(x) is Fraction for MN in got for x in MN)
     assert got[0][1] == 1
     assert got == counts
+
+
+@pytest.mark.parametrize("family,n,order,npts,gdim,counts", CLOSED_FORMS)
+def test_kspace_count_is_the_count_through_a_point(family, n, order, npts, gdim,
+                                                   counts):
+    # kspace_count against |P| M / theta(k), M the k-spaces through a point
+    P = standard_polar_space(family, n, field_of_order(order))
+    for k in range(gdim + 1):
+        M, _N = prop_counts(family, P.rank_param, k, P.q)
+        assert P.kspace_count(k) == len(P.points) * M / theta(k, order)
+    with pytest.raises(GeometryError):
+        P.kspace_count(gdim + 1)
 
 
 def test_bounds():
@@ -485,10 +497,6 @@ def test_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(projspace, "BYTE_BUDGET", 8)
     with pytest.raises(ResourceError):
         P.singular_kspaces_with_supports(1)
-    monkeypatch.undo()
-    monkeypatch.setattr(gfcode, "ROW_CAP", P.kspace_count(1) - 1)
-    with pytest.raises(ResourceError):
-        gfcode.build_incidence(P, 1)
     assert P._adj is None and P._kspace_cache == {}
 
 
@@ -675,8 +683,7 @@ def test_symplectic_line_is_a_rank_one_space(q):
 
 def test_count_off_the_closed_form_is_an_error(monkeypatch):
     P = standard_polar_space("Q", 4, field_of_order(2))
-    monkeypatch.setattr(polarspace, "prop_counts",
-                        lambda *args: (Fraction(4), Fraction(1)))
+    monkeypatch.setattr(polarspace, "_singular_count", lambda *args: Fraction(4))
     with pytest.raises(GeometryError):
         P.singular_kspaces_with_supports(1)
     assert P._kspace_cache == {}
@@ -689,3 +696,23 @@ def test_every_level_below_k_is_checked(monkeypatch):
     monkeypatch.setattr(P, "kspace_count", lambda k: count(k) + (k == 1))
     with pytest.raises(GeometryError, match="singular 1-spaces"):
         P.singular_kspaces_with_supports(P.gen_dim)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_degenerate_forms_are_refused(q):
+    F = field_of_order(q)
+
+    def form(family, n, zeroed):
+        m = [list(row) for row in polarspace._standard_matrix(family, n, F)]
+        for i, j in zeroed:
+            m[i][j] = 0
+        return polarspace.FormSpec(family, n, F, tuple(map(tuple, m)))
+
+    # every point of PG(3,q) is singular for an alternating form, so W(3,q)
+    # with a hyperbolic pair zeroed has the point count of W(3,q)
+    with pytest.raises(GeometryError, match="^degenerate form$"):
+        polarspace.PolarSpace(form("symplectic", 3, [(2, 3), (3, 2)]))
+    # x0^2 + x1x2 in PG(4,q) is a cone with a line as vertex over a conic:
+    # (q+1) + (q+1)q^2 points, as many as Q(4,q) has
+    with pytest.raises(GeometryError, match="^singular quadric$"):
+        polarspace.PolarSpace(form("parabolic", 4, [(3, 4)]))
