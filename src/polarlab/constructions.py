@@ -16,10 +16,11 @@ import numpy as np
 from .gf import FieldSpec, field_of_order
 from .projspace import (
     GeometryError,
+    Pairing,
     Subspace,
     enumerate_lines,
-    incidence_with_hyperplanes,
     nullspace,
+    point_array,
     span,
     subspace_points,
     theta,
@@ -249,13 +250,14 @@ def cw_regulus_switch(q: int, i: int) -> ConstructionResult:
 
 
 def _first_hyperplane_section(P: PolarSpace, size: int, kind: str) -> list:
-    """Point indices of P on the first hyperplane, in the canonical dual
-    order, that meets P in exactly `size` points."""
-    on = incidence_with_hyperplanes(P.points, P.n, P.F)
-    hit = np.flatnonzero(on.sum(axis=0) == size)
-    if not len(hit):
-        raise GeometryError(f"no {kind} hyperplane section found")
-    return np.flatnonzero(on[:, hit[0]]).tolist()
+    """Point indices of P on the first hyperplane, in the canonical dual order,
+    that meets P in exactly `size` points; paired with P a block at a time."""
+    unit = np.eye(P.n + 1, dtype=np.int64).tolist()
+    for _lo, on in Pairing(P.points, unit, P.F).blocks(point_array(P.n, P.F)):
+        hit = np.flatnonzero(np.count_nonzero(on, axis=1) == size)
+        if len(hit):
+            return np.flatnonzero(on[hit[0]]).tolist()
+    raise GeometryError(f"no {kind} hyperplane section found")
 
 
 def elliptic_hyperplane_section(P: PolarSpace) -> list:

@@ -300,7 +300,8 @@ class Pairing:
         bits = (len(self.cols) * (p - 1)).bit_length()
         dtype = np.min_scalar_type((1 << bits * h) - 1)
         code = _element_codes(F, bits).astype(dtype)
-        self.rows = [code[mul[:, Y[:, b]]] for b in self.cols]
+        products = code[mul]  # [a, y]: code(a y)
+        self.rows = [products[:, Y[:, b]] for b in self.cols]
         for T in self.rows:
             T.setflags(write=False)
         if p == 2:
@@ -316,14 +317,14 @@ class Pairing:
         """(lo, Z) for consecutive row blocks of X, Z[i, j] true when
         x = X[lo + i] pairs to zero with Y[j]; a block has as many rows as
         fit in _BLOCK entries, and at least one; for odd p, an eighth of that."""
-        # the linear forms x M at the nonzero columns b: the form at (x, e_b)
+        # a block's linear forms x M at the nonzero columns b: the form at (x, e_b)
         unit = np.eye(len(self.M), dtype=np.int64)[self.cols]
-        forms = form_values(np.asarray(X)[:, None], unit, self.M, self.F)
+        X = np.asarray(X, dtype=_tables(self.F)[0].dtype)
         step = max(1, _BLOCK // self.rows[0].shape[1])
         sub = step if self.F.p == 2 else max(1, step // 8)  # take copies the indices to intp
         step -= step % sub
         for lo in range(0, len(X), step):
-            block = forms[lo:lo + step]
+            block = form_values(X[lo:lo + step, None], unit, self.M, self.F)
             acc = np.take(self.rows[0], block[:, 0], axis=0)
             term = np.empty_like(acc)
             for T, l in zip(self.rows[1:], block[:, 1:].T):
@@ -335,18 +336,26 @@ class Pairing:
 
 @lru_cache(maxsize=None)
 def _hyperplane_pairing(n: int, F: FieldSpec) -> Pairing:
-    """The points of PG(n,q) read as dual coordinates of its hyperplanes."""
-    unit = np.eye(n + 1, dtype=np.int64)
-    return Pairing(point_array(n, F), unit.tolist(), F)
+    """The points of PG(n,q) as dual coordinates of its hyperplanes; their
+    coordinates and codes, and four row blocks, are charged before they exist."""
+    unit = np.eye(n + 1, dtype=np.int64).tolist()
+    codes = sum(T.nbytes for T in Pairing([[0] * (n + 1)], unit, F).rows)
+    item = np.min_scalar_type(F.order - 1).itemsize
+    refuse_over_budget(theta(n, F.order) * ((n + 1) * item + codes) + 4 * _BLOCK,
+                       f"PG({n},{F.order})", "hyperplane tables")
+    return Pairing(point_array(n, F), unit, F)
 
 
-def incidence_with_hyperplanes(points, n: int, F: FieldSpec) -> np.ndarray:
-    """Boolean matrix [i,j] = point i lies on hyperplane j, the hyperplanes
-    in the canonical dual order: that of their dual coordinates in
-    point_array(n, F)."""
+def hyperplane_sums(points, weights, n: int, F: FieldSpec) -> np.ndarray:
+    """int64 [j]: the total weight of the points on hyperplane j, in the
+    canonical dual order (that of point_array(n, F)); summed a block of points
+    at a time, one count per distinct weight, with no block-sized int64."""
     pairing = _hyperplane_pairing(n, F)
     X = np.array(points, dtype=np.int64).reshape(-1, n + 1)
-    on = np.empty((len(X), theta(n, F.order)), dtype=bool)
+    w = np.asarray(weights, dtype=np.int64)
+    out = np.zeros(theta(n, F.order), dtype=np.int64)
     for lo, zero in pairing.blocks(X):
-        on[lo:lo + len(zero)] = zero
-    return on
+        part = w[lo:lo + len(zero)]
+        for c in set(part.tolist()):
+            out += c * np.count_nonzero(zero[part == c], axis=0)
+    return out

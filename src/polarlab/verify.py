@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import FieldSpec
-from .projspace import GeometryError, incidence_with_hyperplanes
+from .projspace import GeometryError, hyperplane_sums
 from .polarspace import PolarSpace
 
 
@@ -152,21 +152,10 @@ class WeightedPointSet:
         return sum(self.weights.values())
 
 
-def hyperplane_weights(W: WeightedPointSet) -> np.ndarray:
-    """Total weight of W in each hyperplane of PG(n,q), in the canonical
-    dual order."""
-    pts = list(W.weights)
-    wts = np.array([W.weights[p] for p in pts], dtype=np.int64)
-    on = incidence_with_hyperplanes(pts, W.ambient, W.field)
-    return (on * wts[:, None]).sum(axis=0)
-
-
 def is_minihyper(W: WeightedPointSet, f: int, m: int) -> bool:
     """Total weight f and minimum hyperplane weight exactly m."""
-    if W.total != f:
-        return False
-    hw = hyperplane_weights(W)
-    return int(hw.min()) == m
+    pts, wts = list(W.weights), list(W.weights.values())
+    return W.total == f and int(hyperplane_sums(pts, wts, W.ambient, W.field).min()) == m
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -229,6 +230,36 @@ def test_construct_writes_codeword_json(capsys, tmp_path):
     assert payload["meta"]["construction"] == "two-pencils"
 
 
+# complements of the first elliptic and parabolic hyperplane sections, by
+# the sha256 of their --out files
+@pytest.mark.parametrize("argv,sha", [
+    (["complement-ovoid", "--family", "Q", "--q", "16"],
+     "7652a7994e2b413ec58463f863fc41b48de0070f89db96096fedb5417408388b"),
+    (["complement-cone", "--family", "Qplus", "--n", "2", "--q", "8", "--k", "1",
+      "--flavor", "parabolic"],
+     "2352654975d1416640e35a87a07c265d605cce31b99abf163128ac54f7ff66e0"),
+    (["complement-ovoid", "--family", "Q", "--q", "8"],
+     "1ec8123c3535cb2696a00a112b2aff39ec6f6472293163e01be1f0f6b8829296"),
+], ids=["Q-4-16", "Qplus-5-8", "Q-4-8"])
+def test_hyperplane_section_complements_pinned(capsys, tmp_path, argv, sha):
+    path = tmp_path / "cw.json"
+    code, out, _ = run(capsys, "construct", *argv, "--out", str(path))
+    assert code == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+    assert f"sha256={sha}" in out
+
+
+def test_parabolic_section_complement_over_budget_is_refused(capsys):
+    # the section of Q+(5,16) is found among 1,118,481 hyperplanes a block
+    # at a time; the supports of its 1,192,737 lines are then refused
+    code, out, err = run(capsys, "construct", "complement-cone", "--family", "Qplus",
+                         "--n", "2", "--q", "16", "--k", "1", "--flavor", "parabolic")
+    assert code == EXIT_REFUSED
+    assert out == ""
+    assert err == ("refused: 1192737 singular 1-spaces of Qplus(5,16): supports needs "
+                   "94287920 bytes, over the budget of 80000000\n")
+
+
 def test_scan_q42(capsys):
     code, out, _ = run(capsys, "scan", "--family", "Q", "--n", "4",
                        "--q", "2")
@@ -316,6 +347,16 @@ def test_export_alist_header(capsys, tmp_path):
     assert code == EXIT_OK
     assert path.read_text().splitlines()[0] == "15 15"
     assert "sha256=" in out
+
+
+def test_export_alist_of_a_nonbinary_code_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "q43.alist"
+    code, out, err = run(capsys, "export", "alist", "--family", "Q", "--n", "4",
+                         "--q", "3", "--out", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: alist export is defined for binary codes only\n"
+    assert not path.exists()
 
 
 def test_export_io_error(capsys):

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
+from polarlab import projspace
 from polarlab.gf import field_of_order
 from polarlab.kleinmap import klein_point
 from polarlab.projspace import GeometryError, enumerate_lines
@@ -76,6 +78,24 @@ def test_regulus_switch_rejects_bad_parameters():
 def test_complement_ovoid(family, q, expected):
     r = check(C.cw_complement_ovoid(family, q))
     assert r.predicted_weight == expected
+
+
+def test_complement_ovoid_q16_within_budget():
+    # the elliptic section of Q(4,16) is found without its 4,369 x 69,905
+    # point x hyperplane matrix, with which this peaked at 321.58 MB
+    tracemalloc.start()
+    try:
+        C.cw_complement_ovoid("Q", 16)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < projspace.BYTE_BUDGET
+
+
+def test_hyperplane_section_of_no_hyperplane_refused():
+    # the hyperplane sections of Q(4,2) have 5, 7 or 9 points
+    with pytest.raises(GeometryError, match="^no elliptic hyperplane section found$"):
+        C._first_hyperplane_section(get_space("Q", 4, 2), 6, "elliptic")
 
 
 def test_complement_ovoid_rejects_odd_q():

@@ -24,6 +24,16 @@ def test_rejects_non_prime_powers():
             field_of_order(q)
 
 
+@pytest.mark.parametrize("p,h,message", [
+    (4, 1, "4 is not prime"),
+    (2, 5, "extension degree 5 outside 1..4"),
+    (257, 2, "order 66049 exceeds desk-scale cap 65536"),
+])
+def test_make_field_refuses_bad_parameters(p, h, message):
+    with pytest.raises(FieldError, match=f"^{message}$"):
+        make_field(p, h)
+
+
 def test_least_irreducible_moduli():
     # lexicographically least monic irreducible, low degree first
     assert least_irreducible(2, 2) == (1, 1, 1)

@@ -19,7 +19,7 @@ from references import (
 from polarlab import gfcode, projspace
 from polarlab.gf import field_of_order
 from polarlab.polarspace import bound_min_weight_dual, get_space, standard_polar_space
-from polarlab.projspace import ResourceError, incidence_with_hyperplanes
+from polarlab.projspace import ResourceError, hyperplane_sums
 from polarlab.gfcode import (
     CodeError,
     CodewordVec,
@@ -78,6 +78,15 @@ def test_codeword_columns_outside_the_code_refused(col):
         CodewordVec({col: 1}, 15, 2)
     with pytest.raises(CodeError):
         CodewordVec({0: 1, col: 0}, 15, 2)
+
+
+def test_codewords_of_different_fields_or_widths_do_not_mix():
+    A = build_incidence(get_space("Q", 4, 2), 1)
+    with pytest.raises(CodeError, match="incompatible codeword vectors"):
+        CodewordVec({0: 1}, 15, 2) + CodewordVec({0: 1}, 15, 3)
+    for word in (CodewordVec({0: 1}, 14, 2), CodewordVec({0: 1}, 15, 3)):
+        with pytest.raises(CodeError, match="dimension or field mismatch"):
+            is_dual_codeword(word, A)
 
 
 @given(st.lists(st.tuples(st.integers(0, 14), st.integers(1, 1)),
@@ -826,7 +835,7 @@ def test_symplectic_w53_codes_pinned(k, rows, rank):
 def test_binary_quadric_line_duals_are_hyperplane_complements(family, n):
     P = get_space(family, n, 2)
     N = len(P.points)
-    sections = incidence_with_hyperplanes(P.points, n, P.F).sum(axis=0)
+    sections = hyperplane_sums(P.points, [1] * N, n, P.F)
     rep = scan_dual_weights(build_incidence(P, 1))
     assert (rep["mode"], rep["rank"], rep["nullity"]) == ("FULL", N - (n + 1), n + 1)
     assert rep["weights"] == Counter((N - sections).tolist()) + Counter({0: 1})

@@ -9,7 +9,7 @@ from polarlab.projspace import (
     GeometryError,
     enumerate_lines,
     enumerate_points,
-    incidence_with_hyperplanes,
+    hyperplane_sums,
     span,
     subspace_points,
 )
@@ -283,13 +283,13 @@ def test_switched_spread_satisfies_odd_conditions(q):
     switched.add(T[0])
     points = enumerate_points(3, F)
     at = {x: i for i, x in enumerate(points)}
-    on = incidence_with_hyperplanes(points, 3, F)
     through = np.zeros(len(points), dtype=int)
-    inside = np.zeros(on.shape[1], dtype=int)
+    inside = np.zeros(len(points), dtype=int)
     for L in switched:
-        rows = [at[x] for x in subspace_points(L, F)]
-        through[rows] += 1
-        inside += on[rows].all(axis=0)
+        on_line = subspace_points(L, F)
+        through[[at[x] for x in on_line]] += 1
+        # a line lies in a plane exactly when its q+1 points do
+        inside += hyperplane_sums(on_line, [1] * (q + 1), 3, F) == q + 1
     assert (through % 2).all() and (inside % 2).all()
     image = {P.index[klein_point(L, F)] for L in switched}
     rest = CodewordVec({j: 1 for j in range(len(P.points)) if j not in image},

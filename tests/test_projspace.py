@@ -13,13 +13,14 @@ from polarlab.projspace import (
     GeometryError,
     Pairing,
     ResourceError,
+    _hyperplane_pairing,
     _tables,
     combine,
     digit_sums,
     enumerate_lines,
     enumerate_points,
     form_values,
-    incidence_with_hyperplanes,
+    hyperplane_sums,
     normalize_point,
     nullspace,
     point_array,
@@ -129,11 +130,62 @@ def test_nullspace_dimensions():
 def test_hyperplane_incidence_counts(q):
     F = field_of_order(q)
     pts = enumerate_points(2, F)
-    M = incidence_with_hyperplanes(pts, 2, F)
     # every line of PG(2,q) has q+1 points; every point lies on q+1 lines
-    assert M.shape == (len(pts), len(enumerate_points(2, F)))
-    assert all(M[:, j].sum() == q + 1 for j in range(M.shape[1]))
-    assert all(M[i, :].sum() == q + 1 for i in range(M.shape[0]))
+    assert hyperplane_sums(pts, [1] * len(pts), 2, F).tolist() == [q + 1] * len(pts)
+    assert all(hyperplane_sums([x], [1], 2, F).sum() == q + 1 for x in pts)
+
+
+def test_hyperplane_sums_peak_over_all_points():
+    # the 4,369 points of PG(3,16), 60 a block, tables formed here included:
+    # their point x hyperplane incidence matrix peaked at 21.75 MB
+    F = field_of_order(16)
+    pts = enumerate_points(3, F)
+    _tables(F)
+    _hyperplane_pairing.cache_clear()
+    tracemalloc.start()
+    try:
+        sums = hyperplane_sums(pts, [1] * len(pts), 3, F)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sums.tolist() == [theta(2, 16)] * len(pts)
+    assert peak < 8_000_000
+
+
+def test_hyperplane_tables_refused_before_allocating():
+    # 6 x 16 x 1,118,481 uint16 codes, 214.7 MB, would be kept for PG(5,16)
+    F = field_of_order(16)
+    _tables(F)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError,
+                           match=r"^PG\(5,16\): hyperplane tables needs 222573350 bytes"):
+            hyperplane_sums([(1, 0, 0, 0, 0, 0)], [1], 5, F)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n,q", [(4, 16), (3, 27), (6, 3)])
+def test_hyperplane_tables_peak_within_charge(n, q, monkeypatch):
+    # PG(4,16) keeps 11.2 MB of tables and is admitted.  __wrapped__ keeps
+    # the tables out of the cache
+    F = field_of_order(q)
+    _tables(F)
+    charges = []
+    refuse = projspace.refuse_over_budget
+    monkeypatch.setattr(projspace, "refuse_over_budget", lambda size, subject, what:
+                        charges.append(size + projspace._FIXED_BYTES)
+                        or refuse(size, subject, what))
+    tracemalloc.start()
+    try:
+        pairing = _hyperplane_pairing.__wrapped__(n, F)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(charges) == 1 and peak <= charges[0]
+    assert len(pairing.rows) == n + 1 and pairing.rows[0].shape == (q, theta(n, q))
 
 
 def test_subspace_points_of_full_space():

@@ -3,11 +3,14 @@ import random
 import pytest
 
 from polarlab.gf import field_of_order
+from polarlab import projspace
 from polarlab.projspace import (
     GeometryError,
     enumerate_points,
+    hyperplane_sums,
     span,
     subspace_points,
+    theta,
 )
 from polarlab.gfcode import CodewordVec, build_incidence, is_dual_codeword
 from polarlab.polarspace import get_space
@@ -19,7 +22,6 @@ from polarlab.verify import (
     extract_spread,
     find_good_line,
     find_spread,
-    hyperplane_weights,
     is_minihyper,
     is_ovoid,
     is_spread,
@@ -60,6 +62,13 @@ def test_spread_and_cover(q42):
     assert is_spread(q42, S)
     assert excess_profile(q42, S)[2] == 0  # a cover, every point once
     assert not is_spread(q42, S[:-1])
+
+
+def test_spread_of_a_non_singular_line_refused(q42):
+    # <e0, e1> holds e0, off the quadric x0^2 + x1 x2 + x3 x4
+    L = span([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)], q42.F)
+    with pytest.raises(GeometryError, match="^not a singular line of the space$"):
+        is_spread(q42, [L])
 
 
 def test_excess_profile_and_good_line(q42):
@@ -141,28 +150,32 @@ def test_hyperplane_weights_of_one_line():
     q = 8
     F = field_of_order(q)
     L = span([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)], F)
-    W = WeightedPointSet({pt: 1 for pt in subspace_points(L, F)}, 4, F)
-    hw = hyperplane_weights(W)
+    pts = subspace_points(L, F)
+    sums = hyperplane_sums(pts, [1] * len(pts), 4, F)
     # a hyperplane meets a line in 1 or q+1 points
-    assert set(int(v) for v in hw) == {1, q + 1}
+    assert set(sums.tolist()) == {1, q + 1}
 
 
 @pytest.mark.parametrize("q", [3, 4, 8, 9])
-def test_hyperplane_weights_match_dot_products(q):
+def test_hyperplane_weights_match_dot_products(q, monkeypatch):
+    # blocks of 32 points of PG(3,q), yielded 4 at a time for odd p: the
+    # 40 to 60 points, weighted 1 to 4, cross a block boundary, and most
+    # yields hold more than one weight
+    monkeypatch.setattr(projspace, "_BLOCK", 32 * theta(3, q))
     F = field_of_order(q)
     rng = random.Random(q)
-    pts = rng.sample(enumerate_points(3, F), 12)
-    W = WeightedPointSet({pt: rng.randint(1, 4) for pt in pts}, 3, F)
+    pts = rng.sample(enumerate_points(3, F), min(60, theta(3, q)))
+    weights = [rng.randint(1, 4) for _ in pts]
     want = []
     for d in enumerate_points(3, F):
         total = 0
-        for pt, wt in W.weights.items():
+        for pt, wt in zip(pts, weights):
             dot = 0
             for a, b in zip(pt, d):
                 dot = F.add(dot, F.mul(a, b))
             total += wt * (dot == 0)
         want.append(total)
-    assert hyperplane_weights(W).tolist() == want
+    assert hyperplane_sums(pts, weights, 3, F).tolist() == want
 
 
 def test_decompose_sum_of_lines(q42):
