@@ -20,7 +20,9 @@ from .projspace import (
     Subspace,
     enumerate_lines,
     nullspace,
+    pairing_bytes,
     point_array,
+    refuse_over_budget,
     span,
     subspace_points,
     theta,
@@ -251,9 +253,13 @@ def cw_regulus_switch(q: int, i: int) -> ConstructionResult:
 
 def _first_hyperplane_section(P: PolarSpace, size: int, kind: str) -> list:
     """Point indices of P on the first hyperplane, in the canonical dual order,
-    that meets P in exactly `size` points; paired with P a block at a time."""
+    that meets P in exactly `size` points; paired with P a block at a time,
+    charged before the pairing or the hyperplanes exist."""
     unit = np.eye(P.n + 1, dtype=np.int64).tolist()
-    for _lo, on in Pairing(P.points, unit, P.F).blocks(point_array(P.n, P.F)):
+    refuse_over_budget(pairing_bytes(unit, P.F, len(P.points), theta(P.n, P.F.order)),
+                       f"{P!r}", "hyperplane section")
+    planes = point_array(P.n, P.F)  # before the tables: its temporaries are as large
+    for _lo, on in Pairing(P.coordinates, unit, P.F).blocks(planes):
         hit = np.flatnonzero(np.count_nonzero(on, axis=1) == size)
         if len(hit):
             return np.flatnonzero(on[hit[0]]).tolist()

@@ -73,11 +73,7 @@ def least_irreducible(p: int, h: int) -> tuple[int, ...]:
     """The first monic irreducible of degree h over GF(p), scanning the
     lower coefficients (c_0 + c_1 x + ...) in ascending base-p order."""
     for tail in range(p ** h):
-        coeffs, t = [], tail
-        for _ in range(h):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
+        coeffs = [tail // p ** i % p for i in range(h)] + [1]
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise FieldError(f"no irreducible polynomial of degree {h} over GF({p})")

@@ -23,10 +23,13 @@ common perp whose lead column lies left of the pivots of S and which are
 zero at those pivots, and (p, R_1, ..., R_m) is then the RREF of the
 child: no candidate is rejected and nothing is eliminated.  A node keeps
 only its RREF rows and a mask of these points, packed into uint64 words:
-a child's is its parent's AND one mask of p, and a level is one array of
-words, one row per node, whose set bits are found by `np.nonzero` on the
-words and `np.unpackbits` on the nonzero ones.  A node whose mask is zero
-has no children, so a level keeps only the others.  The points of a
+a child's is its parent's AND the mask of p, the points in the perp of p
+fresh at its lead column c (lead column left of c, zero at c).  Each is
+formed by pairing the points of lead c with those fresh at c alone, so no
+N x N array exists.  A level is one array of words, one row per node,
+whose set bits are found by `np.nonzero` on the words and `np.unpackbits`
+on the nonzero ones; a node whose mask is zero has no children, and a
+level keeps only the others.  The points of a
 k-space are formed once, at level k, as the combinations c R of its rows
 R with the points c of PG(k,q), in the point order, each found by the
 digitwise sum mod p of the codes of the c_i R_i.  The count is predicted
@@ -61,10 +64,10 @@ from .projspace import (
     GeometryError,
     Pairing,
     Subspace,
-    _words,
     digit_sums,
     form_values,
     nullspace,
+    pairing_bytes,
     point_array,
     refuse_over_budget,
     scaled_codes,
@@ -235,8 +238,8 @@ class PolarSpace:
         expected = polar_space_order(self.family, self.n, self.F.order)
         refuse_over_budget(self._build_bytes(expected), f"{self!r}", "space build")
         ambient = point_array(self.n, self.F)
-        on = form.evaluate(ambient) == 0
-        self.points = tuple(zip(*ambient[on].T.tolist()))
+        self.coordinates = ambient[form.evaluate(ambient) == 0]  # dtype of point_array
+        self.points = tuple(zip(*self.coordinates.T.tolist()))
         if len(self.points) != expected:
             raise GeometryError(
                 f"point count {len(self.points)} != closed form {expected}")
@@ -284,21 +287,25 @@ class PolarSpace:
         return bool(self.form.pair(x, y) == 0)
 
     def adjacency(self):
-        """Per-point bitmask of other points joined by a singular line.
-        The pairing is tested on a block of rows at a time, so no N x N
-        array exists."""
-        if self._adj is not None:
-            return self._adj
-        pairing = Pairing(self.points, self.form.bilinear_matrix, self.F,
-                          conj=self.family == "hermitian")
-        adj = []
-        for lo, zero in pairing.blocks(self.points):
-            r = np.arange(len(zero))
-            zero[r, lo + r] = False
-            packed = np.packbits(zero, axis=1, bitorder="little")
-            adj += [int.from_bytes(row.tobytes(), "little") for row in packed]
-        self._adj = adj
-        return adj
+        """Per-point bitmask of other points joined by a singular line, kept
+        by the space; formed a block of rows at a time, so no N x N array
+        exists.  The k-space enumeration does not use it."""
+        if self._adj is None:
+            pairing = Pairing(self.coordinates, self.form.bilinear_matrix, self.F,
+                              conj=self.family == "hermitian")
+            adj = []
+            for lo, zero in pairing.blocks(self.coordinates):
+                zero[np.arange(len(zero)), np.arange(lo, lo + len(zero))] = False
+                packed = np.packbits(zero, axis=1, bitorder="little")
+                adj += [int.from_bytes(row.tobytes(), "little") for row in packed]
+            self._adj = adj
+        return self._adj
+
+    def _fresh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lead, fresh): each point's lead column, and fresh[c] true at the
+        points with lead column left of c and a zero at c."""
+        lead = np.argmax(self.coordinates != 0, axis=1)
+        return lead, (lead < np.arange(self.n + 1)[:, None]) & (self.coordinates.T == 0)
 
     def kspace_count(self, k: int) -> int:
         """Closed-form number of singular k-spaces: the totally singular
@@ -311,14 +318,12 @@ class PolarSpace:
         """(bytes, level, what) of each charge of an enumeration up to level k:
         the supports of the level that needs the most, with the view's tuple
         pointer and index int per point and, for k >= 1, the word per scalar and
-        point of `scaled_codes`; for k >= 1 also the point masks of the level
-        that needs the most beside the adjacency, a list of N ints of N bits,
-        the pairing tables that form it, and the point arrays that every level
-        reads.  Level 0 holds a mask of ceil(N / 64) words per point, a level
-        below k one per subspace, and level k is charged as much per output row.
-        Each charge adds four row blocks of _BLOCK bytes, in which the levels
-        and the supports are formed: by tracemalloc the levels exceeded the
-        other terms of the largest charge by at most 0.86 MB (Q(4,16) k=1)."""
+        point of `scaled_codes`; for k >= 1 also the point masks: `down` and the
+        point arrays, beside the `Pairing` of the lead column that needs the
+        most or beside the masks of the level that needs the most, a mask of
+        ceil(N / 64) words per subspace below level k and as much per output
+        row at level k.  Each charge adds four row blocks of _BLOCK bytes, in
+        which the levels and the supports are formed."""
         N, q = len(self.points), self.F.order
         counts = [self.kspace_count(m) for m in range(k + 1)]
         item = np.min_scalar_type(N).itemsize
@@ -326,13 +331,13 @@ class PolarSpace:
         need = [max((c * theta(m, q) * item + beside, m, "supports")
                     for m, c in enumerate(counts))]
         if k:
-            # per point: the adjacency's int of ceil(N / 30) 30-bit digits and
-            # pointer, the intp coordinates, lead and level-0 row, the pairing's tables
-            tables = Pairing(self.points[:1], self.form.bilinear_matrix, self.F).rows
-            held = N * (32 + 4 * -(-N // 30) + 8 * (self.n + 3)
-                        + sum(T.nbytes for T in tables))
-            need.append(max((held + c * 8 * -(-N // 64), m, "point masks")
-                            for m, c in enumerate(counts)))
+            # per point: its mask, intp lead and level-0 row, fresh flags and coordinates
+            size = 8 * -(-N // 64)
+            held = N * (size + 16 + 2 * (self.n + 1))
+            pairing = pairing_bytes(self.form.bilinear_matrix, self.F,
+                                    int(self._fresh()[1].sum(axis=1).max()), N)
+            need.append(max((held + extra, m, "point masks") for m, extra in
+                            enumerate([pairing] + [c * size for c in counts[1:]])))
         return [(size + 4 * _BLOCK, m, what) for size, m, what in need]
 
     def singular_kspaces_with_supports(self, k: int):
@@ -364,20 +369,24 @@ class PolarSpace:
         rows = np.arange(N, dtype=np.min_scalar_type(N))[:, None]
         if not k:
             return KSpaces(self, 0, rows)  # the supports are the points
-        X, F = np.array(self.points, dtype=np.intp), self.F
-        lead = np.argmax(X != 0, axis=1)
-        # the adjacency first, its row blocks freed before the masks
-        # exist.  fresh[c]: the points with lead column left of c and a
-        # zero at c; down[p]: those of them, c = lead(p), in the perp of
-        # p, ANDed with the adjacency masks of a block of points at a time
-        adj, size = self.adjacency(), 8 * -(-N // 64)
-        fresh = _words((lead < np.arange(X.shape[1])[:, None]) & (X.T == 0))
-        cands = down = fresh[lead]
-        step = max(1, _BLOCK // size)
-        for lo in range(0, N, step):
-            block = b"".join(a.to_bytes(size, "little") for a in adj[lo:lo + step])
-            down[lo:lo + step] &= np.frombuffer(block, dtype=down.dtype).reshape(
-                -1, down.shape[1])
+        X, F = self.coordinates, self.F
+        # down[p]: the points of fresh[c], c = lead(p), in the perp of p.  The
+        # points of lead c, consecutive, are paired with fresh[c] alone, and
+        # each block's zeros are shifted to their bits and ORed into bytes
+        lead, fresh = self._fresh()
+        down = np.zeros((N, 8 * -(-N // 64)), dtype=np.uint8)
+        for c in range(1, self.n + 1):  # no point is fresh at column 0
+            ys = np.flatnonzero(fresh[c])
+            first = np.flatnonzero(np.diff(ys >> 3, prepend=-1))
+            start, shift = np.count_nonzero(lead > c), (ys & 7).astype(np.uint8)
+            pairing = Pairing(X[ys], self.form.bilinear_matrix, F,
+                              conj=self.family == "hermitian")
+            for lo, zero in pairing.blocks(X[lead == c]):
+                bits = zero.view(np.uint8)
+                bits <<= shift
+                down[start + lo:start + lo + len(zero), (ys >> 3)[first]] = (
+                    np.bitwise_or.reduceat(bits, first, axis=1))
+        cands = down = down.view("<u8")
         for level in range(1, k + 1):
             par, new = _set_bits(cands)
             rows = np.concatenate([new.astype(rows.dtype)[:, None], rows[par]], axis=1)

@@ -12,7 +12,7 @@ is charged before it allocates is refused against the byte budget here.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -279,31 +279,32 @@ class Pairing:
     GF(q) between any vectors x and the fixed vectors Y (rows), s the
     involution y -> y^sqrt(q) when conj is set and the identity otherwise.
 
-    x is first folded into its linear form l = x M, so the pairing is the
-    sum of l_b y_b^s over the w columns b of M that are not zero.  Each
+    Each y is first folded into its linear form r = M y^s, so the pairing
+    is the sum of x_a r_a over the w rows a of M that are not zero.  Each
     element is coded by its base-p digits, spaced `bits` apart with
     2^bits > w(p-1), so a sum of w codes never carries from one digit into
-    the next.  The rows T_b[a] = code(a y_b^s), over all y, are formed once;
-    the pairing of x with every y is then the sum of the rows T_b[l_b], and
+    the next.  The rows T_a[v] = code(v r_a), over all y, are formed once;
+    the pairing of x with every y is then the sum of the rows T_a[x_a], and
     it is zero exactly when each digit of that sum is 0 mod p: for p = 2,
     when the sum shares no bit with the code of the all-ones digit string."""
 
     def __init__(self, Y, M, F: FieldSpec, conj: bool = False):
-        mul, _add, cj = _tables(F)
+        mul, add, cj = _tables(F)
         Y = np.asarray(Y, dtype=mul.dtype)
         if conj:
             Y = cj[Y]
         self.F = F
-        self.M = M
-        self.cols = [b for b in range(len(M)) if any(row[b] for row in M)]
-        p, h = F.p, F.h
-        bits = (len(self.cols) * (p - 1)).bit_length()
+        self.cols = [a for a in range(len(M)) if any(M[a])]
+        p, h, bits = F.p, F.h, (len(self.cols) * (F.p - 1)).bit_length()
         dtype = np.min_scalar_type((1 << bits * h) - 1)
         code = _element_codes(F, bits).astype(dtype)
-        products = code[mul]  # [a, y]: code(a y)
-        self.rows = [products[:, Y[:, b]] for b in self.cols]
-        for T in self.rows:
-            T.setflags(write=False)
+        products = code[mul]  # [v, r]: code(v r)
+        self.rows = []
+        for a in self.cols:  # T_a from r_a = sum_b M[a][b] y_b^s, by take
+            terms = [mul[m].take(Y[:, b]) for b, m in enumerate(M[a]) if m]
+            self.rows.append(products.take(reduce(lambda r, t: add[r, t], terms), axis=1))
+            self.rows[-1].setflags(write=False)
+        self._scratch = np.empty((2, 0, len(Y)), dtype=dtype)
         if p == 2:
             self.mask = code[-1]
         else:
@@ -316,46 +317,63 @@ class Pairing:
     def blocks(self, X):
         """(lo, Z) for consecutive row blocks of X, Z[i, j] true when
         x = X[lo + i] pairs to zero with Y[j]; a block has as many rows as
-        fit in _BLOCK entries, and at least one; for odd p, an eighth of that."""
-        # a block's linear forms x M at the nonzero columns b: the form at (x, e_b)
-        unit = np.eye(len(self.M), dtype=np.int64)[self.cols]
+        fit in _BLOCK entries, and at least one; for odd p, an eighth of that.
+        The sums are formed in scratch that the pairing keeps from call to
+        call, so it serves one generator at a time; each Z is a new array."""
         X = np.asarray(X, dtype=_tables(self.F)[0].dtype)
-        step = max(1, _BLOCK // self.rows[0].shape[1])
+        step = max(1, _BLOCK // max(1, self.rows[0].shape[1]))
         sub = step if self.F.p == 2 else max(1, step // 8)  # take copies the indices to intp
         step -= step % sub
+        if self._scratch.shape[1] < min(step, len(X)):
+            self._scratch = np.empty((2, min(step, len(X)), self._scratch.shape[2]),
+                                     dtype=self._scratch.dtype)
         for lo in range(0, len(X), step):
-            block = form_values(X[lo:lo + step, None], unit, self.M, self.F)
-            acc = np.take(self.rows[0], block[:, 0], axis=0)
-            term = np.empty_like(acc)
+            block = X[lo:lo + step, self.cols]
+            # mode "wrap": with the default "raise", take fills a copy of out
+            acc, term = self._scratch[:, :len(block)]
+            np.take(self.rows[0], block[:, 0], axis=0, out=acc, mode="wrap")
             for T, l in zip(self.rows[1:], block[:, 1:].T):
-                acc += np.take(T, l, axis=0, out=term)
+                acc += np.take(T, l, axis=0, out=term, mode="wrap")
             for i in range(0, len(acc), sub):
                 part = acc[i:i + sub]
-                yield lo + i, (part & self.mask) == 0 if self.F.p == 2 else self.zero.take(part)
+                yield lo + i, (np.bitwise_and(part, self.mask, out=part) == 0
+                               if self.F.p == 2 else self.zero.take(part))
+
+
+def pairing_bytes(M, F: FieldSpec, fixed: int, vectors: int) -> int:
+    """Peak bytes of a `Pairing` of `fixed` vectors read against `vectors`
+    others: tables, scratch, their coordinates, a byte per block entry for the
+    zeros and a reader's selection, for odd p a sub-block's intp indices."""
+    rows = Pairing([[0] * len(M)], M, F).rows
+    step = max(1, _BLOCK // max(1, fixed))
+    sub = 8 * fixed * min(vectors, max(1, step // 8)) if F.p > 2 else 0
+    return (fixed * sum(T.nbytes for T in rows) + vectors * len(M) * _tables(F)[0].itemsize
+            + sub + fixed * min(vectors, step) * (2 * rows[0].itemsize + 2))
 
 
 @lru_cache(maxsize=None)
 def _hyperplane_pairing(n: int, F: FieldSpec) -> Pairing:
-    """The points of PG(n,q) as dual coordinates of its hyperplanes; their
-    coordinates and codes, and four row blocks, are charged before they exist."""
-    unit = np.eye(n + 1, dtype=np.int64).tolist()
-    codes = sum(T.nbytes for T in Pairing([[0] * (n + 1)], unit, F).rows)
-    item = np.min_scalar_type(F.order - 1).itemsize
-    refuse_over_budget(theta(n, F.order) * ((n + 1) * item + codes) + 4 * _BLOCK,
-                       f"PG({n},{F.order})", "hyperplane tables")
+    """The points of PG(n,q) as dual coordinates of its hyperplanes, charged
+    before they exist: the pairing, and per point a second copy of its
+    coordinates, its weight, place in weight order, sum and two counts."""
+    unit, points = np.eye(n + 1, dtype=np.int64).tolist(), theta(n, F.order)
+    refuse_over_budget(pairing_bytes(unit, F, points, points) + points * (
+        (n + 1) * _tables(F)[0].itemsize + 40), f"PG({n},{F.order})", "hyperplane tables")
     return Pairing(point_array(n, F), unit, F)
 
 
 def hyperplane_sums(points, weights, n: int, F: FieldSpec) -> np.ndarray:
     """int64 [j]: the total weight of the points on hyperplane j, in the
     canonical dual order (that of point_array(n, F)); summed a block of points
-    at a time, one count per distinct weight, with no block-sized int64."""
+    at a time in weight order, each weight's zeros a slice of the block's."""
     pairing = _hyperplane_pairing(n, F)
-    X = np.array(points, dtype=np.int64).reshape(-1, n + 1)
+    X = np.array(points, dtype=_tables(F)[0].dtype).reshape(-1, n + 1)
     w = np.asarray(weights, dtype=np.int64)
+    order = np.argsort(w, kind="stable")
     out = np.zeros(theta(n, F.order), dtype=np.int64)
-    for lo, zero in pairing.blocks(X):
-        part = w[lo:lo + len(zero)]
+    for lo, zero in pairing.blocks(X[order]):
+        part = w[order[lo:lo + len(zero)]]
         for c in set(part.tolist()):
-            out += c * np.count_nonzero(zero[part == c], axis=0)
+            out += c * np.count_nonzero(zero[slice(*np.searchsorted(part, (c, c + 1)))],
+                                        axis=0)
     return out

@@ -308,7 +308,7 @@ def test_scan_empty_window_is_a_usage_error(capsys, monkeypatch):
 # codes of over 10^6 k-spaces, each refused by the byte budget of the
 # k-space enumeration before it allocates
 @pytest.mark.parametrize("family,n,q,k,refusal", [
-    ("H", 7, 2, 1, "1519749 singular 1-spaces of H(7,4): point masks needs 2109920456"),
+    ("H", 7, 2, 1, "1519749 singular 1-spaces of H(7,4): point masks needs 2107727456"),
     ("H", 7, 2, 2, "3256605 singular 2-spaces of H(7,4): supports needs 138724862"),
     ("Qplus", 11, 2, 2,
      "7043355 singular 2-spaces of Qplus(11,2): supports needs 99845822"),

@@ -92,6 +92,28 @@ def test_complement_ovoid_q16_within_budget():
     assert peak < projspace.BYTE_BUDGET
 
 
+def test_hyperplane_section_refused_before_allocating(monkeypatch):
+    # the pairing of the 4,369 points of Q(4,16) with the 69,905 hyperplanes
+    # of PG(4,16), 2.69 MB: one byte under its charge nothing of either is
+    # formed, and at the charge the section is found
+    P = get_space("Q", 4, 16)
+    projspace._tables(P.F)
+    unit = [[int(i == j) for j in range(5)] for i in range(5)]
+    charge = projspace.pairing_bytes(unit, P.F, 4369, 69905) + projspace._FIXED_BYTES
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", charge - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(projspace.ResourceError,
+                           match=rf"^Q\(4,16\): hyperplane section needs {charge} bytes"):
+            C.cw_complement_ovoid("Q", 16)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", charge)
+    assert len(C.elliptic_hyperplane_section(P)) == 16 ** 2 + 1
+
+
 def test_hyperplane_section_of_no_hyperplane_refused():
     # the hyperplane sections of Q(4,2) have 5, 7 or 9 points
     with pytest.raises(GeometryError, match="^no elliptic hyperplane section found$"):

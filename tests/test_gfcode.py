@@ -502,13 +502,13 @@ def test_elimination_refused_before_allocating():
 
 def test_refusal_messages_pinned(monkeypatch):
     # every refusal comes from projspace.refuse_over_budget.  The lines of
-    # Q+(3,131) are over the budget at level 0, where the adjacency list,
-    # the point arrays, the pairing tables and a mask per point are charged
-    P = standard_polar_space("Qplus", 3, field_of_order(131))
+    # W(3,27) are over the budget at level 1, where a mask per point, the
+    # point arrays and a mask per line are charged
+    P = standard_polar_space("W", 3, field_of_order(27))
     with pytest.raises(ResourceError) as refused:
         P.singular_kspaces_with_supports(1)
-    assert str(refused.value) == ("17424 singular 0-spaces of Qplus(3,131): point "
-                                  "masks needs 99315776 bytes, over the budget of 80000000")
+    assert str(refused.value) == ("20440 singular 1-spaces of W(3,27): point "
+                                  "masks needs 106257472 bytes, over the budget of 80000000")
     with pytest.raises(ResourceError) as refused:
         rank_and_nullspace(build_incidence(standard_polar_space(
             "Qminus", 3, field_of_order(61)), 0))

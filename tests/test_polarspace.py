@@ -3,7 +3,6 @@ import hashlib
 import json
 import pickle
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -512,29 +511,63 @@ def test_largest_level_refused_before_allocating(monkeypatch):
     assert P._adj is None and P._kspace_cache == {}
 
 
-def test_adjacency_list_charged_with_the_masks(monkeypatch):
-    # level 0 holds the adjacency, N Python ints of N bits in a list, and
-    # the intp coordinates, code and lead column of each point beside one
-    # mask of ceil(N / 64) words per point, and the pairing that forms the
-    # adjacency holds a one-byte code per element of GF(9) and nonzero
-    # column of the form, 5 of them.  For the 820 points of Q(4,9) that is
-    # 118,080 + 45,920 + 36,900 and 85,280 bytes; charged apart, as they
-    # were, the largest charge of its lines was the masks alone
+def test_pairing_tables_charged_with_the_masks(monkeypatch):
+    # level 0 holds per point a mask of ceil(N / 64) words, its intp lead
+    # and level-0 row, its fresh flags and coordinates, beside the pairing
+    # of the lead column with the most fresh points, 91 of them: a one-byte
+    # code per element of GF(9) and nonzero row of the form for each, the
+    # coordinates of the 820 points it is read against, two blocks of
+    # scratch and the zeros and selection of a block of 820 x 91 one-byte
+    # sums, and the intp indices of an eighth of a block of 2,880 rows.
+    # For the 820 points of Q(4,9) that is 106,600 + 4,095 + 4,100 +
+    # 298,480 + 262,080 bytes, more than the masks of its 820 lines
     P = standard_polar_space("Q", 4, field_of_order(9))
-    N = len(P.points)
-    ints = N * (24 + 4 * -(-N // 30)) + 8 * N
-    masks = N * 8 * -(-N // 64)
-    held = ints + N * 8 * (5 + 2) + N * 5 * 9 + masks
-    assert max(N * N // 8, masks, P.kspace_count(1) * theta(1, 9) * 2) < held - 1
+    N, X = len(P.points), np.array(P.points)
+    lead = np.argmax(X != 0, axis=1)
+    fresh = max(np.count_nonzero((lead < c) & (X[:, c] == 0)) for c in range(5))
+    assert fresh == 91
+    masks = 8 * -(-N // 64)
+    held = N * (masks + 16 + 2 * 5)
+    rows = projspace._BLOCK // fresh
+    pairing = (fresh * 5 * 9 + N * 5 + fresh * min(N, rows) * (2 + 2)
+               + 8 * fresh * min(N, rows // 8))
+    assert P.kspace_count(1) * masks < pairing
     allowance = 4 * projspace._BLOCK + projspace._FIXED_BYTES
-    monkeypatch.setattr(projspace, "BYTE_BUDGET", held - 1 + allowance)
-    with pytest.raises(ResourceError, match=f"point masks needs {held + allowance} bytes"):
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", held + pairing - 1 + allowance)
+    with pytest.raises(ResourceError, match=rf"^820 singular 0-spaces of Q\(4,9\): "
+                       rf"point masks needs {held + pairing + allowance} bytes"):
         P.singular_kspaces_with_supports(1)
     assert P._adj is None and P._kspace_cache == {}
-    monkeypatch.setattr(projspace, "BYTE_BUDGET", held + allowance)
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", held + pairing + allowance)
     assert len(P.singular_kspaces_with_supports(1)) == P.kspace_count(1)
-    # an int of N bits takes 24 bytes and ceil(N / 30) digits of 4 bytes
-    assert sum(map(sys.getsizeof, P.adjacency())) <= ints - 8 * N
+    assert P._adj is None
+
+
+@pytest.mark.parametrize("family,n,order", VIEW_SPACES)
+def test_kspaces_form_no_adjacency(family, n, order, monkeypatch):
+    # every level of a fresh space whose adjacency cannot be formed, against
+    # the int-mask levels of the reference, which read the adjacency
+    P = get_space(family, n, order)
+    want = [kspaces_by_int_masks(P, k)[1] for k in range(P.gen_dim + 1)]
+    monkeypatch.setattr(polarspace.PolarSpace, "adjacency",
+                        lambda self: pytest.fail("the adjacency was formed"))
+    P = standard_polar_space(family, n, field_of_order(order))
+    for k, supports in enumerate(want):
+        assert np.array_equal(P.singular_kspaces_with_supports(k).supports, supports)
+    assert P._adj is None
+
+
+def test_lines_of_q4_25_peak_under_45_mb():
+    # the 16,276 lines of Q(4,25): beside their masks the adjacency, a list
+    # of 16,926 ints of 16,926 bits formed first, made them peak at 70.7 MB
+    P = standard_polar_space("Q", 4, field_of_order(25))
+    tracemalloc.start()
+    try:
+        P.singular_kspaces_with_supports(1)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6
 
 
 def test_output_rows_are_charged():
@@ -589,12 +622,16 @@ def test_space_build_peak_within_charge(family, n, order, monkeypatch):
 
 @pytest.mark.parametrize("family,n,order,k", [
     ("Q", 6, 4, 2), ("Qplus", 7, 3, 1), ("Q", 8, 2, 3), ("Qplus", 9, 2, 4),
-    ("Q", 4, 9, 1), ("Q", 6, 3, 2), ("Qplus", 3, 31, 1)])
+    ("Q", 4, 9, 1), ("Q", 6, 3, 2), ("Qplus", 3, 31, 1), ("Q", 4, 8, 1),
+    ("Qplus", 3, 127, 1), ("H", 3, 49, 1)])
 def test_kspaces_peak_within_charge(family, n, order, k, monkeypatch):
-    # the adjacency included: the nonzero masks of a level, those of the
-    # next formed beside them, and the row blocks stay within the charges.
-    # The last three, over odd p, peaked at 3.32, 1.50 and 3.50 MB while
-    # each adjacency block was cast to intp to look up its zeros
+    # the pairings that form the masks, the nonzero masks of a level, those
+    # of the next formed beside them, and the row blocks stay within the
+    # charges.  Q(4,9), Q(6,3) and Q+(3,31) peaked at 3.32, 1.50 and 3.50 MB
+    # while each block of pairs was cast to intp to look up its zeros, and
+    # Q(4,8) at 1.91 MB against 1.30 MB while the adjacency was formed
+    # first; Q+(3,127) and H(3,49), refused while the charge counted the
+    # adjacency, peak at about 35 and 38 MB
     P = standard_polar_space(family, n, field_of_order(order))
     charges = []
     refuse = projspace.refuse_over_budget

@@ -159,12 +159,58 @@ def test_hyperplane_tables_refused_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError,
-                           match=r"^PG\(5,16\): hyperplane tables needs 222573350 bytes"):
+                           match=r"^PG\(5,16\): hyperplane tables needs 279685786 bytes"):
             hyperplane_sums([(1, 0, 0, 0, 0, 0)], [1], 5, F)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n,q", [(4, 8), (3, 16)])
+def test_hyperplane_sums_peak_within_charge(n, q, monkeypatch):
+    # the sums over every point of PG(n,q), the tables formed in the call:
+    # with the summed codes, their copy and the masked codes formed afresh
+    # for each block, both peaked 2.77 MB above the tables
+    F = field_of_order(q)
+    pts = enumerate_points(n, F)
+    _tables(F)
+    _hyperplane_pairing.cache_clear()
+    charges = []
+    refuse = projspace.refuse_over_budget
+    monkeypatch.setattr(projspace, "refuse_over_budget", lambda size, subject, what:
+                        charges.append(size + projspace._FIXED_BYTES)
+                        or refuse(size, subject, what))
+    tracemalloc.start()
+    try:
+        sums = hyperplane_sums(pts, [1] * len(pts), n, F)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _hyperplane_pairing.cache_clear()
+    assert sums.tolist() == [theta(n - 1, q)] * len(pts)
+    assert len(charges) == 1 and peak <= charges[0]
+
+
+def test_warm_hyperplane_sums_allocate_no_block():
+    # 27 points of PG(4,8) and weights 1 to 3: the pairing keeps the block
+    # of summed codes and its scratch, so a second call allocates no array
+    # of their size.  Formed afresh, they made each such call fault in
+    # fresh pages once numpy's temporaries had fallen below glibc's mmap
+    # threshold
+    F = field_of_order(8)
+    pts = random.Random(8).sample(enumerate_points(4, F), 27)
+    weights = [1 + i % 3 for i in range(27)]
+    first = hyperplane_sums(pts, weights, 4, F)
+    block = 27 * theta(4, 8) * _hyperplane_pairing(4, F).rows[0].itemsize
+    tracemalloc.start()
+    try:
+        again = hyperplane_sums(pts, weights, 4, F)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, first)
+    assert peak < block
 
 
 @pytest.mark.parametrize("n,q", [(4, 16), (3, 27), (6, 3)])
@@ -405,6 +451,29 @@ def test_pairing_matches_scalar_reference(q):
             got = np.concatenate([Z for _lo, Z in Pairing(Y, M, F, conj).blocks(X)])
             want = [[_form_reference(x, y, M, F, conj) == 0 for y in Y] for x in X]
             assert got.tolist() == want, (width, M, conj)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_pairing_scratch_serves_calls_of_any_length(q, monkeypatch):
+    # one pairing read over 5 rows, then over 37 in blocks of 16 (for odd
+    # p, sub-blocks of 2) and over 5 again: each call grows or reuses the
+    # scratch the earlier ones left, and every yielded block is a new array
+    # that later blocks leave as it was
+    monkeypatch.setattr(projspace, "_BLOCK", 16 * 11)
+    F = field_of_order(q)
+    form = get_space("W", 3, q).form
+    rng = random.Random(q)
+    Y = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(11)]
+    pairing = Pairing(Y, form.bilinear_matrix, F)
+    for rows in (5, 37, 5):
+        X = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(rows)]
+        blocks = [(lo, Z, Z.copy()) for lo, Z in pairing.blocks(X)]
+        assert [lo for lo, _Z, _C in blocks] == list(range(0, rows, len(blocks[0][1])))
+        assert all(np.array_equal(Z, C) for _lo, Z, C in blocks)
+        got = np.concatenate([Z for _lo, Z, _C in blocks])
+        want = [[_form_reference(x, y, form.bilinear_matrix, F, False) == 0 for y in Y]
+                for x in X]
+        assert got.tolist() == want
 
 
 def test_pairing_blocks_cover_every_row():
