@@ -184,10 +184,10 @@ def _hyperbolic_quadrics(q: int) -> _Replay:
     skew when their Klein points are not collinear."""
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
+    adj = P.adjacency()  # refuses an oversized space before the lines are listed
     at = [P.index[klein_point(L, F)] for L in enumerate_lines(3, F)]
 
     def quadrics():
-        adj = P.adjacency()
         seen = set()
         for i, j, k in combinations(at, 3):
             if adj[i] >> j & 1 or adj[i] >> k & 1 or adj[j] >> k & 1:

@@ -87,7 +87,6 @@ class FieldSpec:
         self.h = h
         self.order = p ** h
         self.modulus = modulus
-        self._reduce_tail = modulus[:-1]  # x^h = -(tail) mod p
         self._build_tables()
 
     # -- raw residue arithmetic used only to bootstrap the tables --
@@ -113,13 +112,7 @@ class FieldSpec:
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % p
-        for deg in range(len(prod) - 1, self.h - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                for i, m in enumerate(self._reduce_tail):
-                    prod[deg - self.h + i] = (prod[deg - self.h + i] - c * m) % p
-        return self._pack(prod[: self.h])
+        return self._pack(_poly_divmod(prod, self.modulus, p)[1])
 
     def _build_tables(self):
         q = self.order
@@ -128,24 +121,20 @@ class FieldSpec:
             self._add = [[self._pack([(x + y) % self.p for x, y in
                                       zip(self._digits(a), self._digits(b))])
                           for b in range(q)] for a in range(q)]
-        # find a generator of the (cyclic) multiplicative group
+        # the first generator of the (cyclic) multiplicative group: the
+        # powers that the search walks to find it are the exp table
         for g in range(1, q):
-            seen, x = 1, g
+            exp, x = [1], g
             while x != 1:
+                exp.append(x)
                 x = self._raw_mul(x, g)
-                seen += 1
-            if seen == q - 1:
+            if len(exp) == q - 1:
                 break
         else:
             raise FieldError("no multiplicative generator found")
-        self.generator = g
-        self._exp = [0] * (q - 1)
-        self._log = [0] * q
-        x = 1
-        for k in range(q - 1):
-            self._exp[k] = x
+        self.generator, self._exp, self._log = g, exp, [0] * q
+        for k, x in enumerate(exp):
             self._log[x] = k
-            x = self._raw_mul(x, g)
 
     # -- public operations --
 

@@ -245,7 +245,6 @@ class PolarSpace:
                 f"point count {len(self.points)} != closed form {expected}")
         self.index = {p: i for i, p in enumerate(self.points)}
         self._check_nondegenerate()
-        self._adj = None
         self._kspace_cache = {}
 
     def _build_bytes(self, N: int) -> int:
@@ -287,19 +286,22 @@ class PolarSpace:
         return bool(self.form.pair(x, y) == 0)
 
     def adjacency(self):
-        """Per-point bitmask of other points joined by a singular line, kept
-        by the space; formed a block of rows at a time, so no N x N array
-        exists.  The k-space enumeration does not use it."""
-        if self._adj is None:
-            pairing = Pairing(self.coordinates, self.form.bilinear_matrix, self.F,
-                              conj=self.family == "hermitian")
-            adj = []
-            for lo, zero in pairing.blocks(self.coordinates):
-                zero[np.arange(len(zero)), np.arange(lo, lo + len(zero))] = False
-                packed = np.packbits(zero, axis=1, bitorder="little")
-                adj += [int.from_bytes(row.tobytes(), "little") for row in packed]
-            self._adj = adj
-        return self._adj
+        """Per-point bitmask of other points joined by a singular line, a new
+        list on every call that the space does not keep.  It is charged before
+        it is formed: the pairing of the points, read a block of rows at a
+        time, so no N x N array exists, and per point an N-bit int and its
+        list slot.  The k-space enumeration does not use it."""
+        N, M = len(self.points), self.form.bilinear_matrix
+        per_point = sys.getsizeof((1 << N) - 1) + 8
+        refuse_over_budget(pairing_bytes(M, self.F, N, N) + N * per_point,
+                           f"{self!r}", "adjacency")
+        pairing = Pairing(self.coordinates, M, self.F, conj=self.family == "hermitian")
+        adj = []
+        for lo, zero in pairing.blocks(self.coordinates):
+            zero[np.arange(len(zero)), np.arange(lo, lo + len(zero))] = False
+            packed = np.packbits(zero, axis=1, bitorder="little")
+            adj += [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return adj
 
     def _fresh(self) -> tuple[np.ndarray, np.ndarray]:
         """(lead, fresh): each point's lead column, and fresh[c] true at the

@@ -43,13 +43,25 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
+def collinearity_masks(P: PolarSpace) -> list[int]:
+    """Per point the int mask of the other points collinear with it, from
+    the form's value at every pair of points (`form_values`), not from the
+    `projspace.Pairing` that `PolarSpace.adjacency` and the enumeration use."""
+    X = np.array(P.points)
+    zero = P.form.pair(X[:, None], X[None]) == 0
+    np.fill_diagonal(zero, False)
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(zero, axis=1, bitorder="little")]
+
+
 def kspaces_by_int_masks(P: PolarSpace, k: int):
     """(rows, supports) of the singular k-spaces of P in support order, by
     the pivot rule on Python int masks: rows the point indices of the RREF
     rows, which `KSpaces` reads from the supports.  A node's candidates
     are one int, a child's are its parent's AND the int `down` of its new
-    point, and `bit_indices` lists them.  Each support is formed from the
-    k-space's rows by `subspace_points`."""
+    point, and `bit_indices` lists them; the masks are the
+    `collinearity_masks`.  Each support is formed from the k-space's rows
+    by `subspace_points`."""
     X = np.array(P.points)
     N, width = X.shape
     lead = np.argmax(X != 0, axis=1)
@@ -57,7 +69,8 @@ def kspaces_by_int_masks(P: PolarSpace, k: int):
     if k:
         fresh = [sum(1 << int(i) for i in np.flatnonzero((lead < c) & (X[:, c] == 0)))
                  for c in range(width)]
-        cands = down = [a & fresh[c] for a, c in zip(P.adjacency(), lead.tolist())]
+        masks = collinearity_masks(P)
+        cands = down = [a & fresh[c] for a, c in zip(masks, lead.tolist())]
     for _level in range(k):
         children, nxt = [], []
         for row, cand in zip(rows, cands):
@@ -141,7 +154,7 @@ def find_ovoid(P: PolarSpace):
     pick pairwise non-collinear points hitting every generator once."""
     gens = [set(sup) for _S, sup in
             P.singular_kspaces_with_supports(P.gen_dim)]
-    adj = P.adjacency()
+    adj = collinearity_masks(P)
     want = P.q ** 2 + 1
 
     def rec(chosen, blocked, hit):

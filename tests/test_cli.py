@@ -260,6 +260,17 @@ def test_parabolic_section_complement_over_budget_is_refused(capsys):
                    "94287920 bytes, over the budget of 80000000\n")
 
 
+def test_regulus_combination_over_budget_is_refused(capsys):
+    # the adjacency of the 70,161 points of Q+(5,16), a 70,161-bit int per
+    # point, is refused before it or the lines of PG(3,16) are formed
+    code, out, err = run(capsys, "construct", "regulus-combination", "--q", "16",
+                         "--common-lines", "0")
+    assert code == EXIT_REFUSED
+    assert out == ""
+    assert err == ("refused: Qplus(5,16): adjacency needs 673891780 bytes, "
+                   "over the budget of 80000000\n")
+
+
 def test_scan_q42(capsys):
     code, out, _ = run(capsys, "scan", "--family", "Q", "--n", "4",
                        "--q", "2")

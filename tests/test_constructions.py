@@ -8,7 +8,7 @@ from polarlab import projspace
 from polarlab.gf import field_of_order
 from polarlab.kleinmap import klein_point
 from polarlab.projspace import GeometryError, enumerate_lines
-from polarlab.polarspace import bound_min_weight_dual, get_space
+from polarlab.polarspace import bound_min_weight_dual, get_space, standard_polar_space
 from polarlab import constructions as C
 
 
@@ -112,6 +112,25 @@ def test_hyperplane_section_refused_before_allocating(monkeypatch):
     assert peak < 1 << 20
     monkeypatch.setattr(projspace, "BYTE_BUDGET", charge)
     assert len(C.elliptic_hyperplane_section(P)) == 16 ** 2 + 1
+
+
+def test_every_pairing_is_charged_before_it_is_formed(monkeypatch):
+    # with a budget of one byte past the allowance, each step that pairs the
+    # points of Q(4,4) is refused before a pairing of its vectors exists;
+    # `pairing_bytes` forms a pairing of one vector to size the tables
+    P = standard_polar_space("Q", 4, field_of_order(4))
+    projspace._hyperplane_pairing.cache_clear()
+    monkeypatch.setattr(projspace, "BYTE_BUDGET", projspace._FIXED_BYTES + 1)
+    fixed = []
+    init = projspace.Pairing.__init__
+    monkeypatch.setattr(projspace.Pairing, "__init__", lambda self, Y, *args, **kw:
+                        fixed.append(len(Y)) or init(self, Y, *args, **kw))
+    for step in (lambda: P.singular_kspaces_with_supports(1), P.adjacency,
+                 lambda: C.elliptic_hyperplane_section(P),
+                 lambda: projspace.hyperplane_sums(P.points, [1] * 85, 4, P.F)):
+        with pytest.raises(projspace.ResourceError):
+            step()
+    assert set(fixed) == {1}
 
 
 def test_hyperplane_section_of_no_hyperplane_refused():

@@ -1,9 +1,14 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from polarlab.gf import (
+    MAX_DEGREE,
     FieldError,
+    FieldSpec,
     field_of_order,
+    is_prime,
     least_irreducible,
     make_field,
 )
@@ -44,6 +49,21 @@ def test_least_irreducible_moduli():
     assert least_irreducible(3, 4) == (2, 1, 0, 0, 1)
     assert least_irreducible(5, 2) == (2, 0, 1)
     assert least_irreducible(13, 4) == (2, 0, 0, 0, 1)
+
+
+def test_generators_and_exp_tables_pinned():
+    # (order, generator, exp table) of every supported order up to 81, then
+    # 625 and 2401, each from a fresh spec: the exp table is the powers of the
+    # first generator, and products are reduced by the modulus
+    fields = sorted((p ** h, p, h) for p in range(2, 82) if is_prime(p)
+                    for h in range(1, MAX_DEGREE + 1) if p ** h <= 81)
+    got = []
+    for _q, p, h in fields + [(625, 5, 4), (2401, 7, 4)]:
+        F = FieldSpec(p, h, least_irreducible(p, h))
+        got.append((F.order, F.generator, F._exp))
+    assert len(got) == 32
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "0634729460fdda75625864c4f8f0075aadd7b45e9659206bb76ea4b30af9214e")
 
 
 @st.composite

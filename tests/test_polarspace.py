@@ -38,6 +38,7 @@ from polarlab.polarspace import (
 )
 from references import (
     bit_indices,
+    collinearity_masks,
     count_kspaces_through,
     kspaces_by_int_masks,
     nucleus,
@@ -262,11 +263,7 @@ def test_adjacency_matches_pairwise_collinear(family, n, order):
 def test_adjacency_matches_form_pairs(family, n, order):
     # p = 2 with h = 3, odd p with h = 2, and the hermitian family
     P = get_space(family, n, order)
-    X = np.array(P.points)
-    zero = P.form.pair(X[:, None], X[None]) == 0
-    np.fill_diagonal(zero, False)
-    assert [bit_indices(a) for a in P.adjacency()] == [
-        np.flatnonzero(row).tolist() for row in zero]
+    assert P.adjacency() == collinearity_masks(P)
 
 
 def test_adjacency_has_no_square_temporary():
@@ -279,6 +276,32 @@ def test_adjacency_has_no_square_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 5.7e6 / 2
+
+
+@pytest.mark.parametrize("family,n,order", [
+    ("Qplus", 5, 4), ("Q", 4, 8), ("H", 5, 4), ("Qplus", 5, 8)])
+def test_adjacency_peak_within_charge(family, n, order, monkeypatch):
+    # the pairing of the points and an N-bit int per point: the ints of the
+    # 4,745 points of Q+(5,8) take 3.2 MB of its 5.2 MB peak
+    P = standard_polar_space(family, n, field_of_order(order))
+    charges = []
+    refuse = projspace.refuse_over_budget
+    monkeypatch.setattr(polarspace, "refuse_over_budget", lambda size, subject, what:
+                        charges.append(size + projspace._FIXED_BYTES)
+                        or refuse(size, subject, what))
+    tracemalloc.start()
+    try:
+        P.adjacency()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(charges) == 1 and peak <= charges[0]
+
+
+def test_adjacency_is_not_kept():
+    P = get_space("Q", 4, 3)
+    first, second = P.adjacency(), P.adjacency()
+    assert first == second and first is not second
 
 
 def brute_force_kspaces(P, k):
@@ -496,7 +519,7 @@ def test_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(projspace, "BYTE_BUDGET", 8)
     with pytest.raises(ResourceError):
         P.singular_kspaces_with_supports(1)
-    assert P._adj is None and P._kspace_cache == {}
+    assert P._kspace_cache == {}
 
 
 def test_largest_level_refused_before_allocating(monkeypatch):
@@ -508,7 +531,7 @@ def test_largest_level_refused_before_allocating(monkeypatch):
                         8000 + 4 * projspace._BLOCK + projspace._FIXED_BYTES)
     with pytest.raises(ResourceError, match=f"^{P.kspace_count(2)} singular 2-spaces"):
         P.singular_kspaces_with_supports(3)
-    assert P._adj is None and P._kspace_cache == {}
+    assert P._kspace_cache == {}
 
 
 def test_pairing_tables_charged_with_the_masks(monkeypatch):
@@ -537,16 +560,15 @@ def test_pairing_tables_charged_with_the_masks(monkeypatch):
     with pytest.raises(ResourceError, match=rf"^820 singular 0-spaces of Q\(4,9\): "
                        rf"point masks needs {held + pairing + allowance} bytes"):
         P.singular_kspaces_with_supports(1)
-    assert P._adj is None and P._kspace_cache == {}
+    assert P._kspace_cache == {}
     monkeypatch.setattr(projspace, "BYTE_BUDGET", held + pairing + allowance)
     assert len(P.singular_kspaces_with_supports(1)) == P.kspace_count(1)
-    assert P._adj is None
 
 
 @pytest.mark.parametrize("family,n,order", VIEW_SPACES)
 def test_kspaces_form_no_adjacency(family, n, order, monkeypatch):
     # every level of a fresh space whose adjacency cannot be formed, against
-    # the int-mask levels of the reference, which read the adjacency
+    # the int-mask levels of the reference, which read the form values
     P = get_space(family, n, order)
     want = [kspaces_by_int_masks(P, k)[1] for k in range(P.gen_dim + 1)]
     monkeypatch.setattr(polarspace.PolarSpace, "adjacency",
@@ -554,7 +576,6 @@ def test_kspaces_form_no_adjacency(family, n, order, monkeypatch):
     P = standard_polar_space(family, n, field_of_order(order))
     for k, supports in enumerate(want):
         assert np.array_equal(P.singular_kspaces_with_supports(k).supports, supports)
-    assert P._adj is None
 
 
 def test_lines_of_q4_25_peak_under_45_mb():
@@ -576,7 +597,7 @@ def test_output_rows_are_charged():
     P = standard_polar_space("H", 5, field_of_order(9))
     with pytest.raises(ResourceError, match="point masks"):
         P.singular_kspaces_with_supports(1)
-    assert P._adj is None and P._kspace_cache == {}
+    assert P._kspace_cache == {}
 
 
 def test_space_build_refused_before_allocating(monkeypatch):
