@@ -2,8 +2,9 @@
 
 Elements are plain ints in [0, p^h): the base-p digit packing of the
 polynomial residue, so the prime subfield is literally {0, 1, ..., p-1}.
-A FieldSpec carries the modulus and precomputed exp/log tables; all
-operations are pure and the spec is immutable after construction.
+A FieldSpec carries the modulus and exp/log tables of q entries; products
+use exp/log and sums Zech logarithms (1 + g^k = g^Z(k)), with no q^2 table.
+All operations are pure and the spec is immutable after construction.
 
 Only desk-scale orders are supported (h <= 4, p^h <= 2^16).  Anything
 larger is rejected rather than degraded.
@@ -45,7 +46,7 @@ def _poly_divmod(a, b, p):
     a = list(a)
     _poly_trim(a)
     db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
+    inv_lead = pow(b[-1], -1, p)
     quo = [0] * max(len(a) - db, 1)
     while len(a) - 1 >= db and any(a):
         shift = len(a) - 1 - db
@@ -115,12 +116,7 @@ class FieldSpec:
         return self._pack(_poly_divmod(prod, self.modulus, p)[1])
 
     def _build_tables(self):
-        q = self.order
-        self._add = None
-        if q <= 512:
-            self._add = [[self._pack([(x + y) % self.p for x, y in
-                                      zip(self._digits(a), self._digits(b))])
-                          for b in range(q)] for a in range(q)]
+        q, p = self.order, self.p
         # the first generator of the (cyclic) multiplicative group: the
         # powers that the search walks to find it are the exp table
         for g in range(1, q):
@@ -135,17 +131,22 @@ class FieldSpec:
         self.generator, self._exp, self._log = g, exp, [0] * q
         for k, x in enumerate(exp):
             self._log[x] = k
+        # Zech logarithms: 1 + g^k = g^_zech[k], None where g^k = -1; adding
+        # 1 changes only the lowest base-p digit
+        self._zech = [self._log[y] if (y := x - x % p + (x + 1) % p) else None
+                      for x in exp]
 
     # -- public operations --
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._pack([(x + y) % self.p for x, y in
-                           zip(self._digits(a), self._digits(b))])
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]  # negative indices wrap mod q - 1
+        return 0 if z is None else self._exp[la + z + 1 - self.order]  # a (1 + b/a)
 
     def neg(self, a: int) -> int:
-        return self._pack([(-x) % self.p for x in self._digits(a)])
+        return self.mul(a, self.p - 1)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -205,7 +206,7 @@ def make_field(p: int, h: int) -> FieldSpec:
 def field_of_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q."""
     for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
+        if q % p == 0:  # the least divisor > 1 is prime
             h = 0
             m = q
             while m > 1:

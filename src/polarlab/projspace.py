@@ -186,9 +186,7 @@ def _tables(F: FieldSpec):
     q = F.order
     dt = np.uint8 if q <= 256 else np.uint16
     refuse_over_budget((3 * np.dtype(dt).itemsize + 8) * q * q, f"GF({q})", "field tables")
-    exp = np.array([F.pow(F.generator, e) for e in range(q - 1)], dtype=dt)
-    log = np.zeros(q, dtype=np.int32)
-    log[exp] = np.arange(q - 1)
+    exp, log = np.array(F._exp, dtype=dt), np.array(F._log, dtype=np.int32)
     mul = exp[np.add.outer(log, log) % (q - 1)]
     mul[0] = mul[:, 0] = 0
     # elements are base-p digit strings added digit by digit mod p

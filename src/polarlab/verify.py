@@ -17,14 +17,15 @@ from .projspace import GeometryError, hyperplane_sums
 from .polarspace import PolarSpace
 
 
+def _point_index(P: PolarSpace, x) -> int:
+    i = x if isinstance(x, int) else P.index.get(x)
+    if i is None or not 0 <= i < len(P.points):
+        raise GeometryError("not a point of the space")
+    return i
+
+
 def _as_index_set(P: PolarSpace, pts):
-    out = set()
-    for x in pts:
-        if isinstance(x, int):
-            out.add(x)
-        else:
-            out.add(P.index[x])
-    return out
+    return {_point_index(P, x) for x in pts}
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +178,7 @@ def decompose_sum_of_lines(P: PolarSpace, W: WeightedPointSet):
     if total % (q + 1):
         raise GeometryError(f"total weight {total} is not a multiple of q+1")
     index = _lines_by_first_point(P)
-    w = {P.index[pt]: wt for pt, wt in W.weights.items()}
+    w = {_point_index(P, pt): wt for pt, wt in W.weights.items()}
 
     def peel():
         # a line through the lowest point of w starts there, and one of

@@ -425,6 +425,12 @@ def test_bad_parameters_are_usage_errors(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_complement_cone_out_of_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "construct", "complement-cone", "--family", "Qplus",
+                         "--n", "3", "--q", "2", "--k", "3")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: k=3 out of range for this family\n")
+
+
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_polar_pair_zero_word_is_not_verified(capsys, n):
     code, out, _ = run(capsys, "construct", "polar-pair", "--family", "Qplus",

@@ -1,14 +1,20 @@
 import hashlib
 import json
+import re
 import tracemalloc
 
 import pytest
 
-from polarlab import projspace
+from polarlab import projspace, verify
 from polarlab.gf import field_of_order
 from polarlab.kleinmap import klein_point
-from polarlab.projspace import GeometryError, enumerate_lines
-from polarlab.polarspace import bound_min_weight_dual, get_space, standard_polar_space
+from polarlab.projspace import GeometryError, enumerate_lines, span
+from polarlab.polarspace import (
+    bound_min_weight_dual,
+    classify_plane_section,
+    get_space,
+    standard_polar_space,
+)
 from polarlab import constructions as C
 
 
@@ -35,6 +41,36 @@ def test_two_reguli_any_symbol():
 def test_two_reguli_rejects_zero_symbol():
     with pytest.raises(GeometryError):
         C.cw_two_reguli(3, alpha=3)
+
+
+def _first_point(family, n, order):
+    P = get_space(family, n, order)
+    return P, span([P.points[0]], P.F)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: C.cw_complement_cone("Qplus", 3, 2, 3), "k=3 out of range for this family"),
+    (lambda: C.cw_complement_cone("Q", 3, 2, 2), "k=2 out of range for this family"),
+    (lambda: C.cw_complement_cone("Qminus", 3, 2, 2), "k=2 out of range for this family"),
+    (lambda: C.cw_complement_cone("H", 5, 2, 3), "k=3 out of range for this family"),
+    (lambda: C.cw_complement_cone("W", 3, 2, 1), "no complement cone for family 'W'"),
+    (lambda: C.cw_complement_ovoid("W", 2), "no ovoid complement for family 'W'"),
+    (lambda: C.cw_wq_examples(3, "affine"), "these symplectic examples need even q"),
+    (lambda: C.cw_wq_examples(2, "bogus"), "unknown symplectic example variant 'bogus'"),
+    (lambda: C.hermitian_pair_plane(get_space("H", 5, 4), "bogus"),
+     "unknown hermitian pair variant 'bogus'"),
+    (lambda: C.cw_disjoint_perp_cones("Q", 2), "no perp-cone pair for family 'Q'"),
+    (lambda: C.cw_polar_pair("H", 4, 2), "hermitian polar pairs are built for n=5"),
+    (lambda: C.cw_polar_pair("Q", 2, 2), "no polar pair for family 'Q'"),
+    (lambda: C.elliptic_hyperplane_section(get_space("Qplus", 5, 2)), "expected Q(4,q)"),
+    (lambda: verify.find_good_line(get_space("Q", 4, 2), []), "cover size 0 out of range"),
+    (lambda: classify_plane_section(*_first_point("Q", 4, 2)),
+     "plane section classification needs H(5,q^2)"),
+    (lambda: classify_plane_section(*_first_point("H", 5, 4)), "expected a plane"),
+])
+def test_usage_errors_raise_with_their_message(call, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("build", [

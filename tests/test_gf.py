@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -131,20 +132,42 @@ def test_make_field_is_cached():
     assert make_field(2, 2) is make_field(2, 2)
 
 
-@pytest.mark.parametrize("q,p", [(529, 23), (625, 5)])
+@pytest.mark.parametrize("q,p", [(4, 2), (9, 3), (16, 2), (125, 5), (343, 7),
+                                 (529, 23), (625, 5)])
 def test_addition_without_table_is_digitwise(q, p):
-    # above order 512 no addition table is built: add works on the digits
+    # sums by Zech logarithms agree with adding the base-p digits
     F = field_of_order(q)
-    assert F._add is None
 
-    def digitwise(a, b):
+    def digitwise(a, b, sign=1):
         out, place = 0, 1
         while a or b:
-            out += (a % p + b % p) % p * place
+            out += (a % p + sign * (b % p)) % p * place
             a, b, place = a // p, b // p, place * p
         return out
 
     for a in range(q):
+        assert F.neg(a) == digitwise(0, a, -1)
         for b in range(a % 7, q, 7):
             assert F.add(a, b) == digitwise(a, b)
+            assert F.sub(a, b) == digitwise(a, b, -1)
         assert F.add(a, F.neg(a)) == 0
+
+
+def test_pow_of_zero():
+    F = field_of_order(5)
+    assert F.pow(0, 0) == 1
+    with pytest.raises(ZeroDivisionError, match="^negative power of 0$"):
+        F.pow(0, -1)
+
+
+def test_field_keeps_tables_of_q_entries():
+    # the exp, log and Zech lists hold q entries each; a table of q^2 sums
+    # would take megabytes
+    modulus = least_irreducible(509, 1)
+    tracemalloc.start()
+    try:
+        F = FieldSpec(509, 1, modulus)
+        kept, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 << 10

@@ -386,6 +386,21 @@ def test_field_tables_match_scalar_operations(q):
         assert conj is None
 
 
+def test_scalar_sums_match_the_add_table():
+    # every pair of each of the 41 supported fields below order 130: sums by
+    # Zech logarithms against the digit-wise add table
+    orders = sorted(p ** h for p in range(2, 130) if is_prime(p)
+                    for h in range(1, MAX_DEGREE + 1) if p ** h < 130)
+    assert len(orders) == 41
+    for q in orders:
+        F = field_of_order(q)
+        add = _tables(F)[1]
+        neg = (add == 0).argmax(axis=1)  # the one zero of each row
+        assert [F.neg(a) for a in range(q)] == neg.tolist()
+        assert [[F.add(a, b) for b in range(q)] for a in range(q)] == add.tolist()
+        assert [[F.sub(a, b) for b in range(q)] for a in range(q)] == add[:, neg].tolist()
+
+
 @pytest.mark.parametrize("q", [241, 1009])
 def test_field_tables_peak_within_charge(q, monkeypatch):
     # by tracemalloc about 10 and 12 bytes per entry: GF(1009) peaks at

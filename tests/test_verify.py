@@ -230,6 +230,17 @@ def test_decompose_rejects_bad_total(q42):
         decompose_sum_of_lines(q42, W)
 
 
+@pytest.mark.parametrize("call", [
+    lambda P: is_ovoid(P, [(1, 1, 1, 1, 1)]),
+    lambda P: extract_ovoid(P, [(0, 0, 0, 0, 0)]),
+    lambda P: is_ovoid(P, [99]),
+    lambda P: decompose_sum_of_lines(P, WeightedPointSet({(1, 1, 1, 1, 1): 3}, 4, P.F)),
+], ids=["off-space-ovoid", "zero-vector-blocking-set", "index-out-of-range",
+        "off-space-weight"])
+def test_point_not_on_the_space_refused(q42, call):
+    with pytest.raises(GeometryError, match="^not a point of the space$"):
+        call(q42)
+
 
 def test_decompose_hermitian_lines():
     # lines of H(3,q^2) have q^2+1 points
