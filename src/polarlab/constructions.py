@@ -11,20 +11,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, count, islice
 
-import numpy as np
-
 from .gf import FieldSpec, field_of_order
 from .projspace import (
     GeometryError,
-    Pairing,
     Subspace,
     enumerate_lines,
+    hyperplane_section,
     nullspace,
-    pairing_bytes,
-    point_array,
-    refuse_over_budget,
     span,
-    subspace_points,
     theta,
 )
 from .polarspace import (
@@ -69,31 +63,18 @@ def _symbol(alpha: int, p: int) -> int:
     return alpha % p
 
 
-def _points_to_codeword(P: PolarSpace, symbol_map) -> CodewordVec:
-    support = {P.index[pt]: s for pt, s in symbol_map.items()}
-    return CodewordVec(support, len(P.points), P.F.p)
-
-
-def _on(P: PolarSpace, S: Subspace) -> list:
-    """The points of P in S."""
-    return [x for x in subspace_points(S, P.F) if x in P.index]
-
-
 def _complement(P: PolarSpace, removed) -> CodewordVec:
-    """All-ones over GF(2) on the points of P outside the removed points."""
-    removed = {P.index[x] for x in removed}
-    support = {j: 1 for j in range(len(P.points)) if j not in removed}
-    return CodewordVec(support, len(P.points), 2)
+    """All-ones over GF(2) on the points of P outside the removed indices."""
+    kept = set(range(len(P.points))).difference(removed)
+    return CodewordVec(dict.fromkeys(kept, 1), len(P.points), 2)
 
 
 def _section_pair(P: PolarSpace, pi: Subspace, a: int) -> CodewordVec:
     """+a on the points of P in pi and -a on those in its polar image,
     the points on both dropped."""
-    plus = set(_on(P, pi))
-    minus = set(_on(P, polar_image(P, pi)))
-    symbols = {x: a for x in plus - minus}
-    symbols.update({x: -a for x in minus - plus})
-    return _points_to_codeword(P, symbols)
+    plus, minus = (set(P.points_on(S)) for S in (pi, polar_image(P, pi)))
+    symbols = {**dict.fromkeys(plus - minus, a), **dict.fromkeys(minus - plus, -a)}
+    return CodewordVec(symbols, len(P.points), P.F.p)
 
 
 # --- reguli, pencils and the regular spread on the Klein quadric -----
@@ -151,10 +132,10 @@ def cw_two_pencils(q: int, beta: int = 1) -> ConstructionResult:
     b = _symbol(beta, F.p)
     e0 = _unit(0, 6)
     symbols = {x: s for j, s in ((2, b), (3, b), (4, -b), (5, -b))
-               for x in subspace_points(span([e0, _unit(j, 6)], F), F)}
-    del symbols[e0]
+               for x in P.points_on(span([e0, _unit(j, 6)], F))}
+    del symbols[P.index[e0]]
     return ConstructionResult(
-        _points_to_codeword(P, symbols), 4 * q, P, 2,
+        CodewordVec(symbols, len(P.points), F.p), 4 * q, P, 2,
         "two pencils of lines through two points in two planes")
 
 
@@ -196,8 +177,7 @@ def _hyperbolic_quadrics(q: int) -> _Replay:
             if plane not in seen:
                 perp = polar_image(P, plane)
                 seen.update((plane, perp))
-                yield plane, perp, frozenset(
-                    P.index[x] for x in _on(P, plane) + _on(P, perp))
+                yield plane, perp, frozenset(P.points_on(plane) + P.points_on(perp))
     return _Replay(quadrics())
 
 
@@ -210,6 +190,9 @@ def cw_regulus_combination(q: int, common_lines: int, orientation: int = 1,
     combinations order, listing quadrics only as far as the search
     reaches."""
     F = field_of_order(q)
+    if not 0 <= common_lines <= 2 * (q + 1):
+        # a quadric's two conics hold 2(q+1) Klein points
+        raise GeometryError(f"common-lines count {common_lines} outside 0..{2 * (q + 1)}")
     P = get_space("Qplus", 5, q)
     a = _symbol(alpha, F.p)
     quadrics = _hyperbolic_quadrics(q)
@@ -237,11 +220,11 @@ def cw_regulus_switch(q: int, i: int) -> ConstructionResult:
         raise GeometryError(f"i={i} out of range [0, {q // 2}]")
     F = field_of_order(q)
     P = get_space("Qplus", 5, q)
-    switched = set(_on(P, _spread_solid(F)))
+    switched = set(P.points_on(_spread_solid(F)))
     for plane in _spread_regulus_planes(F)[:2 * i]:
-        switched.difference_update(_on(P, plane))
-        switched.update(_on(P, polar_image(P, plane)))
-    switched.add(_unit(0, 6))
+        switched.difference_update(P.points_on(plane))
+        switched.update(P.points_on(polar_image(P, plane)))
+    switched.add(P.index[_unit(0, 6)])
     assert len(switched) == q * q + 1 + 2 * i
     return ConstructionResult(
         _complement(P, switched), (1 + q * q) * (q * q + q) - 2 * i, P, 2,
@@ -252,18 +235,11 @@ def cw_regulus_switch(q: int, i: int) -> ConstructionResult:
 
 
 def _first_hyperplane_section(P: PolarSpace, size: int, kind: str) -> list:
-    """Point indices of P on the first hyperplane, in the canonical dual order,
-    that meets P in exactly `size` points; paired with P a block at a time,
-    charged before the pairing or the hyperplanes exist."""
-    unit = np.eye(P.n + 1, dtype=np.int64).tolist()
-    refuse_over_budget(pairing_bytes(unit, P.F, len(P.points), theta(P.n, P.F.order)),
-                       f"{P!r}", "hyperplane section")
-    planes = point_array(P.n, P.F)  # before the tables: its temporaries are as large
-    for _lo, on in Pairing(P.coordinates, unit, P.F).blocks(planes):
-        hit = np.flatnonzero(np.count_nonzero(on, axis=1) == size)
-        if len(hit):
-            return np.flatnonzero(on[hit[0]]).tolist()
-    raise GeometryError(f"no {kind} hyperplane section found")
+    """Point indices of the first hyperplane section of P with `size` points."""
+    on = hyperplane_section(P.coordinates, P.n, P.F, size, f"{P!r}")
+    if on is None:
+        raise GeometryError(f"no {kind} hyperplane section found")
+    return on
 
 
 def elliptic_hyperplane_section(P: PolarSpace) -> list:
@@ -277,7 +253,7 @@ def elliptic_hyperplane_section(P: PolarSpace) -> list:
 def klein_spread_ovoid(P: PolarSpace) -> list:
     """Point indices of the ovoid of the standard Q+(5,q) cut out by the
     spread solid: the Klein image of the regular spread."""
-    return sorted(P.index[x] for x in _on(P, _spread_solid(P.F)))
+    return P.points_on(_spread_solid(P.F))
 
 
 def cw_complement_ovoid(family: str, q: int) -> ConstructionResult:
@@ -299,8 +275,8 @@ def cw_complement_ovoid(family: str, q: int) -> ConstructionResult:
         raise GeometryError(f"no ovoid complement for family {family!r}")
     if not verify.is_ovoid(P, ovoid):
         raise GeometryError("candidate point set is not an ovoid")
-    return ConstructionResult(_complement(P, [P.points[i] for i in ovoid]),
-                              weight, P, k, "complement of an ovoid")
+    return ConstructionResult(_complement(P, ovoid), weight, P, k,
+                              "complement of an ovoid")
 
 
 def cw_wq_examples(q: int, variant: str) -> ConstructionResult:
@@ -314,23 +290,23 @@ def cw_wq_examples(q: int, variant: str) -> ConstructionResult:
     F = P.F
 
     def ones(S):
-        return _points_to_codeword(P, dict.fromkeys(subspace_points(S, F), 1))
+        return CodewordVec(dict.fromkeys(P.points_on(S), 1), len(P.points), F.p)
 
     if variant in ("affine", "affine_plus_pair"):
-        pi_pts = subspace_points(span([_unit(i, 4) for i in range(3)], F), F)
-        c = _complement(P, pi_pts)
+        plane = P.points_on(span([_unit(i, 4) for i in range(3)], F))
+        c = _complement(P, plane)
         if variant == "affine":
             return ConstructionResult(c, q ** 3, P, 1,
                                       "affine points: complement of a plane")
-        on_pi = set(pi_pts)
-        for a, b in combinations(pi_pts, 2):
+        on_pi = set(plane)
+        for a, b in combinations([P.points[i] for i in plane], 2):
             # every point of W(3,q) is singular, so a line is singular
             # when two of its points are collinear
             if P.collinear(a, b):
                 continue
             L = span([a, b], F)
             Ls = polar_image(P, L)
-            if sum(x in on_pi for x in subspace_points(Ls, F)) == 1:
+            if len(on_pi.intersection(P.points_on(Ls))) == 1:
                 return ConstructionResult(
                     c + ones(L) + ones(Ls), q ** 3 + 2, P, 1,
                     "affine set plus a non-isotropic line and its polar")
@@ -338,16 +314,17 @@ def cw_wq_examples(q: int, variant: str) -> ConstructionResult:
 
     if variant == "ovoid_plus_pair":
         E = get_space("Qminus", 3, q)
-        if not verify.is_ovoid(P, E.points):
+        ovoid = [P.index[x] for x in E.points]
+        if not verify.is_ovoid(P, ovoid):
             raise GeometryError("elliptic point set is not an ovoid here")
-        c = _complement(P, E.points)
+        c = _complement(P, ovoid)
         for L in enumerate_lines(3, F):
             if P.collinear(*L.basis):
                 continue
-            if sum(x in E.index for x in subspace_points(L, F)) != 2:
+            if len(E.points_on(L)) != 2:
                 continue
             Ls = polar_image(P, L)
-            if any(x in E.index for x in subspace_points(Ls, F)):
+            if E.points_on(Ls):
                 raise GeometryError("polar of a 2-secant meets the ovoid")
             return ConstructionResult(
                 c + ones(L) + ones(Ls), q ** 3 - q + 2, P, 1,
@@ -421,26 +398,28 @@ def cw_disjoint_perp_cones(family: str, q: int, alpha: int = 1) -> ConstructionR
     F = P.F
     a = _symbol(alpha, F.p)
     P1, P2 = _first_noncollinear_pair(P)
-    perp = polar_image(P, span([P1, P2], F))
-    base = _on(P, perp)
+    base = P.points_on(polar_image(P, span([P1, P2], F)))
+    base_points = [P.points[i] for i in base]
     symbols = {}
     for vertex, s in ((P1, a), (P2, -a)):
-        cone = set(make_cone(span([vertex], F), base, F)) - set(base)
-        symbols.update(dict.fromkeys(cone, s))
+        cone = {P.index[x] for x in make_cone(span([vertex], F), base_points, F)}
+        symbols.update(dict.fromkeys(cone - set(base), s))
     return ConstructionResult(
-        _points_to_codeword(P, symbols), weight, P, 1,
+        CodewordVec(symbols, len(P.points), F.p), weight, P, 1,
         "disjoint truncated cones over the common perp section")
 
 
 # --- polar pairs and complements of cones -----------------------------
 
 
-def _external_line(P: PolarSpace, positions, width) -> list:
-    """Basis rows of the first line of the ambient space of P that carries
-    no point of P, embedded at the positions of vectors of length width."""
-    for L in enumerate_lines(P.n, P.F):
-        if not _on(P, L):
-            return [_embed(u, positions, width) for u in L.basis]
+def _external_line(P: PolarSpace, positions) -> list:
+    """Basis rows of the first line of PG(len(positions) - 1, q), embedded
+    at the given coordinates of the ambient space of P, that carries no
+    point of P."""
+    for L in enumerate_lines(len(positions) - 1, P.F):
+        rows = [_embed(u, positions, P.n + 1) for u in L.basis]
+        if not P.points_on(span(rows, P.F)):
+            return rows
     raise GeometryError("no external line found")
 
 
@@ -482,7 +461,7 @@ def cw_polar_pair(family: str, n: int, q: int, alpha: int = 1) -> ConstructionRe
         rows += [_unit(i, width) for i in range(2, n + 2)]
         weight = 2 * theta(n - 1, q)
     else:
-        rows = _external_line(get_space("Qplus", 3, q), range(4), width)
+        rows = _external_line(P, range(4))
         rows += [_unit(i, width) for i in range(4, n + 3)]
         weight = 2 * theta(n - 1, q) - 2 * q ** ((n - 1) // 2)
     pi = span(rows, P.F)
@@ -503,10 +482,14 @@ def cw_complement_cone(family: str, n: int, q: int, k: int,
     hyperplane section (weight q^{2n}).  hyperbolic k>=2 removes a cone
     with (k-3)-dimensional totally singular vertex over an elliptic
     quadric; parabolic and elliptic families remove the analogous cones
-    with vertex dimensions k-2 and k-1; the hermitian family removes a
-    cone over a smaller Hermitian variety (vertex dimension k-1 for even
-    n, k-2 for odd n).  Everywhere but hyperbolic k=1 the flavor is
-    'cone'."""
+    with vertex dimensions k-2 and k-1.  The three quadric cones differ
+    only by the width w = 0, 1, 2 of the anisotropic head of the standard
+    form: the vertex spans the first coordinates of the first k-2+w
+    hyperbolic pairs, and the base is a line missing the quadric in the
+    head and the next 2-w pairs, with every later coordinate.  The
+    hermitian family removes a cone over a smaller Hermitian variety
+    (vertex dimension k-1 for even n, k-2 for odd n).  Everywhere but
+    hyperbolic k=1 the flavor is 'cone'."""
     if q % 2:
         raise GeometryError("complement codewords need even q")
     fam = canonical_family(family)
@@ -514,52 +497,43 @@ def cw_complement_cone(family: str, n: int, q: int, k: int,
         raise GeometryError(f"flavor {flavor!r} applies only to hyperbolic k=1")
     if fam == "hyperbolic":
         P = get_space("Qplus", 2 * n + 1, q)
-        width = 2 * n + 2
         if k == 1:
             if flavor == "parabolic":
                 sec = _first_hyperplane_section(P, theta(2 * n - 1, q), "parabolic")
                 return ConstructionResult(
-                    _complement(P, [P.points[i] for i in sec]),
-                    (q ** n + 1) * q ** n, P, 1,
+                    _complement(P, sec), (q ** n + 1) * q ** n, P, 1,
                     "complement of a parabolic hyperplane section")
             if flavor == "tangent":
                 perp = polar_image(P, span([P.points[0]], P.F))
                 return ConstructionResult(
-                    _complement(P, _on(P, perp)), q ** (2 * n), P, 1,
+                    _complement(P, P.points_on(perp)), q ** (2 * n), P, 1,
                     "complement of a tangent hyperplane section")
             raise GeometryError(f"unknown flavor {flavor!r} for k=1")
         if not 2 <= k <= n - 1 and not (n == 2 and k == 2):
             raise GeometryError(f"k={k} out of range for this family")
-        vertex_rows = [_unit(2 * i, width) for i in range(k - 2)]
-        base_rows = _external_line(get_space("Qplus", 3, q),
-                                   range(2 * k - 4, 2 * k), width)
-        base_rows += [_unit(i, width) for i in range(2 * k, width)]
         weight = q ** n * sum(q ** j for j in range(n - k + 1, n + 1)) \
             + q ** n + q ** (n - 1)
     elif fam == "parabolic":
         P = get_space("Q", 2 * n, q)
-        width = 2 * n + 1
         if not 1 <= k < (n + 1) / 2:
             raise GeometryError(f"k={k} out of range for this family")
-        vertex_rows = [_unit(2 * i + 1, width) for i in range(k - 1)]
-        base_rows = _external_line(get_space("Q", 2, q),
-                                   (0, 2 * k - 1, 2 * k), width)
-        base_rows += [_unit(i, width) for i in range(2 * k + 1, width)]
         weight = q ** n * sum(q ** j for j in range(n - k, n)) + q ** (n - 1)
     elif fam == "elliptic":
         P = get_space("Qminus", 2 * n + 1, q)
-        width = 2 * n + 2
         if not 1 <= k < (n + 1) / 2:
             raise GeometryError(f"k={k} out of range for this family")
-        vertex_rows = [_unit(2 * i, width) for i in range(1, k + 1)]
-        base_rows = [_unit(i, width)
-                     for i in (0, 1, *range(2 * k + 2, width))]
         weight = q ** (2 * n - k + 1) * theta(k - 1, q)
     elif fam == "hermitian":
         P = get_space("H", n, q * q)
-        width = n + 1
         if not 1 <= k <= (n - 3) / 2 + (1 if n % 2 else 0) and k != 1:
             raise GeometryError(f"k={k} out of range for this family")
+        weight = q ** (2 * n - 2 * k + 1) * (q ** (2 * k) - 1) // (q * q - 1)
+        if n % 2:
+            weight += q ** (n - 1)
+    else:
+        raise GeometryError(f"no complement cone for family {family!r}")
+    width = P.n + 1
+    if fam == "hermitian":
         b = _norm_minus_one(P.F)
         nv = k - 1 if n % 2 == 0 else k - 2
         vertex_rows = [_embed((1, b), (2 * i, 2 * i + 1), width)
@@ -567,16 +541,18 @@ def cw_complement_cone(family: str, n: int, q: int, k: int,
         # the base spans the coordinates after the vertex pairs, all but
         # the last one for odd n
         base_rows = [_unit(i, width) for i in range(2 * nv + 2, width - n % 2)]
-        weight = q ** (2 * n - 2 * k + 1) * (q ** (2 * k) - 1) // (q * q - 1)
-        if n % 2:
-            weight += q ** (n - 1)
     else:
-        raise GeometryError(f"no complement cone for family {family!r}")
-
-    removed = _on(P, span(base_rows, P.F))
+        w = P.n - 2 * P.gen_dim - 1  # the head width
+        v = k - 2 + w
+        end = 2 * v + 4 - w  # past the head and the 2 - w pairs after the vertex's
+        vertex_rows = [_unit(w + 2 * i, width) for i in range(v)]
+        base_rows = _external_line(P, [*range(w), *range(w + 2 * v, end)])
+        base_rows += [_unit(i, width) for i in range(end, width)]
+    removed = P.points_on(span(base_rows, P.F))
     if vertex_rows:
-        removed = make_cone(span(vertex_rows, P.F), removed, P.F)
-        if any(x not in P.index for x in removed):
+        cone = make_cone(span(vertex_rows, P.F), [P.points[i] for i in removed], P.F)
+        removed = [P.index.get(x) for x in cone]
+        if None in removed:
             raise GeometryError("cone is not contained in the polar space")
     return ConstructionResult(
         _complement(P, removed), weight, P, k,

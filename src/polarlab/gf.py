@@ -205,6 +205,8 @@ def make_field(p: int, h: int) -> FieldSpec:
 
 def field_of_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q."""
+    if q > MAX_ORDER:  # before the divisor search, which is linear in q
+        raise FieldError(f"order {q} exceeds desk-scale cap {MAX_ORDER}")
     for p in range(2, q + 1):
         if q % p == 0:  # the least divisor > 1 is prime
             h = 0

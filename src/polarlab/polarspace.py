@@ -85,6 +85,7 @@ FAMILY_ALIASES = {
     "H": "hermitian",
     "W": "symplectic",
 }
+_SHORT = {v: k for k, v in FAMILY_ALIASES.items()}
 
 
 def canonical_family(name: str) -> str:
@@ -222,11 +223,25 @@ def generator_dimension(family: str, n: int) -> int:
     return _rank_of(family, n)[0] - 1
 
 
+def _build_bytes(family: str, n: int, F: FieldSpec, N: int) -> int:
+    """Peak bytes of the build with N points: per point of PG(n,q) its
+    coordinates, its tails or four form values and hermitian conjugates, a
+    flag; per point of the space its tuple, slot, coordinate lists, ints
+    past the small ones, an index int and 4.5 dict slots of 20 bytes."""
+    q = F.order
+    item = np.min_scalar_type(q - 1).itemsize
+    temps = max(n + 1, 4 + (n + 1) * (family == "hermitian")) * item
+    point = (sys.getsizeof((0,) * (n + 1)) + 8 * (n + 2) + 90 + sys.getsizeof(N)
+             + (n + 1) * sys.getsizeof(q) * (q > 257))
+    return theta(n, q) * ((n + 1) * item + temps + 1) + N * point
+
+
 class PolarSpace:
     """A polar space with its singular points indexed in the PG order.
 
     Instances are immutable after construction and cached per parameter
-    set, so identity hashing is safe for memoized enumeration."""
+    set, so identity hashing is safe for memoized enumeration.  The build
+    is charged by `standard_polar_space`, before the form matrix exists."""
 
     def __init__(self, form: FormSpec):
         self.form = form
@@ -236,7 +251,6 @@ class PolarSpace:
         self.q = self.F.sqrt_order if self.family == "hermitian" else self.F.order
         self.gen_dim = generator_dimension(self.family, self.n)
         expected = polar_space_order(self.family, self.n, self.F.order)
-        refuse_over_budget(self._build_bytes(expected), f"{self!r}", "space build")
         ambient = point_array(self.n, self.F)
         self.coordinates = ambient[form.evaluate(ambient) == 0]  # dtype of point_array
         self.points = tuple(zip(*self.coordinates.T.tolist()))
@@ -247,21 +261,8 @@ class PolarSpace:
         self._check_nondegenerate()
         self._kspace_cache = {}
 
-    def _build_bytes(self, N: int) -> int:
-        """Peak bytes of the build with N points: per point of PG(n,q) its
-        coordinates, its tails or four form values and hermitian conjugates, a
-        flag; per point of the space its tuple, slot, coordinate lists, ints
-        past the small ones, an index int and 4.5 dict slots of 20 bytes."""
-        n, q = self.n, self.F.order
-        item = np.min_scalar_type(q - 1).itemsize
-        temps = max(n + 1, 4 + (n + 1) * (self.family == "hermitian")) * item
-        point = (sys.getsizeof((0,) * (n + 1)) + 8 * (n + 2) + 90 + sys.getsizeof(N)
-                 + (n + 1) * sys.getsizeof(q) * (q > 257))
-        return theta(n, q) * ((n + 1) * item + temps + 1) + N * point
-
     def __repr__(self):
-        names = {v: k for k, v in FAMILY_ALIASES.items()}
-        return f"{names[self.family]}({self.n},{self.F.order})"
+        return f"{_SHORT[self.family]}({self.n},{self.F.order})"
 
     def _check_nondegenerate(self):
         rad = nullspace(self.form.bilinear_matrix, self.n + 1, self.F)
@@ -281,6 +282,10 @@ class PolarSpace:
         dimension for hermitian spaces, half the (adjusted) ambient
         dimension for the others."""
         return _counting_param(self.family, self.n)
+
+    def points_on(self, S: Subspace) -> list[int]:
+        """The indices, ascending, of the points of the space in S."""
+        return [i for i in map(self.index.get, subspace_points(S, self.F)) if i is not None]
 
     def collinear(self, x, y) -> bool:
         return bool(self.form.pair(x, y) == 0)
@@ -520,7 +525,8 @@ def standard_polar_space(family: str, n: int, F: FieldSpec) -> PolarSpace:
     fam = canonical_family(family)
     if fam == "hermitian" and not F.has_conjugation:
         raise GeometryError("hermitian family needs a field of square order")
-    generator_dimension(fam, n)  # refuses an n with no polar space
+    N = polar_space_order(fam, n, F.order)  # refuses an n with no polar space
+    refuse_over_budget(_build_bytes(fam, n, F, N), f"{_SHORT[fam]}({n},{F.order})", "space build")
     return PolarSpace(FormSpec(fam, n, F, _standard_matrix(fam, n, F)))
 
 
@@ -553,7 +559,7 @@ def classify_plane_section(H: PolarSpace, plane: Subspace) -> str:
     if plane.dim != 2:
         raise GeometryError("expected a plane")
     q = H.q
-    count = sum(1 for p in subspace_points(plane, H.F) if p in H.index)
+    count = len(H.points_on(plane))
     kinds = {
         q ** 3 + 1: "hermitian_curve",
         q ** 3 + q ** 2 + 1: "baer_cone",

@@ -52,7 +52,9 @@ def refuse_over_budget(size: int, subject: str, what: str):
     `subject` needs more than BYTE_BUDGET bytes, `_FIXED_BYTES` included."""
     size += _FIXED_BYTES
     if size > BYTE_BUDGET:
-        raise ResourceError(f"{subject}: {what} needs {size} bytes, "
+        # past 4,300 digits an int has no str(): Q+(20001,2) needs over 2^20019 bytes
+        need = size if size < 1 << 64 else f"2^{size.bit_length() - 1} or more"
+        raise ResourceError(f"{subject}: {what} needs {need} bytes, "
                             f"over the budget of {BYTE_BUDGET}")
 
 
@@ -375,3 +377,18 @@ def hyperplane_sums(points, weights, n: int, F: FieldSpec) -> np.ndarray:
             out += c * np.count_nonzero(zero[slice(*np.searchsorted(part, (c, c + 1)))],
                                         axis=0)
     return out
+
+
+def hyperplane_section(X, n: int, F: FieldSpec, size: int, subject: str):
+    """Indices into X of its points on the first hyperplane, in the canonical
+    dual order, that holds `size` of them, or None; paired with X a block at a
+    time, charged to `subject` before the pairing or the hyperplanes exist."""
+    unit = np.eye(n + 1, dtype=np.int64).tolist()
+    refuse_over_budget(pairing_bytes(unit, F, len(X), theta(n, F.order)),
+                       subject, "hyperplane section")
+    planes = point_array(n, F)  # before the tables: its temporaries are as large
+    for _lo, on in Pairing(X, unit, F).blocks(planes):
+        hit = np.flatnonzero(np.count_nonzero(on, axis=1) == size)
+        if len(hit):
+            return np.flatnonzero(on[hit[0]]).tolist()
+    return None

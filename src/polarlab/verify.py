@@ -118,25 +118,21 @@ def _minimal(sets, n: int) -> list[int]:
 
 def extract_spread(P: PolarSpace, cover):
     """Drop redundant cover lines, highest canonical index first; a spread
-    if minimality lands there."""
+    if minimality lands on one, of whatever size."""
     lines = sorted(set(cover))
     keep = _minimal(_line_supports(P, lines), len(P.points))
     lines = [lines[j] for j in keep]
-    if len(lines) == P.q ** 2 + 1 and is_spread(P, lines):
-        return lines
-    return None
+    return lines if is_spread(P, lines) else None
 
 
 def extract_ovoid(P: PolarSpace, blocking):
     """Drop redundant points of a generator-blocking set, highest index
-    first; an ovoid if minimality lands at q^2+1 points."""
+    first; an ovoid if minimality lands on one, of whatever size."""
     pts = sorted(_as_index_set(P, blocking))
     gens = P.singular_kspaces_with_supports(P.gen_dim).supports
     through = [np.flatnonzero((gens == x).any(axis=1)).tolist() for x in pts]
     pts = [pts[j] for j in _minimal(through, len(gens))]
-    if len(pts) == P.q ** 2 + 1 and is_ovoid(P, pts):
-        return pts
-    return None
+    return pts if is_ovoid(P, pts) else None
 
 
 @dataclass

@@ -223,14 +223,14 @@ def extract_spread(P: PolarSpace, cover):
                 lines.remove(L)
                 changed = True
                 break
-    if len(lines) == P.q ** 2 + 1 and is_spread(P, lines):
+    if is_spread(P, lines):
         return lines
     return None
 
 
 def extract_ovoid(P: PolarSpace, blocking):
     """Drop redundant points of a generator-blocking set, highest index
-    first; an ovoid if minimality lands at q^2+1 points."""
+    first; an ovoid if minimality lands on one."""
     pts = sorted(_as_index_set(P, blocking))
     gens = [set(sup) for _S, sup in
             P.singular_kspaces_with_supports(P.gen_dim)]
@@ -244,7 +244,7 @@ def extract_ovoid(P: PolarSpace, blocking):
                 pts.remove(x)
                 changed = True
                 break
-    if len(pts) == P.q ** 2 + 1 and is_ovoid(P, pts):
+    if is_ovoid(P, pts):
         return pts
     return None
 

@@ -447,6 +447,19 @@ def test_verdict_needs_weight_at_least_bound(capsys, monkeypatch):
     assert "weight: 6 (predicted 6)" in out and "verdict: FAIL" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("geometry", "--family", "Q", "--n", "4", "--q", "1000000007"),
+     "order 1000000007 exceeds desk-scale cap 65536"),
+    (("construct", "regulus-combination", "--q", "3", "--common-lines", "-1"),
+     "common-lines count -1 outside 0..8"),
+])
+def test_hopeless_requests_are_usage_errors(capsys, argv, message):
+    # refused before a divisor search over q and before the 10,530
+    # quadrics of PG(3,3) are listed
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_construct_search_without_outcome_fails(capsys):
     # the 280 hyperbolic quadrics of PG(3,2) share 0 to 3 lines pairwise
     code, out, err = run(capsys, "construct", "regulus-combination", "--q", "2",

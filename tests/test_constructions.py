@@ -282,6 +282,17 @@ def test_regulus_combination_lists_quadrics_lazily():
     assert len(C._hyperbolic_quadrics(2)._items) == 280
 
 
+def test_regulus_combination_refuses_an_impossible_count():
+    # a quadric's two conics hold 2(q+1) Klein points: refused before the
+    # 10,530 quadrics of PG(3,3) are listed, whose every pair was tried
+    C._hyperbolic_quadrics.cache_clear()
+    for common in (-1, 9):
+        with pytest.raises(GeometryError,
+                           match=f"^common-lines count {common} outside 0..8$"):
+            C.cw_regulus_combination(3, common)
+    assert C._hyperbolic_quadrics.cache_info().currsize == 0
+
+
 def test_hyperbolic_quadrics_pinned():
     # the (regulus, opposite regulus) bases of all 280 quadrics of PG(3,2),
     # in listing order: the lines of the conics in each plane and its
@@ -291,7 +302,7 @@ def test_hyperbolic_quadrics_pinned():
     line = {klein_point(L, F): L for L in enumerate_lines(3, F)}
     pairs = []
     for plane, perp, on in C._hyperbolic_quadrics(2):
-        R, O = (sorted(line[x] for x in C._on(P, S)) for S in (plane, perp))
+        R, O = (sorted(line[P.points[i]] for i in P.points_on(S)) for S in (plane, perp))
         assert on == {P.index[klein_point(L, F)] for L in R + O}
         assert len(on) == 6
         pairs.append((tuple(L.basis for L in R), tuple(L.basis for L in O)))
@@ -404,5 +415,57 @@ def test_codewords_pinned(key, args, weight, bound, sha):
     assert r.codeword.weight == r.predicted_weight == weight
     assert bound_min_weight_dual(r.space.family, r.space.rank_param, r.k,
                                  r.space.q) == bound
+    support = sorted(r.codeword.support.items())
+    assert hashlib.sha256(json.dumps(support).encode()).hexdigest() == sha
+
+
+# (family, n, q, k, weight, support sha256) of every cone that
+# cw_complement_cone admits for Q+, Q and Q- with n <= 4 at q = 2 and
+# n <= 3 at q = 4: the vertex and base of all three from the head width
+CONE_PINS = [
+    ("Qplus", 2, 2, 2, 30,
+     "9ba000bf3993ff7f96b9233d5ff6405cadbfa7cfb37fa41f0eaa1513ef2fd0e7"),
+    ("Qplus", 3, 2, 2, 108,
+     "f792c3efedc9956a1353ed4c821710a1a69653f05a896d43f03b4f18c2ce412d"),
+    ("Qplus", 4, 2, 2, 408,
+     "ac878dbba8df1be6ee9675dd27ea0c5c6bb85c812064dcfc26bfd2d2efdfa4c8"),
+    ("Qplus", 4, 2, 3, 472,
+     "d115ab667ba3ab46ee0b4bb1ab1cee05885e105269444b6d0c1a01f204a5aaa3"),
+    ("Q", 2, 2, 1, 10,
+     "be90cce510c4c254a436d37b3a5447087aa466e3d0233a242dfcccdfc9bc9a8b"),
+    ("Q", 3, 2, 1, 36,
+     "7e3dafd042c6e2106ffb50940f1d318a683b670ceaff07a917828dea2cef204e"),
+    ("Q", 4, 2, 1, 136,
+     "d07cb8c999cdb56eafc0c15068b80931d12defd507674f97c4ba6f857ab83e84"),
+    ("Q", 4, 2, 2, 200,
+     "b1178517d378e0bf3e67137e0d129e004bd35f2b5d8ce2a9c69a0a49ebbc560c"),
+    ("Qminus", 2, 2, 1, 16,
+     "def08910be178e58f1a57b6a159304de342671cd414cc4a14f48298cba2f4ad7"),
+    ("Qminus", 3, 2, 1, 64,
+     "2bc879393bb79780c8c37d69b80376579f3e56d9230884a9499e179024930d39"),
+    ("Qminus", 4, 2, 1, 256,
+     "ab3c63c5c40301f0e4f731a182143b5b64977dc7893c34fe2978d4807f1b82e6"),
+    ("Qminus", 4, 2, 2, 384,
+     "4b81875e22e685f518d357c9d24cfba7524b96b61b7cf418ebdc6903dddd5faa"),
+    ("Qplus", 2, 4, 2, 340,
+     "436f3a34a4566faacb75dcf729deda9ba6fff67df26cb83ecf31887551b4ae3e"),
+    ("Qplus", 3, 4, 2, 5200,
+     "4cebc989965db221f739418f0f56dcc7216c5efd24a97005f923fc8a5cb399d8"),
+    ("Q", 2, 4, 1, 68,
+     "83e6be7ad538b9679d033c0c661745eae538e781a6856a7e0e219dcf0a0b38f1"),
+    ("Q", 3, 4, 1, 1040,
+     "dc99b7d4d7e08b6869227d1aa756f2f0016c61d7c748360d9699b196657e583c"),
+    ("Qminus", 2, 4, 1, 256,
+     "e8f27c01efe175c4a01be4c2d1caae6756128da5aa6ae9432dcda0e1ab143467"),
+    ("Qminus", 3, 4, 1, 4096,
+     "8184514cb3cf590cd69ed5604097874106fba26f156f4f6bcd49d020220b37db"),
+]
+
+
+@pytest.mark.parametrize("family,n,q,k,weight,sha", CONE_PINS, ids=[
+    f"{family}-{n}-{q}-{k}" for family, n, q, k, *_ in CONE_PINS])
+def test_quadric_cones_pinned(family, n, q, k, weight, sha):
+    r = C.cw_complement_cone(family, n, q, k)
+    assert r.codeword.weight == r.predicted_weight == weight
     support = sorted(r.codeword.support.items())
     assert hashlib.sha256(json.dumps(support).encode()).hexdigest() == sha

@@ -40,6 +40,13 @@ def test_make_field_refuses_bad_parameters(p, h, message):
         make_field(p, h)
 
 
+@pytest.mark.parametrize("q", [2 ** 20, 65537, 2 ** 61 - 1])
+def test_order_over_the_cap_refused_first(q):
+    # before the divisor search, which for 2^61 - 1 would try every p < q
+    with pytest.raises(FieldError, match=f"^order {q} exceeds desk-scale cap 65536$"):
+        field_of_order(q)
+
+
 def test_least_irreducible_moduli():
     # lexicographically least monic irreducible, low degree first
     assert least_irreducible(2, 2) == (1, 1, 1)

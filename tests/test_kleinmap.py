@@ -36,7 +36,7 @@ def conic(L, F):
     """The points of Q+(5,q) in the plane of the Klein points of three
     pairwise skew lines: the Klein image of the regulus through them."""
     P = get_space("Qplus", 5, F.order)
-    return C._on(P, span([klein_point(M, F) for M in L], F))
+    return [P.points[i] for i in P.points_on(span([klein_point(M, F) for M in L], F))]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -146,7 +146,7 @@ def test_opposite_regulus_is_the_transversals(q, triple):
         opposite = {P.points[j] for j in support} - set(regulus)
     else:
         # the conic in the polar plane, as cw_regulus_switch takes it
-        opposite = set(C._on(P, polar_image(P, span(regulus, F))))
+        opposite = {P.points[i] for i in P.points_on(polar_image(P, span(regulus, F)))}
     assert opposite == meeting
 
 
@@ -220,7 +220,7 @@ def test_spread_solid_and_regulus_planes_match_the_lines(q):
     assert C.klein_spread_ovoid(P) == sorted(P.index[klein_point(L, F)] for L in T)
     planes = C._spread_regulus_planes(F)
     regs = reguli_partition_through(T[0], q)
-    assert [sorted(C._on(P, pi)) for pi in planes] == \
+    assert [[P.points[i] for i in P.points_on(pi)] for pi in planes] == \
         [sorted(klein_point(L, F) for L in reg) for reg in regs]
 
 

@@ -14,7 +14,8 @@ Every function and constant of the test helpers in tests/references.py
 occurs in some tests/test_*.py module or in another helper there.
 
 GF(q) vector arithmetic has one implementation: only projspace reads the
-field tables `_tables`.
+field tables `_tables`.  Constructions name no pairing, pairing charge,
+point array or budget refusal: hyperplane sections come from projspace.
 
 No module of src/polarlab imports `gc`: the cost of the cyclic collector
 is cut by building fewer objects, never by switching the collector off
@@ -139,6 +140,14 @@ def test_only_projspace_reads_the_field_tables():
     readers = [path.name for path in sorted(package.glob("*.py"))
                if occurrences(path)["_tables"]]
     assert readers == ["projspace.py"]
+
+
+def test_constructions_leaves_hyperplane_pairings_to_projspace():
+    # the pairing of points with hyperplanes, its charge and the
+    # hyperplanes themselves are formed in projspace alone
+    words = occurrences(ROOT / "src" / "polarlab" / "constructions.py")
+    assert [name for name in ("Pairing", "pairing_bytes", "point_array",
+                              "refuse_over_budget") if words[name]] == []
 
 
 def imported_modules(path: Path) -> set[str]:

@@ -604,7 +604,7 @@ def test_space_build_refused_before_allocating(monkeypatch):
     # Q(4,9) fits the default budget; one byte under its build charge it
     # is refused before the point array of PG(4,9) is formed
     F = field_of_order(9)
-    charge = get_space("Q", 4, 9)._build_bytes(820) + projspace._FIXED_BYTES
+    charge = polarspace._build_bytes("parabolic", 4, F, 820) + projspace._FIXED_BYTES
     calls = []
     monkeypatch.setattr(polarspace, "point_array",
                         lambda *args: calls.append(args) or pytest.fail())
@@ -615,6 +615,22 @@ def test_space_build_refused_before_allocating(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(projspace, "BYTE_BUDGET", charge)
     assert len(standard_polar_space("Q", 4, F).points) == 820
+
+
+@pytest.mark.parametrize("n,bits", [(4001, 4017), (20001, 20019)])
+def test_space_build_refused_before_the_form_matrix(n, bits):
+    # the 4,002 x 4,002 form matrix of Q+(4001,2) alone peaked at 256.7 MB,
+    # and that of Q+(20001,2) ran out of memory; the charge of the latter
+    # has more digits than an int may print
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=rf"^Qplus\({n},2\): space build needs "
+                           rf"2\^{bits} or more bytes, over the budget of 80000000$"):
+            standard_polar_space("Qplus", n, field_of_order(2))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("family,n,order", [

@@ -272,6 +272,20 @@ def test_find_spread_refuses_indivisible_point_count(monkeypatch):
     assert find_spread(P) is None
 
 
+def test_extraction_takes_spreads_and_ovoids_of_any_size():
+    # a spread of Q-(5,2) has q^3 + 1 = 9 lines, and the Hermitian curve
+    # x3 = 0 is an ovoid of H(3,4) with q^3 + 1 = 9 points: neither has
+    # the q^2 + 1 elements of a quadrangle of order (q,q)
+    P = get_space("Qminus", 5, 2)
+    spread = find_spread(P)
+    assert len(spread) == 9 and is_spread(P, spread)
+    assert extract_spread(P, spread) == sorted(spread)
+    H = get_space("H", 3, 4)
+    ovoid = [i for i, x in enumerate(H.points) if x[3] == 0]
+    assert len(ovoid) == 9 and is_ovoid(H, ovoid)
+    assert extract_ovoid(H, ovoid) == ovoid
+
+
 @pytest.mark.parametrize("q", [2, 4])
 def test_extract_matches_restart_greedies(q):
     P = get_space("Q", 4, q)
