@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
-"""Print the full table of constructed dual codewords with their exact
-weights, closed-form predictions, lower bounds, and verification verdicts.
+"""The answer table: every small polar-space code with its exact
+dual-weight distribution, when the dual fits a full scan of at most
+2^gfcode.FULL_SCAN_BITS words, or refused; and under each code the
+constructed dual codewords on it, with their weights, closed-form
+predictions, the 1 + M/N lower bound, verification verdicts and their
+standing in the scanned distribution: min, max, interior, or open when
+the scan is refused.  Each code is scanned once; the exit status is 1
+when a construction fails.
 
-Usage: python3 scripts/weight_table.py
+Usage: python3 scripts/answer_table.py
 """
 
 import sys
 import time
 
 from polarlab import constructions as C
-from polarlab.polarspace import bound_min_weight_dual
+from polarlab.gfcode import ScanRefused, build_incidence, scan_dual_weights
+from polarlab.polarspace import bound_min_weight_dual, get_space
 
 
 ROWS = [
@@ -48,23 +55,47 @@ ROWS = [
     ("complement H(5,4)", lambda: C.cw_complement_cone("H", 5, 2, 1)),
 ]
 
+# codes no row is on, after those of the rows: two more of the scan
+# ladder, then the rest of the codes whose dual fits a full scan
+MORE_CODES = [("Qplus", 5, 2, 1), ("Q", 4, 3, 1), ("W", 3, 3, 1), ("H", 3, 4, 1),
+              ("Q", 8, 2, 1), ("Qplus", 9, 2, 1), ("Qminus", 9, 2, 1),
+              ("Q", 10, 2, 1), ("W", 5, 2, 1), ("W", 7, 2, 1)]
+
 
 def main() -> int:
-    failures = 0
-    print(f"{'construction':34} {'weight':>7} {'predicted':>9} "
-          f"{'bound':>6} verdict")
+    codes, failures = {}, 0
     for label, build in ROWS:
         t0 = time.time()
         r = build()
         weight_ok, dual_ok, _witness = r.check()
         bound = bound_min_weight_dual(
             r.space.family, r.space.rank_param, r.k, r.space.q)
-        verdict = "PASS" if (weight_ok and dual_ok
-                             and r.codeword.weight >= bound) else "FAIL"
-        if verdict == "FAIL":
-            failures += 1
-        print(f"{label:34} {r.codeword.weight:7d} {r.predicted_weight:9d} "
-              f"{bound:6d} {verdict}  ({time.time() - t0:.2f}s)")
+        ok = weight_ok and dual_ok and r.codeword.weight >= bound
+        failures += not ok
+        codes.setdefault((r.space, r.k), []).append(
+            (label, r, bound, "PASS" if ok else "FAIL", time.time() - t0))
+    for family, n, order, k in MORE_CODES:
+        codes.setdefault((get_space(family, n, order), k), [])
+    print(f"  {'construction':34} {'weight':>7} {'predicted':>9} "
+          f"{'bound':>6} verdict standing")
+    for (P, k), rows in codes.items():
+        try:
+            rep = scan_dual_weights(build_incidence(P, k))
+        except ScanRefused as e:
+            print(f"{P!r} k={k}: refused ({e})")
+            nz = None
+        else:
+            nz = sorted(w for w in rep["weights"] if w)
+            dist = ", ".join(f"{w}:{rep['weights'][w]}" for w in sorted(rep["weights"]))
+            print(f"{P!r} k={k}: rank={rep['rank']} nullity={rep['nullity']} "
+                  f"min={nz[0] if nz else '-'} max={nz[-1] if nz else '-'}")
+            print(f"  distribution: {dist}")
+        for label, r, bound, verdict, seconds in rows:
+            w = r.codeword.weight
+            standing = ("open" if nz is None else "min" if w == nz[0]
+                        else "max" if w == nz[-1] else "interior")
+            print(f"  {label:34} {w:7d} {r.predicted_weight:9d} {bound:6d} "
+                  f"{verdict:7} {standing:8} ({seconds:.2f}s)")
     return 1 if failures else 0
 
 

@@ -190,9 +190,9 @@ def cw_regulus_combination(q: int, common_lines: int, orientation: int = 1,
     combinations order, listing quadrics only as far as the search
     reaches."""
     F = field_of_order(q)
-    if not 0 <= common_lines <= 2 * (q + 1):
-        # a quadric's two conics hold 2(q+1) Klein points
-        raise GeometryError(f"common-lines count {common_lines} outside 0..{2 * (q + 1)}")
+    if not 0 <= common_lines <= 4:  # the intersection is a (2,2) curve on a quadric
+        raise GeometryError(f"common-lines count {common_lines} outside 0..4: distinct quadrics "
+                            "share only the lines of their intersection, at most 2 of each ruling")
     P = get_space("Qplus", 5, q)
     a = _symbol(alpha, F.p)
     quadrics = _hyperbolic_quadrics(q)
@@ -399,11 +399,10 @@ def cw_disjoint_perp_cones(family: str, q: int, alpha: int = 1) -> ConstructionR
     a = _symbol(alpha, F.p)
     P1, P2 = _first_noncollinear_pair(P)
     base = P.points_on(polar_image(P, span([P1, P2], F)))
-    base_points = [P.points[i] for i in base]
     symbols = {}
     for vertex, s in ((P1, a), (P2, -a)):
-        cone = {P.index[x] for x in make_cone(span([vertex], F), base_points, F)}
-        symbols.update(dict.fromkeys(cone - set(base), s))
+        cone = make_cone(P, span([vertex], F), base)
+        symbols.update(dict.fromkeys(set(cone).difference(base), s))
     return ConstructionResult(
         CodewordVec(symbols, len(P.points), F.p), weight, P, 1,
         "disjoint truncated cones over the common perp section")
@@ -550,10 +549,7 @@ def cw_complement_cone(family: str, n: int, q: int, k: int,
         base_rows += [_unit(i, width) for i in range(end, width)]
     removed = P.points_on(span(base_rows, P.F))
     if vertex_rows:
-        cone = make_cone(span(vertex_rows, P.F), [P.points[i] for i in removed], P.F)
-        removed = [P.index.get(x) for x in cone]
-        if None in removed:
-            raise GeometryError("cone is not contained in the polar space")
+        removed = make_cone(P, span(vertex_rows, P.F), removed)
     return ConstructionResult(
         _complement(P, removed), weight, P, k,
         "complement of a cone-type blocking configuration")

@@ -571,22 +571,26 @@ def classify_plane_section(H: PolarSpace, plane: Subspace) -> str:
     return kinds[count]
 
 
-def make_cone(vertex: Subspace, base, F: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    """The points, sorted, of the union of the lines joining vertex points
-    to base points.
+def make_cone(P: PolarSpace, vertex: Subspace, base) -> list[int]:
+    """The indices in P, ascending, of the points on the union of the lines
+    joining vertex points to the base points, given by their indices.
 
     Outside the vertex the size must come out to q^(v+1)*|B|; anything
     else means the base meets the vertex span badly."""
+    F = P.F
     vertex_pts = set(subspace_points(vertex, F))
     pts = set()
     for b in base:
-        pts.update(subspace_points(span(vertex.basis + (b,), F), F))
+        pts.update(subspace_points(span(vertex.basis + (P.points[b],), F), F))
     pts -= vertex_pts
     expected = F.order ** (vertex.dim + 1) * len(base)
     if len(pts) != expected:
         raise GeometryError(
             f"degenerate cone: {len(pts)} points, expected {expected}")
-    return tuple(sorted(pts | vertex_pts))
+    cone = [P.index.get(x) for x in pts | vertex_pts]
+    if None in cone:
+        raise GeometryError("cone is not contained in the polar space")
+    return sorted(cone)
 
 
 def prop_counts(family: str, n: int, k: int, q: int) -> tuple[Fraction, Fraction]:

@@ -5,11 +5,13 @@ nucleus of an even-order parabolic quadric, exact-cover ovoid and spread
 searches, the spread and ovoid greedies that recount after every
 removal, the regular spread of PG(3,q) and its reguli built as lines,
 the dense form of an incidence matrix, the dual-codeword check one row
-at a time, GF(2) row reduction one pivot column at a time, and the alist
-export formed line by line."""
+at a time, GF(2) row reduction one pivot column at a time, the alist
+export formed line by line, and the MacWilliams transform of a dual
+weight distribution."""
 
 import hashlib
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -364,3 +366,21 @@ def export_alist_by_line(A: IncidenceMatrix, path: str) -> str:
     with open(path, "w") as fh:
         fh.write(data)
     return hashlib.sha256(data.encode()).hexdigest()
+
+
+def macwilliams(weights, n: int, p: int) -> list[Fraction]:
+    """A_0..A_n, the weight distribution of the length-n code C over GF(p)
+    whose dual has the distribution weights ({i: B_i}), by the MacWilliams
+    identity (MacWilliams and Sloane, The Theory of Error-Correcting Codes,
+    1977, ch. 5): |C^perp| sum_j A_j y^j = sum_i B_i (1+(p-1)y)^(n-i) (1-y)^i.
+    The sum is formed in Python integers as acc_i = acc_(i-1) (1+(p-1)y)
+    + B_i (1-y)^i, so a distribution that is no dual's shows as a
+    fraction."""
+    def times(poly, c):  # poly * (1 + c y)
+        return [x + c * y for x, y in zip(poly + [0], [0] + poly)]
+    acc, power = [weights.get(0, 0)], [1]
+    for i in range(1, n + 1):
+        acc, power = times(acc, p - 1), times(power, -1)
+        if weights.get(i):
+            acc = [a + weights[i] * b for a, b in zip(acc, power)]
+    return [Fraction(a, sum(weights.values())) for a in acc]

@@ -447,15 +447,19 @@ def test_verdict_needs_weight_at_least_bound(capsys, monkeypatch):
     assert "weight: 6 (predicted 6)" in out and "verdict: FAIL" in out
 
 
+COMMON_LINES_WHY = ("distinct quadrics share only the lines of their "
+                    "intersection, at most 2 of each ruling")
+
+
 @pytest.mark.parametrize("argv,message", [
     (("geometry", "--family", "Q", "--n", "4", "--q", "1000000007"),
      "order 1000000007 exceeds desk-scale cap 65536"),
-    (("construct", "regulus-combination", "--q", "3", "--common-lines", "-1"),
-     "common-lines count -1 outside 0..8"),
+    *[(("construct", "regulus-combination", "--q", "3", "--common-lines", str(c)),
+       f"common-lines count {c} outside 0..4: {COMMON_LINES_WHY}") for c in (-1, 5, 8)],
 ])
 def test_hopeless_requests_are_usage_errors(capsys, argv, message):
     # refused before a divisor search over q and before the 10,530
-    # quadrics of PG(3,3) are listed
+    # quadrics of PG(3,3) are listed; 8 = 2(q+1) only a quadric shares with itself
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 

@@ -283,12 +283,13 @@ def test_regulus_combination_lists_quadrics_lazily():
 
 
 def test_regulus_combination_refuses_an_impossible_count():
-    # a quadric's two conics hold 2(q+1) Klein points: refused before the
+    # two distinct quadrics share at most 4 lines: refused before the
     # 10,530 quadrics of PG(3,3) are listed, whose every pair was tried
     C._hyperbolic_quadrics.cache_clear()
-    for common in (-1, 9):
+    for common in (-1, 5, 8, 9):
         with pytest.raises(GeometryError,
-                           match=f"^common-lines count {common} outside 0..8$"):
+                           match=f"^common-lines count {common} outside 0..4: "
+                                 "distinct quadrics share only"):
             C.cw_regulus_combination(3, common)
     assert C._hyperbolic_quadrics.cache_info().currsize == 0
 
@@ -332,7 +333,7 @@ def test_registry_covers_all_constructions():
 
 
 # weight, bound and support sha256 of every construct-verify row of the
-# benchmark (perfbench/reference.json): the 33 rows of weight_table.py and
+# benchmark (perfbench/reference.json): the 33 rows of answer_table.py and
 # two regulus combinations
 PINNED = [
     ("two-reguli", (2,), 6, 4,

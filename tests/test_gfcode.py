@@ -13,13 +13,14 @@ from references import (
     dense,
     export_alist_by_line,
     is_dual_codeword_by_row,
+    macwilliams,
     rref_gf2_by_column,
 )
 
 from polarlab import gfcode, projspace
 from polarlab.gf import field_of_order
 from polarlab.polarspace import bound_min_weight_dual, get_space, standard_polar_space
-from polarlab.projspace import ResourceError, hyperplane_sums
+from polarlab.projspace import ResourceError, hyperplane_sums, theta
 from polarlab.gfcode import (
     CodeError,
     CodewordVec,
@@ -709,8 +710,8 @@ def test_scan_blocks_are_no_larger_than_int16_blocks(p, n_cols, word_bytes):
         assert t == t0 or p ** (t + 1) * word_bytes > p ** t0 * 2 * n_cols
 
 
-# rank, nullity and distribution of the codes of scripts/scan_small_codes.py
-# as that script prints them; None where the full scan is refused
+# rank, nullity and distribution of the scan-ladder codes as
+# scripts/answer_table.py prints them; None where the full scan is refused
 SCAN_LADDER = [
     ("Q", 4, 2, 1, 10, 5, "0:1, 6:10, 8:15, 10:6"),
     ("W", 3, 2, 1, 10, 5, "0:1, 6:10, 8:15, 10:6"),
@@ -772,6 +773,29 @@ def test_scan_ladder_pinned(family, n, order, k, rank, nullity, dist):
     w = rep["weights"]
     assert (rep["mode"], rep["rank"], rep["nullity"]) == ("FULL", rank, nullity)
     assert ", ".join(f"{x}:{w[x]}" for x in sorted(w)) == dist
+
+
+# every code whose dual fits a full scan: the scan ladder's, then k = 1 of
+# the rest, whose distributions scripts/answer_table.py prints
+FULL_ZONE = [c[:4] for c in SCAN_LADDER if c[6] is not None] + [
+    ("W", 3, 3, 1), ("H", 3, 4, 1), ("Q", 6, 2, 1), ("Qminus", 7, 2, 1),
+    ("Q", 8, 2, 1), ("Qplus", 9, 2, 1), ("Qminus", 9, 2, 1), ("Q", 10, 2, 1),
+    ("W", 5, 2, 1), ("W", 7, 2, 1)]
+
+
+@pytest.mark.parametrize("family,n,order,k", FULL_ZONE)
+def test_macwilliams_of_full_scans(family, n, order, k):
+    # an oracle for the scan that shares none of its code: the transform
+    # of the dual distribution is a code's, of dimension the rank, and its
+    # lightest words are the scalar multiples of the k-spaces
+    A = build_incidence(get_space(family, n, order), k)
+    rep = scan_dual_weights(A)
+    dist = macwilliams(rep["weights"], A.n_cols, A.p)
+    assert all(a.denominator == 1 and a >= 0 for a in dist)
+    assert sum(dist) == A.p ** rep["rank"]
+    d = theta(k, order)
+    assert min(j for j, a in enumerate(dist) if j and a) == d
+    assert dist[d] == (A.p - 1) * A.n_rows
 
 
 def _sastry_sin_rank(q):

@@ -134,19 +134,24 @@ def test_plane_section_classification(q):
 
 
 def test_make_cone_sizes():
-    # cone over an elliptic-quadric base from a singular vertex point
+    # cones from a vertex point over the points of Q-(5,2) in a solid
     P = get_space("Qminus", 5, 2)
     F = P.F
-    base_amb = span([(0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
-                     (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)], F)
-    base = [x for x in subspace_points(base_amb, F) if x in P.index]
-    vertex = span([(0, 0, 1, 0, 0, 0)], F)
+    hyperbolic = P.points_on(span([(0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+                                   (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)], F))
+    elliptic = P.points_on(span([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                                 (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)], F))
+    assert (len(hyperbolic), len(elliptic)) == (9, 5)
     # vertex lies inside the base span: size check must refuse
-    with pytest.raises(GeometryError):
-        make_cone(vertex, base, F)
-    vertex = span([(1, 0, 0, 0, 0, 0)], F)
-    cone = make_cone(vertex, base, F)
-    assert len(cone) == P.q * len(base) + 1 and list(cone) == sorted(cone)
+    with pytest.raises(GeometryError, match="^degenerate cone"):
+        make_cone(P, span([(0, 0, 1, 0, 0, 0)], F), hyperbolic)
+    # a vertex off the quadric: the cone leaves the polar space
+    with pytest.raises(GeometryError, match="not contained in the polar space"):
+        make_cone(P, span([(1, 0, 0, 0, 0, 0)], F), hyperbolic)
+    vertex = (0, 0, 1, 0, 0, 0)
+    cone = make_cone(P, span([vertex], F), elliptic)
+    assert len(cone) == P.q * len(elliptic) + 1 and cone == sorted(cone)
+    assert P.index[vertex] in cone and set(elliptic) < set(cone)
 
 
 def test_count_kspaces_through_point_and_pair():
